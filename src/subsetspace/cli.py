@@ -41,7 +41,6 @@ class RunConfig:
     max_cells: int = DEFAULT_MAX_CELLS
     fmt: str = "json"
     seed: int | None = None
-    jobs: int = 1
     level: int | None = None
     file: str | None = None
 
@@ -110,7 +109,7 @@ def cmd_homology(cfg: RunConfig) -> int:
     name, S = _resolve_space(cfg)
     t0 = time.monotonic()
     space = build_expk(S, cfg.k, max_cells=cfg.max_cells)
-    h = space_homology(space.result, reduced=cfg.reduced, jobs=cfg.jobs)
+    h = space_homology(space.result, reduced=cfg.reduced)
     elapsed = int((time.monotonic() - t0) * 1000)
     _emit(_payload(name, cfg, h=h, cells=space.cells_enumerated,
                    elapsed_ms=elapsed), cfg.fmt)
@@ -189,7 +188,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"],
                    default="json")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--file", default=None,
                    help="path to a custom simplicial set (JSON)")
 
@@ -222,7 +220,7 @@ def _config_from_args(args) -> RunConfig:
         raise SimplicialError("cell cap must be >= 1")
     return RunConfig(space=args.space or "", k=args.k, reduced=args.reduced,
                      max_cells=max_cells, fmt=args.format, seed=args.seed,
-                     jobs=args.jobs, level=getattr(args, "level", None),
+                     level=getattr(args, "level", None),
                      file=args.file)
 
 

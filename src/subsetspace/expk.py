@@ -1,7 +1,9 @@
 """The finite subset functor on finite simplicial sets.
 
 Primary construction: levelwise subsets of size <= k of the simplices of S,
-with faces computed elementwise and renormalized.  Oracle: the colimit of
+with faces computed elementwise and renormalized by the closed-form
+Eilenberg-Zilber subset normal form (strip_degeneracies), which reads each
+simplex's degeneracy indices off its normal-form word.  Oracle: the colimit of
 cartesian products of at most k factors under diagonal insertions and factor
 permutations, whose classes must biject with the subsets.
 """
@@ -14,7 +16,7 @@ from itertools import product
 from math import comb
 
 from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
-                         apply_face, compose_degeneracy, enumerate_level)
+                         apply_face, enumerate_level)
 
 DEFAULT_MAX_CELLS = 200_000
 
@@ -59,50 +61,27 @@ class SubsetSimplex:
         return len(self.elements)
 
 
-def degeneracy_set(x: FormalSimplex, S: SimplicialSet) -> frozenset[int]:
-    """Indices i with x in the image of s_i, by the exact membership test
-    s_i(d_i(x)) == x."""
-    if x.dim == 0:
-        return frozenset()
-    return frozenset(i for i in range(x.dim)
-                     if apply_face(x, i, S).degenerate(i) == x)
+def strip_degeneracies(A) -> tuple[tuple[int, ...], SubsetSimplex]:
+    """Eilenberg-Zilber normal form of a set of equal-dimension simplices:
+    word . core, with core a non-degenerate subset.
 
-
-def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
-    """Common degeneracy indices of all elements; nonempty iff the subset is
-    degenerate as a simplex of exp_k S."""
-    out: frozenset[int] | None = None
-    for a in A:
-        d = degeneracy_set(a, S)
-        out = d if out is None else out & d
-        if not out:
-            return frozenset()
-    return out if out is not None else frozenset()
-
-
-def strip_degeneracies(A, S: SimplicialSet,
-                       order: str = "min") -> tuple[tuple[int, ...], SubsetSimplex]:
-    """Express a set of equal-dimension simplices as word . core with core a
-    non-degenerate subset.  Strips the smallest common index first (order
-    'min'); order 'random:<seed>' exists for the confluence property test."""
-    elems = sorted(set(A))
+    A simplex lies in the image of s_i exactly when i is in its normal-form
+    word, so the subset's common degeneracies are the intersection C of its
+    elements' words.  The stripped word is C in decreasing order; each core
+    element drops C from its word and lowers every remaining index by the
+    number of indices of C below it."""
+    elems = set(A)
     if not elems:
         raise SimplicialError("cannot strip an empty subset")
-    rng = None
-    if order.startswith("random:"):
-        rng = random.Random(int(order.split(":", 1)[1]))
-    stripped: list[int] = []
-    while True:
-        common = subset_degeneracy_set(elems, S)
-        if not common:
-            break
-        i = rng.choice(sorted(common)) if rng else min(common)
-        stripped.append(i)
-        elems = sorted({apply_face(a, i, S) for a in elems})
-    word: tuple[int, ...] = ()
-    for j in reversed(stripped):
-        word = compose_degeneracy(word, j)
-    return word, SubsetSimplex.of(elems)
+    common = frozenset.intersection(*(frozenset(a.word) for a in elems))
+    if not common:
+        return (), SubsetSimplex.of(elems)
+    core = [FormalSimplex(a.base,
+                          tuple(i - sum(c < i for c in common)
+                                for i in a.word if i not in common),
+                          a.dim - len(common))
+            for a in elems]
+    return tuple(sorted(common, reverse=True)), SubsetSimplex.of(core)
 
 
 @dataclass
@@ -115,14 +94,14 @@ class ExpkSpace:
     cells_enumerated: int
 
 
-def _nondegenerate_subsets(level: list[FormalSimplex], dsets: list[frozenset[int]],
+def _nondegenerate_subsets(dsets: list[frozenset[int]],
                            k: int) -> tuple[list[tuple[int, ...]], int]:
     """Depth-first enumeration of index subsets of size <= k whose D-set
     intersection is empty.  No pruning on the D-set: a superset of a
     degenerate set can be non-degenerate.  Returns (subsets, visited)."""
     found: list[tuple[int, ...]] = []
     visited = 0
-    n = len(level)
+    n = len(dsets)
     stack: list[int] = []
 
     def extend(start: int, inter: frozenset[int]):
@@ -160,8 +139,9 @@ def build_expk(S: SimplicialSet, k: int,
         projected = sum(comb(m, j) for j in range(1, k + 1))
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
-        dsets = [degeneracy_set(x, S) for x in level]
-        subsets, visited = _nondegenerate_subsets(level, dsets, k)
+        # x is in the image of s_i exactly when i is in its word
+        subsets, visited = _nondegenerate_subsets(
+            [frozenset(x.word) for x in level], k)
         cells += visited
         for idxs in sorted(subsets, key=lambda t: tuple(level[i] for i in t)):
             sub = SubsetSimplex(tuple(level[i] for i in idxs))
@@ -175,7 +155,7 @@ def build_expk(S: SimplicialSet, k: int,
         faces = []
         for i in range(sub.dim + 1):
             word, core = strip_degeneracies(
-                [apply_face(a, i, S) for a in sub.elements], S)
+                [apply_face(a, i, S) for a in sub.elements])
             faces.append(FormalSimplex(id_of[core], word, sub.dim - 1))
         result.set_faces(g, faces)
     while len(result.by_dim) > 1 and not result.by_dim[-1]:

@@ -7,7 +7,6 @@ sparse.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .simplicial import SimplicialSet, SimplicialError
@@ -272,24 +271,16 @@ def smith_normal_form(M) -> SmithResult:
     return SmithResult(rank=len(divisors), divisors=divisors)
 
 
-def homology(C: ChainComplex, reduced: bool = False,
-             jobs: int = 1) -> HomologyResult:
+def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
     """Betti numbers and torsion divisors of an integer chain complex.
 
     betti[n] = |basis_n| - rank d_n - rank d_{n+1}; torsion[n] is the list
-    of elementary divisors of d_{n+1} exceeding 1.  Smith normal forms of
-    the different boundaries are independent and run in parallel when
-    jobs > 1.
+    of elementary divisors of d_{n+1} exceeding 1.
     """
     if not C.check_dd_zero():
         raise ChainComplexError("boundary squared is nonzero")
     top = C.top
-    mats = C.boundaries
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            snfs = list(pool.map(smith_normal_form, mats))
-    else:
-        snfs = [smith_normal_form(M) for M in mats]
+    snfs = [smith_normal_form(M) for M in C.boundaries]
     betti: list[int] = []
     torsion: list[list[int]] = []
     f_vector = C.f_vector()
@@ -305,6 +296,5 @@ def homology(C: ChainComplex, reduced: bool = False,
                           f_vector=f_vector, euler=euler)
 
 
-def space_homology(S: SimplicialSet, reduced: bool = False,
-                   jobs: int = 1) -> HomologyResult:
-    return homology(normalized_chains(S), reduced=reduced, jobs=jobs)
+def space_homology(S: SimplicialSet, reduced: bool = False) -> HomologyResult:
+    return homology(normalized_chains(S), reduced=reduced)

@@ -276,12 +276,23 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
     return FormalSimplex(base, tuple(word), dim_of[base] + len(word))
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def simplicial_set_from_dict(data: dict) -> SimplicialSet:
     try:
         gen_lists = data["generators"]
         face_map = data.get("faces", {})
     except (TypeError, KeyError) as exc:
         raise SimplicialError("missing 'generators' key") from exc
+    if not (isinstance(gen_lists, list) and all(map(_is_str_list, gen_lists))):
+        raise SimplicialError(
+            "'generators' must be a list of lists of generator names")
+    if not (isinstance(face_map, dict)
+            and all(map(_is_str_list, face_map.values()))):
+        raise SimplicialError(
+            "'faces' must map generator names to lists of face expressions")
     S = SimplicialSet()
     name_to_id: dict[str, int] = {}
     for dim, names in enumerate(gen_lists):
@@ -299,6 +310,12 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
         if S.dim_of[g] >= 1 and S.faces[g] is None:
             raise SimplicialError(
                 f"generator {S.labels[g]!r} has no face table")
+    report = validate(S)
+    if not report:
+        g, i, j = report.violation
+        raise SimplicialError(
+            f"faces of generator {S.labels[g]!r} break d_i d_j = d_(j-1) d_i "
+            f"at (i, j) = ({i}, {j})")
     return S
 
 

@@ -141,3 +141,24 @@ def test_file_parse_error(capsys, tmp_path):
                            "--k", "1")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"generators": [[1]]},
+    {"generators": "vv"},
+    {"generators": [["v"], ["e"]], "faces": []},
+    {"generators": [["v"], ["e"]], "faces": {"e": "vv"}},
+    # d_0 d_1 t = u but d_0 d_0 t = v: breaks d_0 d_1 = d_0 d_0
+    {"generators": [["u", "v"], ["a", "b"], ["t"]],
+     "faces": {"a": ["u", "u"], "b": ["v", "v"], "t": ["a", "b", "a"]}},
+], ids=["non-string-name", "string-generators", "list-faces",
+        "string-face-list", "broken-identity"])
+def test_malformed_file_is_parse_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "homology", "--file", str(path),
+                             "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

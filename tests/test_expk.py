@@ -3,12 +3,15 @@ from math import comb
 
 import pytest
 
-from subsetspace.simplicial import (FormalSimplex, enumerate_level,
+from subsetspace.simplicial import (FormalSimplex, SimplicialError,
+                                    SimplicialSet, enumerate_level,
                                     find_isomorphism, validate)
-from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
+from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
+                                subdivided_circle, wedge)
 from subsetspace.expk import (ResourceCapError, SubsetSimplex, build_expk,
-                              colimit_level_oracle, degeneracy_set,
-                              strip_degeneracies, subset_degeneracy_set)
+                              colimit_level_oracle, strip_degeneracies)
+
+from oracles import degeneracy_set, strip_degeneracies_iterative
 
 
 def circle():
@@ -17,7 +20,7 @@ def circle():
 
 def test_strip_single_degenerate_vertex():
     S = circle()
-    word, core = strip_degeneracies([S.simplex(0).degenerate(0)], S)
+    word, core = strip_degeneracies([S.simplex(0).degenerate(0)])
     assert word == (0,)
     assert core == SubsetSimplex.of([S.simplex(0)])
 
@@ -27,9 +30,7 @@ def test_strip_nondegenerate_pair():
     S = circle()
     e = S.simplex(1)
     A = [e.degenerate(0), e.degenerate(1)]
-    assert degeneracy_set(A[0], S) == frozenset({0})
-    assert degeneracy_set(A[1], S) == frozenset({1})
-    word, core = strip_degeneracies(A, S)
+    word, core = strip_degeneracies(A)
     assert word == ()
     assert core == SubsetSimplex.of(A)
 
@@ -39,7 +40,7 @@ def test_strip_mixed_pair():
     S = circle()
     v, e = S.simplex(0), S.simplex(1)
     A = [FormalSimplex(0, (1, 0), 2), e.degenerate(1)]
-    word, core = strip_degeneracies(A, S)
+    word, core = strip_degeneracies(A)
     assert word == (1,)
     assert core == SubsetSimplex.of([e, v.degenerate(0)])
 
@@ -52,9 +53,57 @@ def test_strip_confluence_randomized():
         dim = rng.choice([2, 3])
         level = [x for x in pool if x.dim == dim]
         A = rng.sample(level, rng.randint(1, 3))
-        canonical = strip_degeneracies(A, S)
+        closed = strip_degeneracies(A)
+        assert strip_degeneracies_iterative(A, S) == closed
         for seed in range(3):
-            assert strip_degeneracies(A, S, order=f"random:{seed}") == canonical
+            assert strip_degeneracies_iterative(
+                A, S, order=f"random:{seed}") == closed
+
+
+def test_strip_rejects_empty_and_mixed_dimensions():
+    S = circle()
+    with pytest.raises(SimplicialError):
+        strip_degeneracies([])
+    with pytest.raises(SimplicialError):
+        # common index 0, cores of dimensions 1 and 0
+        strip_degeneracies([S.simplex(1).degenerate(0),
+                            S.simplex(0).degenerate(0)])
+
+
+def _random_face_table(rng: random.Random) -> SimplicialSet:
+    """Three vertices, three edges and two triangles with random faces,
+    which mostly break the simplicial identities."""
+    S = SimplicialSet()
+    vs = [S.add_generator(0) for _ in range(3)]
+    es = [S.add_generator(1) for _ in range(3)]
+    ts = [S.add_generator(2) for _ in range(2)]
+    for e in es:
+        S.set_faces(e, [S.simplex(rng.choice(vs)) for _ in range(2)])
+    edges = [S.simplex(e) for e in es] + [S.simplex(v).degenerate(0)
+                                          for v in vs]
+    for t in ts:
+        S.set_faces(t, [rng.choice(edges) for _ in range(3)])
+    return S
+
+
+def test_word_is_degeneracy_set():
+    """x lies in the image of s_i exactly when i is in its normal-form word
+    (Eilenberg-Zilber), also when the face table breaks the simplicial
+    identities."""
+    spaces = []
+    for desc, k in [("s1", 4), ("s2", 3), ("wedge:1,1", 3), ("circle:4", 3)]:
+        S = parse_space(desc)[1]
+        spaces += [S, build_expk(S, k).result]
+    rng = random.Random(31)
+    broken = [_random_face_table(rng) for _ in range(5)]
+    assert not any(validate(S).ok for S in broken)
+    checked = 0
+    for S in spaces + broken:
+        for n in range(S.dim + 3):
+            for x in enumerate_level(S, n):
+                assert frozenset(x.word) == degeneracy_set(x, S), x
+                checked += 1
+    assert checked > 12_000
 
 
 def test_build_exp2_circle_generators():
@@ -77,7 +126,9 @@ def test_exp2_circle_rejects_degenerate_level2_pair():
     # {s_0 e, s_1 s_0 v} has common degeneracy index 0
     S = circle()
     A = [S.simplex(1).degenerate(0), FormalSimplex(0, (1, 0), 2)]
-    assert subset_degeneracy_set(A, S) == frozenset({0})
+    assert strip_degeneracies(A) == (
+        (0,), SubsetSimplex.of([S.simplex(1), S.simplex(0).degenerate(0)]))
+    assert SubsetSimplex.of(A) not in build_expk(S, 2).id_of
 
 
 def test_exp1_is_identity_on_all_builders():

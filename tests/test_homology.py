@@ -182,10 +182,3 @@ def test_restricted_chains_requires_closure():
     S = subdivided_circle(3)
     with pytest.raises(Exception):
         restricted_chains(S, {S.by_dim[1][0]})  # edge without its vertices
-
-
-def test_parallel_snf_matches_serial():
-    S = build_expk(wedge(WedgeSpec((1, 1))), 3).result
-    h1 = space_homology(S, jobs=1)
-    h4 = space_homology(S, jobs=4)
-    assert h1 == h4
