@@ -7,6 +7,7 @@ sparse.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .simplicial import SimplicialSet, SimplicialError
@@ -137,37 +138,29 @@ class HomologyResult:
         return b == 0 and not t
 
 
-def normalized_chains(S: SimplicialSet) -> ChainComplex:
+def normalized_chains(S: SimplicialSet,
+                      gens: set[int] | None = None) -> ChainComplex:
     """Free integer chains on the non-degenerate generators; the boundary is
-    the alternating face sum with degenerate faces contributing zero."""
-    bases = [list(S.by_dim[n]) for n in range(S.dim + 1)]
+    the alternating face sum with degenerate faces contributing zero.
+
+    With gens, the chains of that generator-closed subset of S (a simplicial
+    subset); a set not closed under faces raises SimplicialError.
+    """
+    if gens is None:
+        bases = [list(S.by_dim[n]) for n in range(S.dim + 1)]
+    else:
+        for g in gens:
+            if S.dim_of[g] >= 1:
+                for f in S.faces[g]:
+                    if f.base not in gens:
+                        raise SimplicialError(
+                            "generator set is not closed under faces")
+        top = max((S.dim_of[g] for g in gens), default=0)
+        bases = [[g for g in S.by_dim[n] if g in gens] if n <= S.dim else []
+                 for n in range(top + 1)]
     index = [{g: i for i, g in enumerate(b)} for b in bases]
     boundaries = [SparseIntMatrix(0, len(bases[0]))]
-    for n in range(1, S.dim + 1):
-        M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
-        for c, g in enumerate(bases[n]):
-            for i, f in enumerate(S.faces[g]):
-                if f.is_degenerate:
-                    continue
-                M.add(index[n - 1][f.base], c, -1 if i % 2 else 1)
-        boundaries.append(M)
-    return ChainComplex(bases=bases, boundaries=boundaries)
-
-
-def restricted_chains(S: SimplicialSet, gens: set[int]) -> ChainComplex:
-    """Chains of a generator-closed subset of S (a simplicial subset)."""
-    for g in gens:
-        if S.dim_of[g] >= 1:
-            for f in S.faces[g]:
-                if f.base not in gens:
-                    raise SimplicialError(
-                        "generator set is not closed under faces")
-    top = max((S.dim_of[g] for g in gens), default=0)
-    bases = [[g for g in S.by_dim[n] if g in gens] if n <= S.dim else []
-             for n in range(top + 1)]
-    index = [{g: i for i, g in enumerate(b)} for b in bases]
-    boundaries = [SparseIntMatrix(0, len(bases[0]))]
-    for n in range(1, top + 1):
+    for n in range(1, len(bases)):
         M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
         for c, g in enumerate(bases[n]):
             for i, f in enumerate(S.faces[g]):
@@ -183,9 +176,24 @@ def smith_normal_form(M) -> SmithResult:
     and column operations with exact arithmetic.
 
     Accepts a SparseIntMatrix or a dense list of rows; the input is not
-    mutated.  Pivot selection is smallest nonzero magnitude with ties broken
-    by lowest (row, column), which controls entry growth and makes the
-    elimination deterministic.
+    mutated.  Two phases share one sparse store:
+
+    1. Unit pivots.  While some entry is +-1, pivot on the one of lowest
+       Markowitz cost (len(row) - 1) * (len(col) - 1), ties broken by lowest
+       (row, column).  Candidates wait in a heap keyed on the cost when
+       pushed; a popped candidate that is gone or no longer +-1 is dropped,
+       and one whose cost has changed is pushed again at its current cost.
+       Row operations clear the pivot column, +-1 entries created by fill-in
+       join the heap, and the pivot row and column are deleted: over Z a
+       unit pivot adds 1 to the rank and the divisor 1.
+    2. Residual.  What is left has no unit entry.  Pivot on the smallest
+       nonzero magnitude, ties broken by lowest (row, column), clear its row
+       and column by floor-division steps, and fold a row into the pivot row
+       until the pivot divides every remaining entry.
+
+    The divisors are the phase-1 ones followed by the residual's, a divisor
+    chain d_1 | d_2 | ...; the Smith normal form is unique, so the list does
+    not depend on the pivot order.
     """
     if isinstance(M, SparseIntMatrix):
         items = list(M.entries())
@@ -213,6 +221,33 @@ def smith_normal_form(M) -> SmithResult:
                 if not col_rows[c]:
                     del col_rows[c]
 
+    def cost(r: int, c: int) -> int:
+        return (len(rows[r]) - 1) * (len(col_rows[c]) - 1)
+
+    heap = [(cost(r, c), r, c) for r, c, v in items if v in (1, -1)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        key, pr, pc = heapq.heappop(heap)
+        pv = rows.get(pr, {}).get(pc)
+        if pv not in (1, -1):
+            continue
+        now = cost(pr, pc)
+        if now != key:
+            heapq.heappush(heap, (now, pr, pc))
+            continue
+        for r in sorted(col_rows[pc] - {pr}):
+            q = rows[r][pc] * pv  # row_r -= q * row_pr clears the column
+            for c, v in rows[pr].items():
+                old = rows.get(r, {}).get(c, 0)
+                new = old - q * v
+                set_entry(r, c, new)
+                if new in (1, -1) and old not in (1, -1):
+                    heapq.heappush(heap, (cost(r, c), r, c))
+        for c in list(rows[pr]):
+            set_entry(pr, c, 0)
+        units += 1
+
     def row_sub(dst: int, src: int, q: int) -> None:
         # row_dst -= q * row_src
         for c, v in list(rows.get(src, {}).items()):
@@ -224,18 +259,14 @@ def smith_normal_form(M) -> SmithResult:
             v = rows[r][src]
             set_entry(r, dst, rows.get(r, {}).get(dst, 0) - q * v)
 
-    def find_pivot() -> tuple[int, int, int]:
-        best = None
-        for r in rows:
-            for c, v in rows[r].items():
-                key = (abs(v), r, c)
-                if best is None or key < best:
-                    best = key
-        return best[1], best[2], None if best is None else best[0]
+    def find_pivot() -> tuple[int, int]:
+        _, r, c = min((abs(v), r, c)
+                      for r, row in rows.items() for c, v in row.items())
+        return r, c
 
-    divisors: list[int] = []
+    divisors = [1] * units
     while rows:
-        pr, pc, _ = find_pivot()
+        pr, pc = find_pivot()
         while True:
             pv = rows[pr][pc]
             # clear the pivot column by row operations

@@ -300,6 +300,8 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
             if name in name_to_id:
                 raise SimplicialError(f"duplicate generator name {name!r}")
             name_to_id[name] = S.add_generator(dim, name)
+    if not name_to_id:
+        raise SimplicialError("'generators' names no generator")
     for name, exprs in face_map.items():
         if name not in name_to_id:
             raise SimplicialError(f"face table for unknown generator {name!r}")

@@ -15,7 +15,7 @@ from itertools import combinations
 from .simplicial import SimplicialSet
 from .spaces import WedgeSpec, wedge
 from .expk import DEFAULT_MAX_CELLS, build_expk
-from .homology import (HomologyResult, homology, restricted_chains,
+from .homology import (HomologyResult, homology, normalized_chains,
                        space_homology)
 
 PASS = "pass"
@@ -102,7 +102,7 @@ class Lemma1Verdict:
 
 
 def _reduced_homology_of(Y: SimplicialSet, gens: set[int]) -> HomologyResult:
-    return homology(restricted_chains(Y, gens), reduced=True)
+    return homology(normalized_chains(Y, gens), reduced=True)
 
 
 def lemma1_check(inst: Lemma1Instance) -> Lemma1Verdict:

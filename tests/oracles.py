@@ -5,9 +5,10 @@ the standard simplex (s_j duplicates entry j, d_i deletes entry i), so word
 algebra can be checked without any normal-form machinery.  Degeneracy sets
 and the subset normal form are checked against the exact membership test
 s_i(d_i(x)) == x and the face-by-face stripper they replaced.  Integer matrix
-facts are checked against brute-force cofactor determinants and minors.  The
-Euler characteristic of exp_k X is checked against the configuration-space
-stratification.
+facts are checked against brute-force cofactor determinants and minors, and
+the two-phase Smith normal form against the single-phase elimination it
+replaced.  The Euler characteristic of exp_k X is checked against the
+configuration-space stratification.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import combinations
 from math import factorial, gcd, prod
 
 from subsetspace.expk import SubsetSimplex
+from subsetspace.homology import SmithResult, SparseIntMatrix
 from subsetspace.simplicial import (FormalSimplex, SimplicialSet,
                                     SimplicialError, apply_face,
                                     compose_degeneracy)
@@ -153,3 +155,96 @@ def subset_space_euler(chi: int, k: int) -> int:
     the unordered configuration spaces B_j X, with chi_c(B_j X) =
     C(chi(X), j)."""
     return sum(generalized_binomial(chi, j) for j in range(1, k + 1))
+
+
+def smith_normal_form_reference(M) -> SmithResult:
+    """Rank and elementary divisors of an integer matrix, by unimodular row
+    and column operations with exact arithmetic.
+
+    Accepts a SparseIntMatrix or a dense list of rows; the input is not
+    mutated.  Pivot selection is smallest nonzero magnitude with ties broken
+    by lowest (row, column), which controls entry growth and makes the
+    elimination deterministic.
+    """
+    if isinstance(M, SparseIntMatrix):
+        items = list(M.entries())
+    else:
+        items = [(r, c, v) for r, row in enumerate(M)
+                 for c, v in enumerate(row) if v]
+
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for r, c, v in items:
+        rows.setdefault(r, {})[c] = v
+        col_rows.setdefault(c, set()).add(r)
+
+    def set_entry(r: int, c: int, v: int) -> None:
+        if v:
+            rows.setdefault(r, {})[c] = v
+            col_rows.setdefault(c, set()).add(r)
+        else:
+            row = rows.get(r)
+            if row and c in row:
+                del row[c]
+                if not row:
+                    del rows[r]
+                col_rows[c].discard(r)
+                if not col_rows[c]:
+                    del col_rows[c]
+
+    def row_sub(dst: int, src: int, q: int) -> None:
+        # row_dst -= q * row_src
+        for c, v in list(rows.get(src, {}).items()):
+            set_entry(dst, c, rows.get(dst, {}).get(c, 0) - q * v)
+
+    def col_sub(dst: int, src: int, q: int) -> None:
+        # col_dst -= q * col_src
+        for r in list(col_rows.get(src, set())):
+            v = rows[r][src]
+            set_entry(r, dst, rows.get(r, {}).get(dst, 0) - q * v)
+
+    def find_pivot() -> tuple[int, int, int]:
+        best = None
+        for r in rows:
+            for c, v in rows[r].items():
+                key = (abs(v), r, c)
+                if best is None or key < best:
+                    best = key
+        return best[1], best[2], None if best is None else best[0]
+
+    divisors: list[int] = []
+    while rows:
+        pr, pc, _ = find_pivot()
+        while True:
+            pv = rows[pr][pc]
+            # clear the pivot column by row operations
+            for r in sorted(col_rows[pc] - {pr}):
+                row_sub(r, pr, rows[r][pc] // pv)
+            if col_rows.get(pc, set()) != {pr}:
+                # floor-division remainders are smaller than |pv|; re-pivot
+                pr = min(col_rows[pc] - {pr})
+                continue
+            # clear the pivot row by column operations
+            for c in sorted(set(rows[pr]) - {pc}):
+                col_sub(c, pc, rows[pr][c] // pv)
+            if set(rows[pr]) != {pc}:
+                pc = min(set(rows[pr]) - {pc})
+                continue
+            # pivot must divide every remaining entry for the divisor chain
+            pv = rows[pr][pc]
+            bad = None
+            for r in sorted(rows):
+                if r == pr:
+                    continue
+                for c in sorted(rows[r]):
+                    if rows[r][c] % pv:
+                        bad = r
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_sub(pr, bad, -1)
+        divisors.append(abs(rows[pr][pc]))
+        set_entry(pr, pc, 0)
+    return SmithResult(rank=len(divisors), divisors=divisors)

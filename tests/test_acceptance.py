@@ -20,8 +20,8 @@ from subsetspace.homology import normalized_chains, homology, smith_normal_form,
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
 
-from oracles import (minors_gcd, rank_over_q, strip_degeneracies_iterative,
-                     subset_space_euler)
+from oracles import (minors_gcd, rank_over_q, smith_normal_form_reference,
+                     strip_degeneracies_iterative, subset_space_euler)
 
 
 def report(name: str, ok: bool):
@@ -115,13 +115,19 @@ def test_criterion_6_structural_properties():
     ok = True
 
     # d.d = 0 on every constructed complex; its Euler characteristic agrees
-    # with the Betti numbers and with the configuration-space stratification
+    # with the Betti numbers and with the configuration-space stratification;
+    # every boundary's SNF agrees with the single-phase elimination
     for desc, k in MATRIX_CASES:
         _, S = parse_space(desc)
         C = normalized_chains(build_expk(S, k).result)
         if not C.check_dd_zero():
             print(f"  dd!=0 for {desc} k={k}")
             ok = False
+        for M in C.boundaries:
+            res, ref = smith_normal_form(M), smith_normal_form_reference(M)
+            if (res.rank, res.divisors) != (ref.rank, ref.divisors):
+                print(f"  SNF differs from the reference for {desc} k={k}")
+                ok = False
         h = homology(C)
         if h.euler != sum((-1) ** n * b for n, b in enumerate(h.betti)):
             print(f"  euler identity fails for {desc} k={k}")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -146,13 +147,14 @@ def test_file_parse_error(capsys, tmp_path):
 @pytest.mark.parametrize("data", [
     {"generators": [[1]]},
     {"generators": "vv"},
+    {"generators": [[], []]},
     {"generators": [["v"], ["e"]], "faces": []},
     {"generators": [["v"], ["e"]], "faces": {"e": "vv"}},
     # d_0 d_1 t = u but d_0 d_0 t = v: breaks d_0 d_1 = d_0 d_0
     {"generators": [["u", "v"], ["a", "b"], ["t"]],
      "faces": {"a": ["u", "u"], "b": ["v", "v"], "t": ["a", "b", "a"]}},
-], ids=["non-string-name", "string-generators", "list-faces",
-        "string-face-list", "broken-identity"])
+], ids=["non-string-name", "string-generators", "no-generators",
+        "list-faces", "string-face-list", "broken-identity"])
 def test_malformed_file_is_parse_error(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -162,3 +164,91 @@ def test_malformed_file_is_parse_error(capsys, tmp_path, data):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Well-formed face tables the fuzzer mutates: a point, a circle, the minimal
+# 2-sphere, a two-vertex circle and the standard 2-simplex.
+_FUZZ_SEEDS = [
+    {"generators": [["v"]]},
+    {"generators": [["v"], ["e"]], "faces": {"e": ["v", "v"]}},
+    {"generators": [["v"], [], ["c"]],
+     "faces": {"c": ["s_0 v", "s_0 v", "s_0 v"]}},
+    {"generators": [["a", "b"], ["x", "y"]],
+     "faces": {"x": ["b", "a"], "y": ["a", "b"]}},
+    {"generators": [["p", "q", "r"], ["pq", "pr", "qr"], ["t"]],
+     "faces": {"pq": ["q", "p"], "pr": ["r", "p"], "qr": ["r", "q"],
+               "t": ["qr", "pr", "pq"]}},
+]
+_JUNK = [None, 0, -1, 2.5, True, "", "v", [], [[]], [1], {}, {"v": "v"}]
+_BAD_WORDS = ["s_0 s_0 v", "s_0 s_1 v", "s_9 v", "s_-1 v", "s0 v", "s_x v",
+              "s_0", "", "  ", "nobody", "s_1 s_0 p", "s_0 e", "s_0 pq"]
+
+
+def _mutate(doc, rng):
+    """One random malformation: a wrong type, a missing key, a bad
+    degeneracy word, a face list of the wrong length, a face table for a
+    vertex or an unknown name, or a face that breaks the simplicial
+    identities."""
+    if not isinstance(doc, dict) or rng.random() < 0.05:
+        return rng.choice(_JUNK)
+    doc = dict(doc)
+    gens, faces = doc.get("generators"), doc.get("faces")
+    names = [n for level in gens if isinstance(level, list)
+             for n in level if isinstance(n, str)] \
+        if isinstance(gens, list) else []
+    kind = rng.randrange(6)
+    if kind == 0:
+        if rng.random() < 0.5:
+            doc.pop(rng.choice(["generators", "faces"]), None)
+        else:
+            doc[rng.choice(["generators", "faces"])] = rng.choice(_JUNK)
+    elif kind == 1 and isinstance(gens, list) and gens:
+        gens = list(gens)
+        i = rng.randrange(len(gens))
+        gens[i] = rng.choice([rng.choice(_JUNK), gens[i] + gens[i],
+                              [rng.choice(_JUNK)], []])
+        doc["generators"] = gens
+    elif isinstance(faces, dict) and faces:
+        faces = dict(faces)
+        name = rng.choice(sorted(faces))
+        if kind == 3:  # the longest face list has identities to break
+            name = max(sorted(faces), key=lambda n: len(faces[n])
+                       if isinstance(faces[n], list) else 0)
+        exprs = list(faces[name]) if isinstance(faces[name], list) else []
+        if kind == 2 and exprs:
+            exprs[rng.randrange(len(exprs))] = rng.choice(_BAD_WORDS)
+        elif kind == 3 and len(exprs) > 1:
+            # swapped faces keep dimensions but break d_i d_j identities
+            i, j = rng.sample(range(len(exprs)), 2)
+            exprs[i], exprs[j] = exprs[j], exprs[i]
+        elif kind == 4 and exprs and names:
+            exprs[rng.randrange(len(exprs))] = rng.choice(names)
+        elif kind == 5:
+            exprs = exprs[:-1] if rng.random() < 0.5 else exprs + exprs[:1]
+        faces[name] = exprs
+        if names and rng.random() < 0.1:
+            faces[rng.choice(names + ["nobody"])] = exprs
+        doc["faces"] = faces
+    return doc
+
+
+def test_file_fuzz_never_tracebacks(capsys, tmp_path):
+    """Seeded malformed --file inputs end in a result or a clean exit 2/3."""
+    rng = random.Random(4242)
+    path = tmp_path / "fuzz.json"
+    commands = [["homology"], ["verify", "lemma1"],
+                ["verify", "oracle", "--level", "1"]]
+    for _ in range(300):
+        doc = rng.choice(_FUZZ_SEEDS)
+        for _ in range(rng.randint(1, 2)):
+            doc = _mutate(doc, rng)
+        path.write_text(json.dumps(doc))
+        argv = rng.choice(commands) + [
+            "--file", str(path), "--k", str(rng.randint(1, 3)),
+            "--max-cells", "5000"]
+        try:
+            code, _, err = run_cli(capsys, *argv)
+        except Exception as exc:  # the CLI would print a traceback
+            pytest.fail(f"{argv[:2]} on {doc!r} raised {exc!r}")
+        assert code in (0, 2, 3), (argv[:2], doc)
+        assert "Traceback" not in err

@@ -4,14 +4,15 @@ from math import gcd, prod
 import pytest
 
 from subsetspace.simplicial import FormalSimplex
-from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
+from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
+                                subdivided_circle, wedge)
 from subsetspace.expk import build_expk
 from subsetspace.homology import (ChainComplex, ChainComplexError,
                                   SparseIntMatrix, homology,
-                                  normalized_chains, restricted_chains,
-                                  smith_normal_form, space_homology)
+                                  normalized_chains, smith_normal_form,
+                                  space_homology)
 
-from oracles import minors_gcd, rank_over_q
+from oracles import minors_gcd, rank_over_q, smith_normal_form_reference
 
 
 def test_snf_single_entry():
@@ -70,6 +71,49 @@ def test_snf_against_minor_oracle(seed):
             assert b % a == 0
         for r in range(1, res.rank + 1):
             assert prod(res.divisors[:r]) == abs(minors_gcd(m, r))
+
+
+def _random_sparse_matrix(rng, max_side=40):
+    """Mostly +-1 entries with some +-2/+-3, and some zero rows and
+    columns."""
+    nrows, ncols = rng.randint(0, max_side), rng.randint(0, max_side)
+    zero_rows = set(rng.sample(range(nrows), rng.randint(0, nrows // 4)))
+    zero_cols = set(rng.sample(range(ncols), rng.randint(0, ncols // 4)))
+    density = rng.uniform(0.02, 0.3)
+    M = SparseIntMatrix(nrows, ncols)
+    for r in range(nrows):
+        for c in range(ncols):
+            if r in zero_rows or c in zero_cols or rng.random() > density:
+                continue
+            v = rng.choice((2, 3)) if rng.random() < 0.1 else 1
+            M.add(r, c, rng.choice((1, -1)) * v)
+    return M
+
+
+def test_snf_matches_reference_on_random_sparse():
+    """Rank and divisor list agree with the single-phase elimination on 400
+    random sparse matrices up to 40 x 40."""
+    rng = random.Random(303)
+    torsion = 0
+    for _ in range(400):
+        M = _random_sparse_matrix(rng)
+        res, ref = smith_normal_form(M), smith_normal_form_reference(M)
+        assert (res.rank, res.divisors) == (ref.rank, ref.divisors)
+        torsion += any(d > 1 for d in res.divisors)
+    assert torsion >= 40  # the residual phase is exercised, not just units
+
+
+@pytest.mark.parametrize("desc,kmax", [("s1", 8), ("circle:3", 5),
+                                       ("circle:4", 4)])
+def test_tuffley_circle_oracle(desc, kmax):
+    """exp_k S^1 is homotopy equivalent to S^(2 ceil(k/2) - 1) (Tuffley,
+    "Finite subset spaces of S^1", Algebr. Geom. Topol. 2002)."""
+    _, S = parse_space(desc)
+    for k in range(1, kmax + 1):
+        h = space_homology(build_expk(S, k).result, reduced=True)
+        top = 2 * ((k + 1) // 2) - 1
+        assert h.betti == [1 if n == top else 0 for n in range(len(h.betti))]
+        assert all(not t for t in h.torsion)
 
 
 def test_chains_minimal_sphere_boundaries_vanish():
@@ -181,4 +225,4 @@ def test_direct_sum_is_degreewise_sum():
 def test_restricted_chains_requires_closure():
     S = subdivided_circle(3)
     with pytest.raises(Exception):
-        restricted_chains(S, {S.by_dim[1][0]})  # edge without its vertices
+        normalized_chains(S, {S.by_dim[1][0]})  # edge without its vertices
