@@ -15,12 +15,11 @@ import time
 from dataclasses import dataclass
 
 from .simplicial import SimplicialError, load_simplicial_set
-from .spaces import parse_space
+from .spaces import parse_space, parse_wedge_spec
 from .expk import (DEFAULT_MAX_CELLS, ResourceCapError, build_expk,
                    colimit_level_oracle)
 from .homology import space_homology
 from . import verify as V
-from .spaces import WedgeSpec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,27 +115,19 @@ def cmd_homology(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _wedge_spec_from_descriptor(name: str) -> WedgeSpec:
-    if name.startswith("wedge:"):
-        return WedgeSpec(tuple(int(t) for t in name[len("wedge:"):].split(",")))
-    if name.startswith("s") and name[1:].isdigit():
-        return WedgeSpec((int(name[1:]),))
-    raise SimplicialError(
-        f"descriptor {name!r} is not a wedge of spheres")
-
-
 def cmd_verify(which: str, cfg: RunConfig) -> int:
     t0 = time.monotonic()
     name = cfg.space.strip().lower() if not cfg.file else os.path.basename(cfg.file)
     h = None
     cells = 0
-    if which == "theorem1":
-        claim = V.theorem1_check(_wedge_spec_from_descriptor(name), cfg.k,
-                                 max_cells=cfg.max_cells)
-        verdict, h = claim.verdict, claim.homology
-    elif which == "tuffley":
-        res = V.tuffley_check(_wedge_spec_from_descriptor(name), cfg.k,
-                              max_cells=cfg.max_cells)
+    if which in ("theorem1", "tuffley"):
+        # these checks build their own wedge; a --file is not one
+        spec = None if cfg.file else parse_wedge_spec(name)
+        if spec is None:
+            raise SimplicialError(
+                f"descriptor {name!r} is not a wedge of spheres")
+        check = V.theorem1_check if which == "theorem1" else V.tuffley_check
+        res = check(spec, cfg.k, max_cells=cfg.max_cells)
         verdict, h = res.verdict, res.homology
     elif which == "oracle":
         if cfg.level is None:
@@ -155,13 +146,9 @@ def cmd_verify(which: str, cfg: RunConfig) -> int:
         if not partners:
             raise SimplicialError(
                 f"no curated invariance partner for {name!r}")
-        verdict = V.PASS
-        for p in partners:
-            _, B = parse_space(p)
-            res = V.invariance_check(A, B, cfg.k, max_cells=cfg.max_cells)
-            if res.verdict != V.PASS:
-                verdict = V.FAIL
-        h = space_homology(build_expk(A, cfg.k, max_cells=cfg.max_cells).result)
+        res = V.invariance_check(A, [parse_space(p)[1] for p in partners],
+                                 cfg.k, max_cells=cfg.max_cells)
+        verdict, h = res.verdict, res.homology_a
     elif which == "lemma1":
         _, S = _resolve_space(cfg)
         rng = random.Random(cfg.seed or 0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 from .simplicial import SimplicialSet, SimplicialError
 
@@ -109,17 +110,6 @@ class HomologyResult:
     f_vector: list[int]
     euler: int
 
-    def table(self) -> str:
-        head = "H~" if self.reduced else "H"
-        lines = []
-        for n, (b, t) in enumerate(zip(self.betti, self.torsion)):
-            parts = []
-            if b:
-                parts.append(f"Z^{b}" if b > 1 else "Z")
-            parts.extend(f"Z/{d}" for d in t)
-            lines.append(f"{head}_{n} = {' + '.join(parts) if parts else '0'}")
-        return "\n".join(lines)
-
     def groups_equal(self, other: "HomologyResult") -> bool:
         """Degree-wise betti and torsion equality, padding with zeros."""
         top = max(len(self.betti), len(other.betti))
@@ -176,24 +166,26 @@ def smith_normal_form(M) -> SmithResult:
     and column operations with exact arithmetic.
 
     Accepts a SparseIntMatrix or a dense list of rows; the input is not
-    mutated.  Two phases share one sparse store:
+    mutated.  One elimination loop runs on a sparse row/column store.
+    Every nonzero entry waits in a heap keyed (|v|, Markowitz cost
+    (len(row) - 1) * (len(col) - 1), row, column), and is pushed again
+    whenever it appears or its |v| shrinks.  A popped key that no longer
+    matches its entry is dropped when the entry is gone and otherwise pushed
+    back at its current key, so the pivot is an entry of least magnitude,
+    and of least fill-in among those.
 
-    1. Unit pivots.  While some entry is +-1, pivot on the one of lowest
-       Markowitz cost (len(row) - 1) * (len(col) - 1), ties broken by lowest
-       (row, column).  Candidates wait in a heap keyed on the cost when
-       pushed; a popped candidate that is gone or no longer +-1 is dropped,
-       and one whose cost has changed is pushed again at its current cost.
-       Row operations clear the pivot column, +-1 entries created by fill-in
-       join the heap, and the pivot row and column are deleted: over Z a
-       unit pivot adds 1 to the rank and the divisor 1.
-    2. Residual.  What is left has no unit entry.  Pivot on the smallest
-       nonzero magnitude, ties broken by lowest (row, column), clear its row
-       and column by floor-division steps, and fold a row into the pivot row
-       until the pivot divides every remaining entry.
+    A pivot step clears the pivot column by floor-division row operations;
+    if a remainder is left, the pivot goes back on the heap behind it.  Once
+    the column is clear and the pivot divides its row, column operations
+    would touch no other row, so the row is deleted and |pivot| recorded;
+    exp_k boundaries are almost all +-1, and then this is the whole step.
+    Otherwise the row is reduced modulo the pivot, which goes back on the
+    heap behind the remainders.
 
-    The divisors are the phase-1 ones followed by the residual's, a divisor
-    chain d_1 | d_2 | ...; the Smith normal form is unique, so the list does
-    not depend on the pivot order.
+    The recorded pivots are the diagonal of an equivalent matrix; pairwise
+    gcd/lcm exchanges turn its entries above 1 into the divisor chain
+    d_1 | d_2 | ...  The Smith normal form is unique, so the result does not
+    depend on the pivot order.
     """
     if isinstance(M, SparseIntMatrix):
         items = list(M.entries())
@@ -207,99 +199,70 @@ def smith_normal_form(M) -> SmithResult:
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
 
-    def set_entry(r: int, c: int, v: int) -> None:
-        if v:
-            rows.setdefault(r, {})[c] = v
-            col_rows.setdefault(c, set()).add(r)
-        else:
-            row = rows.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del rows[r]
-                col_rows[c].discard(r)
-                if not col_rows[c]:
-                    del col_rows[c]
+    def key(r: int, c: int, v: int) -> tuple[int, int, int, int]:
+        return abs(v), (len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c
 
-    def cost(r: int, c: int) -> int:
-        return (len(rows[r]) - 1) * (len(col_rows[c]) - 1)
-
-    heap = [(cost(r, c), r, c) for r, c, v in items if v in (1, -1)]
+    heap = [key(r, c, v) for r, c, v in items]
     heapq.heapify(heap)
-    units = 0
+
+    def set_entry(r: int, row: dict[int, int], c: int, old: int,
+                  new: int) -> None:
+        # row is rows[r], holding old at c (0 when absent); c is a column
+        # of the pivot row, so col_rows[c] exists
+        if new:
+            if not old:
+                col_rows[c].add(r)
+            row[c] = new
+            if not old or abs(new) < abs(old):
+                heapq.heappush(heap, key(r, c, new))
+        else:
+            del row[c]
+            col = col_rows[c]
+            col.discard(r)
+            if not col:
+                del col_rows[c]
+
+    pivots: list[int] = []
     while heap:
-        key, pr, pc = heapq.heappop(heap)
-        pv = rows.get(pr, {}).get(pc)
-        if pv not in (1, -1):
+        top = heapq.heappop(heap)
+        _, _, pr, pc = top
+        prow = rows.get(pr)
+        pv = prow.get(pc) if prow else None
+        if pv is None:
             continue
-        now = cost(pr, pc)
-        if now != key:
-            heapq.heappush(heap, (now, pr, pc))
+        now = key(pr, pc, pv)
+        if now != top:
+            heapq.heappush(heap, now)
             continue
-        for r in sorted(col_rows[pc] - {pr}):
-            q = rows[r][pc] * pv  # row_r -= q * row_pr clears the column
-            for c, v in rows[pr].items():
-                old = rows.get(r, {}).get(c, 0)
-                new = old - q * v
-                set_entry(r, c, new)
-                if new in (1, -1) and old not in (1, -1):
-                    heapq.heappush(heap, (cost(r, c), r, c))
-        for c in list(rows[pr]):
-            set_entry(pr, c, 0)
-        units += 1
+        for r in col_rows[pc] - {pr}:
+            row = rows[r]
+            q = row[pc] // pv  # row_r -= q * row_pr
+            for c, v in prow.items():
+                old = row.get(c, 0)
+                set_entry(r, row, c, old, old - q * v)
+            if not row:
+                del rows[r]
+        if len(col_rows[pc]) > 1:
+            heapq.heappush(heap, key(pr, pc, pv))
+        elif all(v % pv == 0 for v in prow.values()):
+            for c, v in list(prow.items()):
+                set_entry(pr, prow, c, v, 0)
+            del rows[pr]
+            pivots.append(abs(pv))
+        else:
+            # col_c -= (v // pv) * col_pc touches row pr alone
+            for c, v in list(prow.items()):
+                if c != pc:
+                    set_entry(pr, prow, c, v, v % pv)
+            heapq.heappush(heap, key(pr, pc, pv))
 
-    def row_sub(dst: int, src: int, q: int) -> None:
-        # row_dst -= q * row_src
-        for c, v in list(rows.get(src, {}).items()):
-            set_entry(dst, c, rows.get(dst, {}).get(c, 0) - q * v)
-
-    def col_sub(dst: int, src: int, q: int) -> None:
-        # col_dst -= q * col_src
-        for r in list(col_rows.get(src, set())):
-            v = rows[r][src]
-            set_entry(r, dst, rows.get(r, {}).get(dst, 0) - q * v)
-
-    def find_pivot() -> tuple[int, int]:
-        _, r, c = min((abs(v), r, c)
-                      for r, row in rows.items() for c, v in row.items())
-        return r, c
-
-    divisors = [1] * units
-    while rows:
-        pr, pc = find_pivot()
-        while True:
-            pv = rows[pr][pc]
-            # clear the pivot column by row operations
-            for r in sorted(col_rows[pc] - {pr}):
-                row_sub(r, pr, rows[r][pc] // pv)
-            if col_rows.get(pc, set()) != {pr}:
-                # floor-division remainders are smaller than |pv|; re-pivot
-                pr = min(col_rows[pc] - {pr})
-                continue
-            # clear the pivot row by column operations
-            for c in sorted(set(rows[pr]) - {pc}):
-                col_sub(c, pc, rows[pr][c] // pv)
-            if set(rows[pr]) != {pc}:
-                pc = min(set(rows[pr]) - {pc})
-                continue
-            # pivot must divide every remaining entry for the divisor chain
-            pv = rows[pr][pc]
-            bad = None
-            for r in sorted(rows):
-                if r == pr:
-                    continue
-                for c in sorted(rows[r]):
-                    if rows[r][c] % pv:
-                        bad = r
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_sub(pr, bad, -1)
-        divisors.append(abs(rows[pr][pc]))
-        set_entry(pr, pc, 0)
-    return SmithResult(rank=len(divisors), divisors=divisors)
+    chain = [d for d in pivots if d > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return SmithResult(rank=len(pivots),
+                       divisors=[1] * (len(pivots) - len(chain)) + chain)
 
 
 def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:

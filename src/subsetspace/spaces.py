@@ -36,13 +36,7 @@ def _degenerate_vertex(v: int, dim: int) -> FormalSimplex:
 def sphere(m: int) -> SimplicialSet:
     """Minimal m-sphere: one vertex, one m-generator, every face of the
     generator the fully degenerate vertex."""
-    if m < 1:
-        raise SimplicialError("sphere dimension must be >= 1")
-    S = SimplicialSet()
-    v = S.add_generator(0, "v")
-    g = S.add_generator(m, f"c{m}")
-    S.set_faces(g, [_degenerate_vertex(v, m - 1)] * (m + 1))
-    return S
+    return wedge(WedgeSpec((m,)))
 
 
 def wedge(spec: WedgeSpec) -> SimplicialSet:
@@ -84,19 +78,28 @@ def _subdivided_wedge_of_circles(count: int) -> SimplicialSet:
     return S
 
 
-def parse_space(descriptor: str) -> tuple[str, SimplicialSet]:
-    """Parse a CLI space descriptor: 's1', 's2', ..., 'wedge:1,1', 'circle:4'.
-    Returns (canonical name, simplicial set)."""
+def parse_wedge_spec(descriptor: str) -> WedgeSpec | None:
+    """The wedge of spheres a descriptor 's<m>' or 'wedge:<m1>,<m2>,...'
+    names; None for a descriptor of another kind."""
     d = descriptor.strip().lower()
-    if d.startswith("s") and d[1:].isdigit():
-        m = int(d[1:])
-        return d, sphere(m)
+    if d.startswith("s") and d[1:].isdecimal():
+        return WedgeSpec((int(d[1:]),))
     if d.startswith("wedge:"):
         try:
             dims = tuple(int(t) for t in d[len("wedge:"):].split(","))
         except ValueError:
             raise SimplicialError(f"bad wedge descriptor {descriptor!r}")
-        return d, wedge(WedgeSpec(dims))
+        return WedgeSpec(dims)
+    return None
+
+
+def parse_space(descriptor: str) -> tuple[str, SimplicialSet]:
+    """Parse a CLI space descriptor: 's1', 's2', ..., 'wedge:1,1', 'circle:4'.
+    Returns (canonical name, simplicial set)."""
+    d = descriptor.strip().lower()
+    spec = parse_wedge_spec(descriptor)
+    if spec is not None:
+        return d, wedge(spec)
     if d.startswith("circle:"):
         try:
             v = int(d[len("circle:"):])

@@ -194,15 +194,17 @@ def random_lemma1_instance(Y: SimplicialSet, rng: random.Random) -> Lemma1Instan
 class InvarianceVerdict:
     verdict: str
     homology_a: HomologyResult
-    homology_b: HomologyResult
+    homology_partners: list[HomologyResult]
 
 
-def invariance_check(A: SimplicialSet, B: SimplicialSet, k: int,
+def invariance_check(A: SimplicialSet, partners: list[SimplicialSet], k: int,
                      max_cells: int = DEFAULT_MAX_CELLS) -> InvarianceVerdict:
-    """Homology tables of exp_k of two models of the same homotopy type must
-    agree degree-wise in betti and torsion."""
+    """Homology tables of exp_k of models of one homotopy type must agree
+    degree-wise in betti and torsion: A's is computed once and compared with
+    each partner's."""
     ha = space_homology(build_expk(A, k, max_cells=max_cells).result)
-    hb = space_homology(build_expk(B, k, max_cells=max_cells).result)
+    hs = [space_homology(build_expk(B, k, max_cells=max_cells).result)
+          for B in partners]
     return InvarianceVerdict(
-        verdict=PASS if ha.groups_equal(hb) else FAIL,
-        homology_a=ha, homology_b=hb)
+        verdict=PASS if all(ha.groups_equal(hb) for hb in hs) else FAIL,
+        homology_a=ha, homology_partners=hs)

@@ -90,7 +90,7 @@ def test_criterion_4_triangulation_invariance():
     ok = True
     for k in (2, 3):
         for v in (3, 4):
-            res = V.invariance_check(sphere(1), subdivided_circle(v), k)
+            res = V.invariance_check(sphere(1), [subdivided_circle(v)], k)
             if res.verdict != V.PASS:
                 print(f"  invariance s1 vs circle:{v} k={k}: FAIL")
                 ok = False

@@ -78,6 +78,24 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     assert out == ""  # no partial JSON on error paths
     assert "bogus" in err
+    code, out, err = run_cli(capsys, "verify", "theorem1", "--space",
+                             "wedge:1,x", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "bad wedge descriptor" in err
+
+
+def test_wedge_checks_reject_file(capsys, tmp_path):
+    # a file named like a descriptor must not stand for that wedge
+    path = tmp_path / "s2"
+    path.write_text(json.dumps({"generators": [["v"], ["e"]],
+                                "faces": {"e": ["v", "v"]}}))
+    for which in ("theorem1", "tuffley"):
+        code, out, err = run_cli(capsys, "verify", which, "--file",
+                                 str(path), "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert "not a wedge of spheres" in err
 
 
 def test_missing_space_is_parse_error(capsys):

@@ -49,6 +49,11 @@ def test_snf_known_torsion():
     assert res.divisors == [2]
     res = smith_normal_form([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert res.divisors == [1, 1, 2]
+    # coprime and non-dividing pivots: the gcd/lcm exchange makes the chain
+    assert smith_normal_form([[2, 0], [0, 3]]).divisors == [1, 6]
+    assert smith_normal_form([[4, 0], [0, 6]]).divisors == [2, 12]
+    # a pivot that does not divide its row: the row is reduced modulo it
+    assert smith_normal_form([[2, 3]]).divisors == [1]
 
 
 def _random_matrix(rng, max_side=5, bound=9):
@@ -100,7 +105,7 @@ def test_snf_matches_reference_on_random_sparse():
         res, ref = smith_normal_form(M), smith_normal_form_reference(M)
         assert (res.rank, res.divisors) == (ref.rank, ref.divisors)
         torsion += any(d > 1 for d in res.divisors)
-    assert torsion >= 40  # the residual phase is exercised, not just units
+    assert torsion >= 40  # non-unit pivots are exercised, not just units
 
 
 @pytest.mark.parametrize("desc,kmax", [("s1", 8), ("circle:3", 5),

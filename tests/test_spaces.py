@@ -93,6 +93,6 @@ def test_parse_space_descriptors():
 
 
 def test_parse_space_rejects_garbage():
-    for desc in ["nope", "wedge:", "circle:x", "s"]:
+    for desc in ["nope", "wedge:", "circle:x", "s", "s\u00b2"]:
         with pytest.raises(SimplicialError):
             parse_space(desc)
