@@ -128,7 +128,7 @@ def cmd_verify(which: str, cfg: RunConfig) -> int:
                 f"descriptor {name!r} is not a wedge of spheres")
         check = V.theorem1_check if which == "theorem1" else V.tuffley_check
         res = check(spec, cfg.k, max_cells=cfg.max_cells)
-        verdict, h = res.verdict, res.homology
+        verdict, h, cells = res.verdict, res.homology, res.cells_enumerated
     elif which == "oracle":
         if cfg.level is None:
             raise SimplicialError("--level is required for the oracle check")
@@ -139,16 +139,20 @@ def cmd_verify(which: str, cfg: RunConfig) -> int:
         verdict = V.PASS if summary.ok else V.FAIL
         cells = summary.class_count
     elif which == "invariance":
-        _, A = _resolve_space(cfg)
-        partners = _INVARIANCE_PAIRS.get(name)
-        if name.startswith("circle:"):
-            partners = ["s1"]
+        # partners are curated per descriptor; a --file is not one
+        if cfg.file:
+            raise SimplicialError(
+                "verify invariance takes --space: its partners are curated "
+                "per descriptor")
+        _, A = parse_space(cfg.space)
+        partners = (["s1"] if name.startswith("circle:")
+                    else _INVARIANCE_PAIRS.get(name))
         if not partners:
             raise SimplicialError(
                 f"no curated invariance partner for {name!r}")
         res = V.invariance_check(A, [parse_space(p)[1] for p in partners],
                                  cfg.k, max_cells=cfg.max_cells)
-        verdict, h = res.verdict, res.homology_a
+        verdict, h, cells = res.verdict, res.homology_a, res.cells_enumerated
     elif which == "lemma1":
         _, S = _resolve_space(cfg)
         rng = random.Random(cfg.seed or 0)

@@ -95,20 +95,18 @@ class ExpkSpace:
 
 
 def _nondegenerate_subsets(dsets: list[frozenset[int]],
-                           k: int) -> tuple[list[tuple[int, ...]], int]:
+                           k: int) -> list[tuple[int, ...]]:
     """Depth-first enumeration of index subsets of size <= k whose D-set
-    intersection is empty.  No pruning on the D-set: a superset of a
-    degenerate set can be non-degenerate.  Returns (subsets, visited)."""
+    intersection is empty, in lexicographic order.  No pruning on the D-set:
+    a superset of a degenerate set can be non-degenerate, so every subset of
+    size <= k is visited."""
     found: list[tuple[int, ...]] = []
-    visited = 0
     n = len(dsets)
     stack: list[int] = []
 
     def extend(start: int, inter: frozenset[int]):
-        nonlocal visited
         for idx in range(start, n):
             stack.append(idx)
-            visited += 1
             new_inter = inter & dsets[idx] if stack[:-1] else dsets[idx]
             if not new_inter:
                 found.append(tuple(stack))
@@ -117,49 +115,44 @@ def _nondegenerate_subsets(dsets: list[frozenset[int]],
             stack.pop()
 
     extend(0, frozenset())
-    return found, visited
+    return found
 
 
 def build_expk(S: SimplicialSet, k: int,
                max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
-    """Construct exp_k S level by level up to the hard dimension bound
-    k * dim(S); generators are the non-degenerate subset simplices, faces are
-    elementwise faces renormalized through strip_degeneracies."""
+    """Construct exp_k S in one pass over the levels n up to the hard
+    dimension bound k * dim(S).  Each level is enumerated and checked against
+    the cell cap, and its face table d_i x is computed once per simplex x.
+    Every non-degenerate subset is then registered with its faces: the face
+    d_i of a subset strips the degeneracies of its elements' faces, and its
+    core lies in a lower level, so it is registered already."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
     id_of: dict[SubsetSimplex, int] = {}
     subset_of: dict[int, SubsetSimplex] = {}
     cells = 0
-    top = k * S.dim
-    pending_faces: list[tuple[int, SubsetSimplex]] = []
-    for n in range(top + 1):
+    for n in range(k * S.dim + 1):
         level = enumerate_level(S, n)
         m = len(level)
         projected = sum(comb(m, j) for j in range(1, k + 1))
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
+        cells += projected
+        faces = [[apply_face(x, i, S) for i in range(n + 1)]
+                 for x in level] if n else []
         # x is in the image of s_i exactly when i is in its word
-        subsets, visited = _nondegenerate_subsets(
-            [frozenset(x.word) for x in level], k)
-        cells += visited
-        for idxs in sorted(subsets, key=lambda t: tuple(level[i] for i in t)):
-            sub = SubsetSimplex(tuple(level[i] for i in idxs))
-            label = "{" + ",".join(S.label_of(e) for e in sub.elements) + "}"
-            g = result.add_generator(n, label)
+        for idxs in _nondegenerate_subsets([frozenset(x.word) for x in level],
+                                           k):
+            sub = SubsetSimplex(tuple(level[a] for a in idxs))
+            g = result.add_generator(n)
             id_of[sub] = g
             subset_of[g] = sub
-            if n >= 1:
-                pending_faces.append((g, sub))
-    for g, sub in pending_faces:
-        faces = []
-        for i in range(sub.dim + 1):
-            word, core = strip_degeneracies(
-                [apply_face(a, i, S) for a in sub.elements])
-            faces.append(FormalSimplex(id_of[core], word, sub.dim - 1))
-        result.set_faces(g, faces)
-    while len(result.by_dim) > 1 and not result.by_dim[-1]:
-        result.by_dim.pop()
+            if n:
+                stripped = (strip_degeneracies([faces[a][i] for a in idxs])
+                            for i in range(n + 1))
+                result.set_faces(g, [FormalSimplex(id_of[core], word, n - 1)
+                                     for word, core in stripped])
     return ExpkSpace(k=k, base=S, result=result, subset_of=subset_of,
                      id_of=id_of, cells_enumerated=cells)
 

@@ -13,7 +13,6 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 
 class SimplicialError(Exception):
@@ -64,14 +63,10 @@ def degeneracy_words(base_dim: int, length: int) -> list[tuple[int, ...]]:
     """All valid normal-form words of the given length over a base of
     dimension ``base_dim``, in lexicographic order.
 
-    There are C(base_dim + length, length) of them.
+    These are the strictly decreasing tuples over 0..base_dim + length - 1;
+    there are C(base_dim + length, length) of them.
     """
-    n = base_dim + length
-    out = [w for w in combinations(range(n - 1, -1, -1), length)
-           if all(w[t] <= base_dim + length - 1 - t for t in range(length))]
-    out.sort()
-    assert len(out) == comb(n, length)
-    return out
+    return sorted(combinations(range(base_dim + length - 1, -1, -1), length))
 
 
 @dataclass(frozen=True, order=True)
@@ -167,11 +162,6 @@ class SimplicialSet:
 
     def simplex(self, g: int) -> FormalSimplex:
         return FormalSimplex(g, (), self.dim_of[g])
-
-    def label_of(self, x: FormalSimplex) -> str:
-        name = self.labels[x.base]
-        prefix = " ".join(f"s_{i}" for i in x.word)
-        return f"{prefix} {name}" if prefix else name
 
 
 def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:

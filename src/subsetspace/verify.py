@@ -31,6 +31,7 @@ class ConnectivityClaim:
     verdict: str
     offending_degree: int | None
     homology: HomologyResult
+    cells_enumerated: int  # of the exp_k build
 
 
 def _reduced_vanishes_through(h: HomologyResult, bound: int) -> int | None:
@@ -55,7 +56,8 @@ def theorem1_check(spec: WedgeSpec, k: int,
     offending = _reduced_vanishes_through(h, bound)
     return ConnectivityClaim(k=k, m=m, bound=bound,
                              verdict=PASS if offending is None else FAIL,
-                             offending_degree=offending, homology=h)
+                             offending_degree=offending, homology=h,
+                             cells_enumerated=space.cells_enumerated)
 
 
 @dataclass
@@ -64,6 +66,7 @@ class ConcentrationVerdict:
     verdict: str
     offending_degree: int | None
     homology: HomologyResult
+    cells_enumerated: int  # of the exp_k build
 
 
 def tuffley_check(spec: WedgeSpec, k: int,
@@ -83,7 +86,8 @@ def tuffley_check(spec: WedgeSpec, k: int,
             break
     return ConcentrationVerdict(k=k,
                                 verdict=PASS if offending is None else FAIL,
-                                offending_degree=offending, homology=h)
+                                offending_degree=offending, homology=h,
+                                cells_enumerated=space.cells_enumerated)
 
 
 @dataclass
@@ -195,6 +199,7 @@ class InvarianceVerdict:
     verdict: str
     homology_a: HomologyResult
     homology_partners: list[HomologyResult]
+    cells_enumerated: int  # of the exp_k A build
 
 
 def invariance_check(A: SimplicialSet, partners: list[SimplicialSet], k: int,
@@ -202,9 +207,11 @@ def invariance_check(A: SimplicialSet, partners: list[SimplicialSet], k: int,
     """Homology tables of exp_k of models of one homotopy type must agree
     degree-wise in betti and torsion: A's is computed once and compared with
     each partner's."""
-    ha = space_homology(build_expk(A, k, max_cells=max_cells).result)
+    space = build_expk(A, k, max_cells=max_cells)
+    ha = space_homology(space.result)
     hs = [space_homology(build_expk(B, k, max_cells=max_cells).result)
           for B in partners]
     return InvarianceVerdict(
         verdict=PASS if all(ha.groups_equal(hb) for hb in hs) else FAIL,
-        homology_a=ha, homology_partners=hs)
+        homology_a=ha, homology_partners=hs,
+        cells_enumerated=space.cells_enumerated)

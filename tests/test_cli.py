@@ -37,11 +37,21 @@ def test_homology_two_sphere(capsys):
     assert json.loads(out)["betti"] == [1, 0, 1]
 
 
+def homology_cells(capsys, space, k):
+    code, out, _ = run_cli(capsys, "homology", "--space", space, "--k",
+                           str(k))
+    assert code == 0
+    return json.loads(out)["cells_enumerated"]
+
+
 def test_verify_theorem1(capsys):
     code, out, _ = run_cli(capsys, "verify", "theorem1", "--space",
                            "wedge:1,1", "--k", "3")
     assert code == 0
-    assert json.loads(out)["verdict"] == "pass"
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert payload["cells_enumerated"] == homology_cells(capsys,
+                                                         "wedge:1,1", 3)
 
 
 def test_verify_oracle(capsys):
@@ -57,13 +67,18 @@ def test_verify_tuffley(capsys):
     code, out, _ = run_cli(capsys, "verify", "tuffley", "--space", "s1",
                            "--k", "4")
     assert code == 0
-    assert json.loads(out)["verdict"] == "pass"
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert payload["cells_enumerated"] == homology_cells(capsys, "s1", 4)
 
 
 def test_verify_invariance(capsys):
     code, out, _ = run_cli(capsys, "verify", "invariance", "--space", "s1",
                            "--k", "2")
     assert code == 0
+    # the count of the exp_k A build, not of the partners'
+    assert json.loads(out)["cells_enumerated"] == homology_cells(capsys,
+                                                                 "s1", 2)
 
 
 def test_verify_lemma1(capsys):
@@ -96,6 +111,16 @@ def test_wedge_checks_reject_file(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert "not a wedge of spheres" in err
+    # invariance partners come from --space only: a file named s1 holding
+    # the minimal 2-sphere is not compared with the circle's partners
+    path = tmp_path / "s1"
+    path.write_text(json.dumps({"generators": [["v"], [], ["c"]],
+                                "faces": {"c": ["s_0 v"] * 3}}))
+    code, out, err = run_cli(capsys, "verify", "invariance", "--file",
+                             str(path), "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_space_is_parse_error(capsys):
