@@ -7,7 +7,7 @@ from .simplicial import (DegeneracyWord, FormalSimplex, SimplicialSet,
                          find_isomorphism, load_simplicial_set, validate)
 from .spaces import WedgeSpec, sphere, subdivided_circle, wedge
 from .expk import (ExpkSpace, ResourceCapError, SubsetSimplex, build_expk,
-                   colimit_level_oracle, strip_degeneracies)
+                   colimit_level_oracle)
 from .homology import (ChainComplex, ChainComplexError, HomologyResult,
                        SmithResult, homology, normalized_chains,
                        smith_normal_form, space_homology)
@@ -18,7 +18,7 @@ __all__ = [
     "find_isomorphism", "load_simplicial_set", "validate",
     "WedgeSpec", "sphere", "subdivided_circle", "wedge",
     "ExpkSpace", "ResourceCapError", "SubsetSimplex", "build_expk",
-    "colimit_level_oracle", "strip_degeneracies",
+    "colimit_level_oracle",
     "ChainComplex", "ChainComplexError", "HomologyResult", "SmithResult",
     "homology", "normalized_chains", "smith_normal_form", "space_homology",
 ]

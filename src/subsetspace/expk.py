@@ -1,11 +1,13 @@
 """The finite subset functor on finite simplicial sets.
 
 Primary construction: levelwise subsets of size <= k of the simplices of S,
-with faces computed elementwise and renormalized by the closed-form
-Eilenberg-Zilber subset normal form (strip_degeneracies), which reads each
-simplex's degeneracy indices off its normal-form word.  Oracle: the colimit of
-cartesian products of at most k factors under diagonal insertions and factor
-permutations, whose classes must biject with the subsets.
+on integer level indices.  A simplex lies in the image of s_i exactly when i
+is in its normal-form word, so a subset is non-degenerate when the
+complements of its elements' words cover [n]: a pruned depth-first search
+finds these subsets.  A face's Eilenberg-Zilber normal form strips the AND of
+its elements' word masks.  Oracle: the colimit of cartesian products of at
+most k factors under diagonal insertions and factor permutations, whose
+classes must biject with the subsets.
 """
 
 from __future__ import annotations
@@ -57,32 +59,6 @@ class SubsetSimplex:
     def dim(self) -> int:
         return self.elements[0].dim
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def strip_degeneracies(A) -> tuple[tuple[int, ...], SubsetSimplex]:
-    """Eilenberg-Zilber normal form of a set of equal-dimension simplices:
-    word . core, with core a non-degenerate subset.
-
-    A simplex lies in the image of s_i exactly when i is in its normal-form
-    word, so the subset's common degeneracies are the intersection C of its
-    elements' words.  The stripped word is C in decreasing order; each core
-    element drops C from its word and lowers every remaining index by the
-    number of indices of C below it."""
-    elems = set(A)
-    if not elems:
-        raise SimplicialError("cannot strip an empty subset")
-    common = frozenset.intersection(*(frozenset(a.word) for a in elems))
-    if not common:
-        return (), SubsetSimplex.of(elems)
-    core = [FormalSimplex(a.base,
-                          tuple(i - sum(c < i for c in common)
-                                for i in a.word if i not in common),
-                          a.dim - len(common))
-            for a in elems]
-    return tuple(sorted(common, reverse=True)), SubsetSimplex.of(core)
-
 
 @dataclass
 class ExpkSpace:
@@ -94,65 +70,107 @@ class ExpkSpace:
     cells_enumerated: int
 
 
-def _nondegenerate_subsets(dsets: list[frozenset[int]],
-                           k: int) -> list[tuple[int, ...]]:
-    """Depth-first enumeration of index subsets of size <= k whose D-set
-    intersection is empty, in lexicographic order.  No pruning on the D-set:
-    a superset of a degenerate set can be non-degenerate, so every subset of
-    size <= k is visited."""
+def _level_size(S: SimplicialSet, n: int) -> int:
+    """Number of simplices of S in dimension n: a generator of dimension d
+    contributes one simplex per normal-form word of length n - d."""
+    if n < 0:
+        raise SimplicialError("dimension must be >= 0")
+    return sum(comb(n, d) for d in S.dim_of)
+
+
+def _nondegenerate_subsets(comps: list[int], full: int, k: int,
+                           width: int) -> list[tuple[int, ...]]:
+    """The index subsets of size <= k whose complement masks cover ``full``
+    (the non-degenerate subsets of a level), depth-first in lexicographic
+    order.  A branch is cut when the remaining complements miss an uncovered
+    index, or when the elements still allowed cannot cover the uncovered
+    indices: a complement has at most ``width`` = dim S of them."""
     found: list[tuple[int, ...]] = []
-    n = len(dsets)
+    m = len(comps)
+    suffix = [0] * (m + 1)
+    for a in range(m - 1, -1, -1):
+        suffix[a] = suffix[a + 1] | comps[a]
     stack: list[int] = []
 
-    def extend(start: int, inter: frozenset[int]):
-        for idx in range(start, n):
-            stack.append(idx)
-            new_inter = inter & dsets[idx] if stack[:-1] else dsets[idx]
-            if not new_inter:
+    def extend(start: int, covered: int) -> None:
+        room = (k - len(stack) - 1) * width
+        for a in range(start, m):
+            if covered | suffix[a] != full:
+                return
+            now = covered | comps[a]
+            if (full ^ now).bit_count() > room:
+                continue
+            stack.append(a)
+            if now == full:
                 found.append(tuple(stack))
             if len(stack) < k:
-                extend(idx + 1, new_inter)
+                extend(a + 1, now)
             stack.pop()
 
-    extend(0, frozenset())
+    extend(0, 0)
     return found
 
 
 def build_expk(S: SimplicialSet, k: int,
                max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
-    """Construct exp_k S in one pass over the levels n up to the hard
-    dimension bound k * dim(S).  Each level is enumerated and checked against
-    the cell cap, and its face table d_i x is computed once per simplex x.
-    Every non-degenerate subset is then registered with its faces: the face
-    d_i of a subset strips the degeneracies of its elements' faces, and its
-    core lies in a lower level, so it is registered already."""
+    """Construct exp_k S in one pass over the levels n <= k * dim(S), on
+    level indices: each level is checked against the cell cap, enumerated,
+    and given an index map, word bitmasks and a face table of indices into
+    level n - 1.  A subset's face d_i is the set of its elements' d_i; it
+    strips the AND C of their masks, mapping each element to level
+    n - 1 - |C|, where its core is registered already."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
     id_of: dict[SubsetSimplex, int] = {}
     subset_of: dict[int, SubsetSimplex] = {}
+    gen_of: dict[tuple[int, tuple[int, ...]], int] = {}
+    levels: list[list[FormalSimplex]] = []
+    index: list[dict[FormalSimplex, int]] = []
+    masks: list[list[int]] = []
+    lowered: dict[tuple[int, int, int], int] = {}
     cells = 0
+
+    def lower(n: int, a: int, C: int) -> int:
+        if (n, a, C) not in lowered:
+            x, p = levels[n][a], C.bit_count()
+            word = tuple(i - (C & ((1 << i) - 1)).bit_count()
+                         for i in x.word if not C >> i & 1)
+            lowered[n, a, C] = index[n - p][FormalSimplex(x.base, word, n - p)]
+        return lowered[n, a, C]
+
+    def face(n: int, elems: set[int]) -> FormalSimplex:
+        C, mask = (1 << n) - 1, masks[n]
+        for a in elems:
+            C &= mask[a]
+        if C:
+            elems = {lower(n, a, C) for a in elems}
+        word = tuple(i for i in reversed(range(n)) if C >> i & 1) if C else ()
+        return FormalSimplex(gen_of[n - len(word), tuple(sorted(elems))],
+                             word, n)
+
     for n in range(k * S.dim + 1):
-        level = enumerate_level(S, n)
-        m = len(level)
-        projected = sum(comb(m, j) for j in range(1, k + 1))
+        m = _level_size(S, n)
+        projected = sum(comb(m, j) for j in range(1, min(k, m) + 1))
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
-        faces = [[apply_face(x, i, S) for i in range(n + 1)]
+        level = enumerate_level(S, n)
+        levels.append(level)
+        index.append({x: a for a, x in enumerate(level)})
+        masks.append([sum(1 << i for i in x.word) for x in level])
+        faces = [[index[n - 1][apply_face(x, i, S)] for i in range(n + 1)]
                  for x in level] if n else []
-        # x is in the image of s_i exactly when i is in its word
-        for idxs in _nondegenerate_subsets([frozenset(x.word) for x in level],
-                                           k):
-            sub = SubsetSimplex(tuple(level[a] for a in idxs))
+        full = (1 << n) - 1
+        for idxs in _nondegenerate_subsets([full ^ w for w in masks[n]], full,
+                                           k, S.dim):
             g = result.add_generator(n)
-            id_of[sub] = g
-            subset_of[g] = sub
+            gen_of[n, idxs] = g
+            subset_of[g] = SubsetSimplex(tuple(level[a] for a in idxs))
+            id_of[subset_of[g]] = g
             if n:
-                stripped = (strip_degeneracies([faces[a][i] for a in idxs])
-                            for i in range(n + 1))
-                result.set_faces(g, [FormalSimplex(id_of[core], word, n - 1)
-                                     for word, core in stripped])
+                result.set_faces(g, [face(n - 1, set(f))
+                                     for f in zip(*(faces[a] for a in idxs))])
     return ExpkSpace(k=k, base=S, result=result, subset_of=subset_of,
                      id_of=id_of, cells_enumerated=cells)
 
@@ -197,25 +215,18 @@ def colimit_level_oracle(S: SimplicialSet, k: int, n: int,
                          seed: int = 0, samples: int = 50) -> OracleSummary:
     """Build the level-n colimit of tuples of length <= k under diagonal
     insertions and factor permutations, and compare its classes with the
-    nonempty subsets of size <= k of S_n.
-
-    Also samples face/degeneracy arrows and checks they commute with the
-    class -> subset bijection.
-    """
+    nonempty subsets of size <= k of S_n; also sample face/degeneracy arrows
+    and check that they commute with the class -> subset bijection."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
-    level = enumerate_level(S, n)
-    m = len(level)
+    m = _level_size(S, n)
     total = sum(m ** j for j in range(1, k + 1))
     if total > max_cells:
         raise ResourceCapError(n, m, total, max_cells)
+    level = enumerate_level(S, n)
 
-    tuples: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for j in range(1, k + 1):
-        for t in product(range(m), repeat=j):
-            index[t] = len(tuples)
-            tuples.append(t)
+    tuples = [t for j in range(1, k + 1) for t in product(range(m), repeat=j)]
+    index = {t: a for a, t in enumerate(tuples)}
 
     ds = _DisjointSet(len(tuples))
     for t in tuples:
@@ -237,40 +248,27 @@ def colimit_level_oracle(S: SimplicialSet, k: int, n: int,
 
     # bijection witness: every class must consist exactly of the tuples whose
     # coordinate set is one fixed subset of size <= k
-    witnessed: set[frozenset[int]] = set()
-    bijection_ok = True
-    for members in classes.values():
-        sets = {frozenset(t) for t in members}
-        if len(sets) != 1:
-            bijection_ok = False
-            break
-        witnessed.add(sets.pop())
-    if bijection_ok:
-        bijection_ok = (len(witnessed) == len(classes)
-                        and all(1 <= len(s) <= k for s in witnessed))
+    sets = [{frozenset(t) for t in members} for members in classes.values()]
+    bijection_ok = (all(len(s) == 1 for s in sets)
+                    and len(set().union(*sets)) == len(classes)
+                    and all(1 <= len(t) <= k for s in sets for t in s))
 
     # sampled arrows: elementwise d_i / s_i on a tuple must land in the class
     # of the elementwise image of its subset
     rng = random.Random(seed)
-    arrows_ok = True
-    checked = 0
-    if tuples:
-        for _ in range(samples):
-            t = rng.choice(tuples)
-            subset = frozenset(level[c] for c in t)
-            if n >= 1:
-                i = rng.randrange(n + 1)
-                faces_t = frozenset(apply_face(level[c], i, S) for c in t)
-                faces_subset = frozenset(apply_face(x, i, S) for x in subset)
-                checked += 1
-                if faces_t != faces_subset:
-                    arrows_ok = False
+    arrows_ok, checked = True, 0
+    for _ in range(samples if tuples else 0):
+        t = rng.choice(tuples)
+        subset = frozenset(level[c] for c in t)
+        if n >= 1:
             i = rng.randrange(n + 1)
-            degen_t = frozenset(level[c].degenerate(i) for c in t)
-            degen_subset = frozenset(x.degenerate(i) for x in subset)
             checked += 1
-            if degen_t != degen_subset:
-                arrows_ok = False
+            arrows_ok &= (frozenset(apply_face(level[c], i, S) for c in t)
+                          == frozenset(apply_face(x, i, S) for x in subset))
+        i = rng.randrange(n + 1)
+        checked += 1
+        arrows_ok &= (frozenset(level[c].degenerate(i) for c in t)
+                      == frozenset(x.degenerate(i) for x in subset))
 
     return OracleSummary(level=n, k=k, level_size=m,
                          class_count=len(classes), expected_classes=expected,

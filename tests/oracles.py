@@ -4,11 +4,13 @@ Degeneracy words are modelled by their action on monotone index tuples of
 the standard simplex (s_j duplicates entry j, d_i deletes entry i), so word
 algebra can be checked without any normal-form machinery.  Degeneracy sets
 and the subset normal form are checked against the exact membership test
-s_i(d_i(x)) == x and the face-by-face stripper they replaced.  Integer matrix
-facts are checked against brute-force cofactor determinants and minors, and
-the two-phase Smith normal form against the single-phase elimination it
-replaced.  The Euler characteristic of exp_k X is checked against the
-configuration-space stratification.
+s_i(d_i(x)) == x, the face-by-face stripper and the object-level closed-form
+strip; the pruned subset search against the unpruned search it replaced.
+Integer matrix facts are checked against brute-force cofactor determinants
+and minors, and the Smith normal form against the single-phase elimination
+it replaced.  The Euler characteristic of exp_k X is checked against the
+configuration-space stratification, and its f-vector against a closed form
+in the generator dimensions of X.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 
 from subsetspace.expk import SubsetSimplex
 from subsetspace.homology import SmithResult, SparseIntMatrix
@@ -120,6 +122,53 @@ def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
     return out if out is not None else frozenset()
 
 
+def strip_degeneracies(A) -> tuple[tuple[int, ...], SubsetSimplex]:
+    """Eilenberg-Zilber normal form of a set of equal-dimension simplices:
+    word . core, with core a non-degenerate subset.
+
+    A simplex lies in the image of s_i exactly when i is in its normal-form
+    word, so the subset's common degeneracies are the intersection C of its
+    elements' words.  The stripped word is C in decreasing order; each core
+    element drops C from its word and lowers every remaining index by the
+    number of indices of C below it."""
+    elems = set(A)
+    if not elems:
+        raise SimplicialError("cannot strip an empty subset")
+    common = frozenset.intersection(*(frozenset(a.word) for a in elems))
+    if not common:
+        return (), SubsetSimplex.of(elems)
+    core = [FormalSimplex(a.base,
+                          tuple(i - sum(c < i for c in common)
+                                for i in a.word if i not in common),
+                          a.dim - len(common))
+            for a in elems]
+    return tuple(sorted(common, reverse=True)), SubsetSimplex.of(core)
+
+
+def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
+                                   k: int) -> list[tuple[int, ...]]:
+    """Depth-first enumeration of index subsets of size <= k whose D-set
+    intersection is empty, in lexicographic order.  No pruning on the D-set:
+    a superset of a degenerate set can be non-degenerate, so every subset of
+    size <= k is visited."""
+    found: list[tuple[int, ...]] = []
+    n = len(dsets)
+    stack: list[int] = []
+
+    def extend(start: int, inter: frozenset[int]):
+        for idx in range(start, n):
+            stack.append(idx)
+            new_inter = inter & dsets[idx] if stack[:-1] else dsets[idx]
+            if not new_inter:
+                found.append(tuple(stack))
+            if len(stack) < k:
+                extend(idx + 1, new_inter)
+            stack.pop()
+
+    extend(0, frozenset())
+    return found
+
+
 def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
                                  ) -> tuple[tuple[int, ...], SubsetSimplex]:
     """word . core by stripping one common degeneracy index at a time with
@@ -155,6 +204,27 @@ def subset_space_euler(chi: int, k: int) -> int:
     the unordered configuration spaces B_j X, with chi_c(B_j X) =
     C(chi(X), j)."""
     return sum(generalized_binomial(chi, j) for j in range(1, k + 1))
+
+
+def subset_space_f_vector(dims: list[int], k: int) -> list[int]:
+    """f-vector of exp_k X from the dimensions of X's generators alone.
+
+    A level-n simplex over a generator of dimension d is an (n-d)-subset W of
+    [n] (its word), and a subset of simplices is non-degenerate exactly when
+    their words have an empty intersection.  Inclusion-exclusion over the
+    indices T the words must all contain: the simplices whose word contains T
+    number N_t = sum_g C(n - t, dim g) for |T| = t, so
+    f_n = sum_t (-1)^t C(n, t) sum_{j=1..k} C(N_t, j).  Trailing zero
+    levels are dropped."""
+    f = []
+    for n in range(k * max(dims) + 1):
+        f.append(sum((-1) ** t * comb(n, t)
+                     * sum(comb(sum(comb(n - t, d) for d in dims), j)
+                           for j in range(1, k + 1))
+                     for t in range(n + 1)))
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def smith_normal_form_reference(M) -> SmithResult:

@@ -15,14 +15,14 @@ from subsetspace.simplicial import (FormalSimplex, apply_face, enumerate_level,
                                     find_isomorphism, validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
-from subsetspace.expk import (build_expk, colimit_level_oracle,
-                              strip_degeneracies)
+from subsetspace.expk import build_expk, colimit_level_oracle
 from subsetspace.homology import normalized_chains, homology, smith_normal_form, space_homology
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
 
 from oracles import (minors_gcd, rank_over_q, smith_normal_form_reference,
-                     strip_degeneracies_iterative, subset_space_euler)
+                     strip_degeneracies, strip_degeneracies_iterative,
+                     subset_space_euler, subset_space_f_vector)
 
 
 def report(name: str, ok: bool):
@@ -115,13 +115,17 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_structural_properties():
     ok = True
 
-    # every face table is the elementwise definition, stripped face by face;
-    # d.d = 0 on every constructed complex; its Euler characteristic agrees
-    # with the Betti numbers and with the configuration-space stratification;
-    # every boundary's SNF agrees with the single-phase elimination
+    # the f-vector is the closed form in the generator dimensions; every face
+    # table is the elementwise definition, stripped face by face; d.d = 0 on
+    # every constructed complex; its Euler characteristic agrees with the
+    # Betti numbers and with the configuration-space stratification; every
+    # boundary's SNF agrees with the single-phase elimination
     for desc, k in MATRIX_CASES:
         _, S = parse_space(desc)
         space = build_expk(S, k)
+        if space.result.f_vector() != subset_space_f_vector(S.dim_of, k):
+            print(f"  f-vector differs from the closed form for {desc} k={k}")
+            ok = False
         for g, sub in space.subset_of.items():
             n = sub.dim
             stripped = (strip_degeneracies_iterative(

@@ -3,15 +3,19 @@ from math import comb
 
 import pytest
 
+from subsetspace import expk
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
-                                    SimplicialSet, enumerate_level,
-                                    find_isomorphism, validate)
+                                    SimplicialSet, degeneracy_words,
+                                    enumerate_level, find_isomorphism,
+                                    validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
-from subsetspace.expk import (ResourceCapError, SubsetSimplex, build_expk,
-                              colimit_level_oracle, strip_degeneracies)
+from subsetspace.expk import (DEFAULT_MAX_CELLS, ResourceCapError,
+                              SubsetSimplex, build_expk, colimit_level_oracle)
 
-from oracles import degeneracy_set, strip_degeneracies_iterative
+from oracles import (degeneracy_set, nondegenerate_subsets_unpruned,
+                     strip_degeneracies, strip_degeneracies_iterative,
+                     subset_space_f_vector)
 
 
 def circle():
@@ -104,6 +108,38 @@ def test_word_is_degeneracy_set():
                 assert frozenset(x.word) == degeneracy_set(x, S), x
                 checked += 1
     assert checked > 12_000
+
+
+def test_pruned_search_matches_unpruned():
+    """The pruned search returns exactly the unpruned search's subsets, in
+    the same order, on random levels over generators of mixed dimensions
+    (sorted as a level is, or shuffled)."""
+    rng = random.Random(6006)
+    checked = found = 0
+    while checked < 300:
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        k = rng.randint(1, 4)
+        n = rng.randint(0, k * max(dims))
+        words = [w for d in dims if d <= n for w in degeneracy_words(d, n - d)]
+        if not words or len(words) > 20:
+            continue
+        if rng.random() < 0.5:
+            rng.shuffle(words)
+        full = (1 << n) - 1
+        comps = [full ^ sum(1 << i for i in w) for w in words]
+        expected = nondegenerate_subsets_unpruned(
+            [frozenset(w) for w in words], k)
+        assert expk._nondegenerate_subsets(comps, full, k,
+                                           max(dims)) == expected
+        checked += 1
+        found += bool(expected)
+    assert 50 < found < checked
+
+
+def test_f_vector_closed_form_s3k3():
+    S = sphere(3)
+    assert (build_expk(S, 3).result.f_vector()
+            == subset_space_f_vector(S.dim_of, 3))
 
 
 def test_build_exp2_circle_generators():
@@ -204,6 +240,33 @@ def test_oracle_matches_subset_count():
                         for c in combinations(level, size)]
     summary = colimit_level_oracle(S, k, n)
     assert summary.class_count == len(all_subsets)
+
+
+def test_oracle_checks_cap_before_enumerating(monkeypatch):
+    """The oracle sizes the level by its closed count and refuses it before
+    materialising it."""
+    calls = []
+    real = expk.enumerate_level
+
+    def recorder(S, n):
+        calls.append(n)
+        return real(S, n)
+
+    monkeypatch.setattr(expk, "enumerate_level", recorder)
+    with pytest.raises(ResourceCapError) as exc:
+        colimit_level_oracle(sphere(2), 2, 400)
+    assert calls == []
+    m = 1 + comb(400, 2)
+    assert exc.value.sizing_report() == {
+        "level": 400, "level_size": m, "projected_cells": m + m * m,
+        "cap": DEFAULT_MAX_CELLS}
+    with pytest.raises(SimplicialError, match="dimension must be >= 0"):
+        colimit_level_oracle(sphere(2), 2, -1)
+    for S in [circle(), sphere(2), wedge(WedgeSpec((1, 2))),
+              subdivided_circle(3)]:
+        for n in range(5):
+            assert (colimit_level_oracle(S, 1, n).level_size
+                    == len(real(S, n)))
 
 
 def test_oracle_resource_cap():
