@@ -1,10 +1,9 @@
 """Finite subset spaces of finite simplicial sets: construction, exact
 integer homology, and connectivity verification."""
 
-from .simplicial import (DegeneracyWord, FormalSimplex, SimplicialSet,
-                         SimplicialError, ValidationReport, apply_face,
-                         compose_degeneracy, enumerate_level,
-                         find_isomorphism, load_simplicial_set, validate)
+from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
+                         ValidationReport, apply_face, compose_degeneracy,
+                         enumerate_level, load_simplicial_set, validate)
 from .spaces import WedgeSpec, sphere, subdivided_circle, wedge
 from .expk import (ExpkSpace, ResourceCapError, SubsetSimplex, build_expk,
                    colimit_level_oracle)
@@ -13,9 +12,9 @@ from .homology import (ChainComplex, ChainComplexError, HomologyResult,
                        smith_normal_form, space_homology)
 
 __all__ = [
-    "DegeneracyWord", "FormalSimplex", "SimplicialSet", "SimplicialError",
-    "ValidationReport", "apply_face", "compose_degeneracy", "enumerate_level",
-    "find_isomorphism", "load_simplicial_set", "validate",
+    "FormalSimplex", "SimplicialSet", "SimplicialError", "ValidationReport",
+    "apply_face", "compose_degeneracy", "enumerate_level",
+    "load_simplicial_set", "validate",
     "WedgeSpec", "sphere", "subdivided_circle", "wedge",
     "ExpkSpace", "ResourceCapError", "SubsetSimplex", "build_expk",
     "colimit_level_oracle",

@@ -220,9 +220,11 @@ def colimit_level_oracle(S: SimplicialSet, k: int, n: int,
     if k < 1:
         raise SimplicialError("k must be >= 1")
     m = _level_size(S, n)
-    total = sum(m ** j for j in range(1, k + 1))
-    if total > max_cells:
-        raise ResourceCapError(n, m, total, max_cells)
+    total = 0
+    for j in range(1, k + 1):  # k may be huge: stop once over the cap
+        total += m ** j
+        if total > max_cells:
+            raise ResourceCapError(n, m, total, max_cells)
     level = enumerate_level(S, n)
 
     tuples = [t for j in range(1, k + 1) for t in product(range(m), repeat=j)]

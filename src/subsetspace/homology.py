@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .simplicial import SimplicialSet, SimplicialError
+from .simplicial import SimplicialSet, SimplicialError, close_under_faces
 
 
 class ChainComplexError(Exception):
@@ -43,22 +43,6 @@ class SparseIntMatrix:
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries():
-            out[r][c] = v
-        return out
-
-    @staticmethod
-    def from_dense(rows: list[list[int]]) -> "SparseIntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        M = SparseIntMatrix(nrows, ncols)
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                M.add(r, c, v)
-        return M
 
     def multiply(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
@@ -139,12 +123,8 @@ def normalized_chains(S: SimplicialSet,
     if gens is None:
         bases = [list(S.by_dim[n]) for n in range(S.dim + 1)]
     else:
-        for g in gens:
-            if S.dim_of[g] >= 1:
-                for f in S.faces[g]:
-                    if f.base not in gens:
-                        raise SimplicialError(
-                            "generator set is not closed under faces")
+        if close_under_faces(S, gens) != gens:
+            raise SimplicialError("generator set is not closed under faces")
         top = max((S.dim_of[g] for g in gens), default=0)
         bases = [[g for g in S.by_dim[n] if g in gens] if n <= S.dim else []
                  for n in range(top + 1)]
@@ -161,18 +141,17 @@ def normalized_chains(S: SimplicialSet,
     return ChainComplex(bases=bases, boundaries=boundaries)
 
 
-def smith_normal_form(M) -> SmithResult:
+def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
     """Rank and elementary divisors of an integer matrix, by unimodular row
     and column operations with exact arithmetic.
 
-    Accepts a SparseIntMatrix or a dense list of rows; the input is not
-    mutated.  One elimination loop runs on a sparse row/column store.
-    Every nonzero entry waits in a heap keyed (|v|, Markowitz cost
-    (len(row) - 1) * (len(col) - 1), row, column), and is pushed again
-    whenever it appears or its |v| shrinks.  A popped key that no longer
-    matches its entry is dropped when the entry is gone and otherwise pushed
-    back at its current key, so the pivot is an entry of least magnitude,
-    and of least fill-in among those.
+    The input is not mutated.  One elimination loop runs on a sparse
+    row/column store.  Every nonzero entry waits in a heap keyed (|v|,
+    Markowitz cost (len(row) - 1) * (len(col) - 1), row, column), and is
+    pushed again whenever it appears or its |v| shrinks.  A popped key that
+    no longer matches its entry is dropped when the entry is gone and
+    otherwise pushed back at its current key, so the pivot is an entry of
+    least magnitude, and of least fill-in among those.
 
     A pivot step clears the pivot column by floor-division row operations;
     if a remainder is left, the pivot goes back on the heap behind it.  Once
@@ -187,11 +166,7 @@ def smith_normal_form(M) -> SmithResult:
     d_1 | d_2 | ...  The Smith normal form is unique, so the result does not
     depend on the pivot order.
     """
-    if isinstance(M, SparseIntMatrix):
-        items = list(M.entries())
-    else:
-        items = [(r, c, v) for r, row in enumerate(M)
-                 for c, v in enumerate(row) if v]
+    items = list(M.entries())
 
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}

@@ -19,14 +19,10 @@ class SimplicialError(Exception):
     """Malformed simplicial data: bad word, bad face table, bad index."""
 
 
-# A degeneracy word is a strictly decreasing tuple of operator indices,
-# outermost first: (i_1, ..., i_p) denotes s_{i_1} . ... . s_{i_p}.
-DegeneracyWord = tuple[int, ...]
-
-
 def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
     """True if ``word`` is a normal-form degeneracy word applicable to a base
-    of dimension ``base_dim``.
+    of dimension ``base_dim``.  The word (i_1, ..., i_p) denotes
+    s_{i_1} . ... . s_{i_p}, outermost first.
 
     Normal form means strictly decreasing indices i_1 > ... > i_p, with the
     t-th index (1-based) at most base_dim + p - t.
@@ -40,20 +36,14 @@ def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
     return True
 
 
-def compose_degeneracy(word: tuple[int, ...], j: int,
-                       base_dim: int | None = None) -> tuple[int, ...]:
+def compose_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
     """Normal form of s_j composed after ``word`` (i.e. s_j applied last).
 
     Uses the identity s_j s_i = s_{i+1} s_j for j <= i to push the new
-    operator into its sorted slot.  If ``base_dim`` is given, the index is
-    range-checked against the word's target dimension.
+    operator into its sorted slot.
     """
     if j < 0:
         raise SimplicialError(f"degeneracy index {j} out of range")
-    if base_dim is not None and j > base_dim + len(word):
-        raise SimplicialError(
-            f"degeneracy index {j} out of range for target dimension "
-            f"{base_dim + len(word)}")
     bumped = [i + 1 for i in word if i >= j]
     kept = [i for i in word if i < j]
     return tuple(bumped) + (j,) + tuple(kept)
@@ -199,6 +189,21 @@ def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
     return FormalSimplex(f.base, word, x.dim - 1)
 
 
+def close_under_faces(S: SimplicialSet, gens: set[int]) -> set[int]:
+    """Smallest generator-closed set containing gens: a set U is closed
+    under faces exactly when close_under_faces(S, U) == U."""
+    out = set(gens)
+    stack = list(gens)
+    while stack:
+        g = stack.pop()
+        if S.dim_of[g] >= 1:
+            for f in S.faces[g]:
+                if f.base not in out:
+                    out.add(f.base)
+                    stack.append(f.base)
+    return out
+
+
 def enumerate_level(S: SimplicialSet, n: int) -> list[FormalSimplex]:
     """All simplices of S in dimension n, degenerate ones included, in the
     canonical (base id, word) order."""
@@ -314,45 +319,3 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
 def load_simplicial_set(path: str) -> SimplicialSet:
     with open(path) as fh:
         return simplicial_set_from_dict(json.load(fh))
-
-
-# -- isomorphism testing ----------------------------------------------------
-
-def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | None:
-    """Search for a simplicial isomorphism A -> B; returns the generator map
-    or None.  Backtracking over generators in order of increasing dimension,
-    pruning on face compatibility (faces only reference lower dimensions)."""
-    if A.f_vector() != B.f_vector():
-        return None
-    order = sorted(range(A.n_generators), key=lambda g: (A.dim_of[g], g))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def image(x: FormalSimplex) -> FormalSimplex:
-        return FormalSimplex(mapping[x.base], x.word, x.dim)
-
-    def compatible(g: int, h: int) -> bool:
-        if A.dim_of[g] != B.dim_of[h]:
-            return False
-        if A.dim_of[g] == 0:
-            return True
-        fa, fb = A.faces[g], B.faces[h]
-        return all(image(fa[i]) == fb[i] for i in range(len(fa)))
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        g = order[pos]
-        for h in B.generators(A.dim_of[g]):
-            if h in used:
-                continue
-            mapping[g] = h
-            if compatible(g, h):
-                used.add(h)
-                if extend(pos + 1):
-                    return True
-                used.discard(h)
-            del mapping[g]
-        return False
-
-    return dict(mapping) if extend(0) else None

@@ -11,20 +11,14 @@ from .simplicial import FormalSimplex, SimplicialSet, SimplicialError
 
 @dataclass(frozen=True)
 class WedgeSpec:
-    """A wedge of spheres: one entry per summand, giving its dimension.
-    model='subdivided' is only available when every summand is a circle."""
+    """A wedge of spheres: one entry per summand, giving its dimension."""
     sphere_dims: tuple[int, ...]
-    model: str = "minimal"
 
     def __post_init__(self):
         if not self.sphere_dims:
             raise SimplicialError("wedge spec must have at least one summand")
         if any(d < 1 for d in self.sphere_dims):
             raise SimplicialError("sphere dimensions must be >= 1")
-        if self.model not in ("minimal", "subdivided"):
-            raise SimplicialError(f"unknown model {self.model!r}")
-        if self.model == "subdivided" and any(d != 1 for d in self.sphere_dims):
-            raise SimplicialError("subdivided model only applies to circles")
 
 
 def _degenerate_vertex(v: int, dim: int) -> FormalSimplex:
@@ -41,8 +35,6 @@ def sphere(m: int) -> SimplicialSet:
 
 def wedge(spec: WedgeSpec) -> SimplicialSet:
     """Wedge of minimal spheres sharing a single vertex."""
-    if spec.model == "subdivided":
-        return _subdivided_wedge_of_circles(len(spec.sphere_dims))
     S = SimplicialSet()
     v = S.add_generator(0, "v")
     for idx, m in enumerate(spec.sphere_dims):
@@ -61,20 +53,6 @@ def subdivided_circle(v: int) -> SimplicialSet:
     for i in range(v):
         e = S.add_generator(1, f"e{i}")
         S.set_faces(e, [S.simplex(verts[(i + 1) % v]), S.simplex(verts[i])])
-    return S
-
-
-def _subdivided_wedge_of_circles(count: int) -> SimplicialSet:
-    # each circle gets 3 vertices, one of them the shared basepoint
-    S = SimplicialSet()
-    b = S.add_generator(0, "b")
-    for c in range(count):
-        p = S.add_generator(0, f"p{c}")
-        q = S.add_generator(0, f"q{c}")
-        cyc = [b, p, q]
-        for i in range(3):
-            e = S.add_generator(1, f"e{c}_{i}")
-            S.set_faces(e, [S.simplex(cyc[(i + 1) % 3]), S.simplex(cyc[i])])
     return S
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .simplicial import SimplicialSet
+from .simplicial import SimplicialSet, close_under_faces
 from .spaces import WedgeSpec, wedge
 from .expk import DEFAULT_MAX_CELLS, build_expk
 from .homology import (HomologyResult, homology, normalized_chains,
@@ -34,12 +34,23 @@ class ConnectivityClaim:
     cells_enumerated: int  # of the exp_k build
 
 
-def _reduced_vanishes_through(h: HomologyResult, bound: int) -> int | None:
-    """First degree <= bound with nonzero reduced homology, or None."""
-    for i in range(0, bound + 1):
-        if not h.is_trivial_in(i):
-            return i
-    return None
+def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
+    """First degree <= bound where h is nonzero, or None."""
+    return next((i for i in range(bound + 1) if not h.is_trivial_in(i)), None)
+
+
+def _vanishing_claim(spec: WedgeSpec, k: int, m: int,
+                     max_cells: int) -> ConnectivityClaim:
+    """Build exp_k of the wedge, compute its reduced homology and find the
+    first degree <= k + m - 2 where it is nonzero."""
+    bound = k + m - 2
+    space = build_expk(wedge(spec), k, max_cells=max_cells)
+    h = space_homology(space.result, reduced=True)
+    offending = _first_nonzero_degree(h, bound)
+    return ConnectivityClaim(k=k, m=m, bound=bound,
+                             verdict=PASS if offending is None else FAIL,
+                             offending_degree=offending, homology=h,
+                             cells_enumerated=space.cells_enumerated)
 
 
 def theorem1_check(spec: WedgeSpec, k: int,
@@ -49,45 +60,17 @@ def theorem1_check(spec: WedgeSpec, k: int,
     dims = set(spec.sphere_dims)
     if len(dims) != 1:
         raise ValueError("theorem1_check needs a homogeneous wedge")
-    m = dims.pop() - 1
-    bound = k + m - 2
-    space = build_expk(wedge(spec), k, max_cells=max_cells)
-    h = space_homology(space.result, reduced=True)
-    offending = _reduced_vanishes_through(h, bound)
-    return ConnectivityClaim(k=k, m=m, bound=bound,
-                             verdict=PASS if offending is None else FAIL,
-                             offending_degree=offending, homology=h,
-                             cells_enumerated=space.cells_enumerated)
-
-
-@dataclass
-class ConcentrationVerdict:
-    k: int
-    verdict: str
-    offending_degree: int | None
-    homology: HomologyResult
-    cells_enumerated: int  # of the exp_k build
+    return _vanishing_claim(spec, k, dims.pop() - 1, max_cells)
 
 
 def tuffley_check(spec: WedgeSpec, k: int,
-                  max_cells: int = DEFAULT_MAX_CELLS) -> ConcentrationVerdict:
+                  max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
     """For a wedge of circles, reduced homology of exp_k must be concentrated
-    in degrees k-1 and k."""
+    in degrees k-1 and k.  exp_k of a graph has dimension at most k, so this
+    is vanishing through degree k - 2: the m = 0 case of theorem1_check."""
     if any(d != 1 for d in spec.sphere_dims):
         raise ValueError("tuffley_check needs a wedge of circles")
-    space = build_expk(wedge(spec), k, max_cells=max_cells)
-    h = space_homology(space.result, reduced=True)
-    offending = None
-    for i in range(len(h.betti)):
-        if i in (k - 1, k):
-            continue
-        if not h.is_trivial_in(i):
-            offending = i
-            break
-    return ConcentrationVerdict(k=k,
-                                verdict=PASS if offending is None else FAIL,
-                                offending_degree=offending, homology=h,
-                                cells_enumerated=space.cells_enumerated)
+    return _vanishing_claim(spec, k, 0, max_cells)
 
 
 @dataclass
@@ -105,8 +88,12 @@ class Lemma1Verdict:
     detail: str
 
 
-def _reduced_homology_of(Y: SimplicialSet, gens: set[int]) -> HomologyResult:
-    return homology(normalized_chains(Y, gens), reduced=True)
+def _first_nonzero_degree_of(Y: SimplicialSet, gens: set[int],
+                             bound: int) -> int | None:
+    """First degree <= bound where the reduced homology of the simplicial
+    subset gens of Y is nonzero, or None."""
+    h = homology(normalized_chains(Y, gens), reduced=True)
+    return _first_nonzero_degree(h, bound)
 
 
 def lemma1_check(inst: Lemma1Instance) -> Lemma1Verdict:
@@ -120,15 +107,10 @@ def lemma1_check(inst: Lemma1Instance) -> Lemma1Verdict:
     Y, cover, j = inst.Y, inst.cover, inst.j
     if not cover:
         raise ValueError("cover must be nonempty")
-    union: set[int] = set()
     for idx, U in enumerate(cover):
-        for g in U:
-            if Y.dim_of[g] >= 1:
-                for f in Y.faces[g]:
-                    if f.base not in U:
-                        raise ValueError(
-                            f"cover member {idx} is not generator-closed")
-        union |= U
+        if close_under_faces(Y, U) != U:
+            raise ValueError(f"cover member {idx} is not generator-closed")
+    union = set().union(*cover)
     if union != set(range(Y.n_generators)):
         raise ValueError("cover does not exhaust the space")
 
@@ -142,40 +124,22 @@ def lemma1_check(inst: Lemma1Instance) -> Lemma1Verdict:
                 return Lemma1Verdict(
                     HYPOTHESES_NOT_MET,
                     f"intersection {idxs} empty")
-            h = _reduced_homology_of(Y, inter)
-            for i in range(0, j):
-                if not h.is_trivial_in(i):
-                    return Lemma1Verdict(
-                        HYPOTHESES_NOT_MET,
-                        f"intersection {idxs} has homology in degree {i}")
-    for idx, U in enumerate(cover):
-        h = _reduced_homology_of(Y, U)
-        for i in range(0, j + 1):
-            if not h.is_trivial_in(i):
+            i = _first_nonzero_degree_of(Y, inter, j - 1)
+            if i is not None:
                 return Lemma1Verdict(
                     HYPOTHESES_NOT_MET,
-                    f"cover member {idx} has homology in degree {i}")
-
-    h = _reduced_homology_of(Y, union)
-    for i in range(0, j + 1):
-        if not h.is_trivial_in(i):
+                    f"intersection {idxs} has homology in degree {i}")
+    for idx, U in enumerate(cover):
+        i = _first_nonzero_degree_of(Y, U, j)
+        if i is not None:
             return Lemma1Verdict(
-                FAIL, f"conclusion violated in degree {i}")
+                HYPOTHESES_NOT_MET,
+                f"cover member {idx} has homology in degree {i}")
+
+    i = _first_nonzero_degree_of(Y, union, j)
+    if i is not None:
+        return Lemma1Verdict(FAIL, f"conclusion violated in degree {i}")
     return Lemma1Verdict(PASS, "hypotheses and conclusion hold")
-
-
-def close_under_faces(S: SimplicialSet, gens: set[int]) -> set[int]:
-    """Smallest generator-closed set containing gens."""
-    out = set(gens)
-    stack = list(gens)
-    while stack:
-        g = stack.pop()
-        if S.dim_of[g] >= 1:
-            for f in S.faces[g]:
-                if f.base not in out:
-                    out.add(f.base)
-                    stack.append(f.base)
-    return out
 
 
 def random_lemma1_instance(Y: SimplicialSet, rng: random.Random) -> Lemma1Instance:

@@ -10,7 +10,10 @@ Integer matrix facts are checked against brute-force cofactor determinants
 and minors, and the Smith normal form against the single-phase elimination
 it replaced.  The Euler characteristic of exp_k X is checked against the
 configuration-space stratification, and its f-vector against a closed form
-in the generator dimensions of X.
+in the generator dimensions of X.  The homology of exp_2 S^n is checked
+against the cofibre sequence S^n -> SP^2 S^n -> Sigma^{n+1} RP^{n-1}, and
+exp_1 S against S by a backtracking isomorphism search.  The dense-matrix
+helpers at the end convert to and from SparseIntMatrix.
 """
 
 from __future__ import annotations
@@ -318,3 +321,82 @@ def smith_normal_form_reference(M) -> SmithResult:
         divisors.append(abs(rows[pr][pc]))
         set_entry(pr, pc, 0)
     return SmithResult(rank=len(divisors), divisors=divisors)
+
+
+def sp2_sphere_reduced_homology(n: int) -> tuple[list[int], list[list[int]]]:
+    """Reduced Betti numbers and torsion of SP^2 S^n = exp_2 S^n in degrees
+    0..2n, for n >= 1.
+
+    SP^2 S^n / S^n is Sigma^{n+1} RP^{n-1}.  The reduced homology of
+    RP^{n-1} is Z/2 in each odd degree i < n - 1 and Z in degree n - 1 when
+    n - 1 is odd, so the quotient's is Z/2 in degrees n + 1 + i and Z in
+    degree 2n when n is even, all above n + 1.  In the long exact sequence of
+    the pair (SP^2 S^n, S^n) the quotient has nothing in degrees n and n + 1
+    and S^n nothing above n, so H~(SP^2 S^n) is Z in degree n and the
+    quotient's above it.
+    """
+    betti = [0] * (2 * n + 1)
+    torsion: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    betti[n] = 1
+    for i in range(1, n - 1, 2):
+        torsion[n + 1 + i] = [2]
+    if n % 2 == 0:
+        betti[2 * n] = 1
+    return betti, torsion
+
+
+def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | None:
+    """Search for a simplicial isomorphism A -> B; returns the generator map
+    or None.  Backtracking over generators in order of increasing dimension,
+    pruning on face compatibility (faces only reference lower dimensions)."""
+    if A.f_vector() != B.f_vector():
+        return None
+    order = sorted(range(A.n_generators), key=lambda g: (A.dim_of[g], g))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def image(x: FormalSimplex) -> FormalSimplex:
+        return FormalSimplex(mapping[x.base], x.word, x.dim)
+
+    def compatible(g: int, h: int) -> bool:
+        if A.dim_of[g] != B.dim_of[h]:
+            return False
+        if A.dim_of[g] == 0:
+            return True
+        fa, fb = A.faces[g], B.faces[h]
+        return all(image(fa[i]) == fb[i] for i in range(len(fa)))
+
+    def extend(pos: int) -> bool:
+        if pos == len(order):
+            return True
+        g = order[pos]
+        for h in B.generators(A.dim_of[g]):
+            if h in used:
+                continue
+            mapping[g] = h
+            if compatible(g, h):
+                used.add(h)
+                if extend(pos + 1):
+                    return True
+                used.discard(h)
+            del mapping[g]
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def to_dense(M: SparseIntMatrix) -> list[list[int]]:
+    out = [[0] * M.ncols for _ in range(M.nrows)]
+    for r, c, v in M.entries():
+        out[r][c] = v
+    return out
+
+
+def from_dense(rows: list[list[int]]) -> SparseIntMatrix:
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    M = SparseIntMatrix(nrows, ncols)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            M.add(r, c, v)
+    return M

@@ -11,8 +11,9 @@ from math import comb, prod
 
 import pytest
 
-from subsetspace.simplicial import (FormalSimplex, apply_face, enumerate_level,
-                                    find_isomorphism, validate)
+from subsetspace.simplicial import (FormalSimplex, apply_face,
+                                    close_under_faces, enumerate_level,
+                                    validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import build_expk, colimit_level_oracle
@@ -20,9 +21,10 @@ from subsetspace.homology import normalized_chains, homology, smith_normal_form,
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
 
-from oracles import (minors_gcd, rank_over_q, smith_normal_form_reference,
-                     strip_degeneracies, strip_degeneracies_iterative,
-                     subset_space_euler, subset_space_f_vector)
+from oracles import (find_isomorphism, from_dense, minors_gcd, rank_over_q,
+                     smith_normal_form_reference, strip_degeneracies,
+                     strip_degeneracies_iterative, subset_space_euler,
+                     subset_space_f_vector)
 
 
 def report(name: str, ok: bool):
@@ -186,7 +188,7 @@ def test_criterion_6_structural_properties():
              for _ in range(rng.randint(1, 5))]
         width = len(m[0])
         m = [row[:width] + [0] * (width - len(row)) for row in m]
-        res = smith_normal_form(m)
+        res = smith_normal_form(from_dense(m))
         if res.rank != rank_over_q(m):
             print("  SNF rank mismatch")
             ok = False
@@ -206,8 +208,8 @@ def test_criterion_7_lemma1_implication_suite():
     # hand-built: path passes, circle cover fails hypotheses
     S = subdivided_circle(3)
     path_cover = V.Lemma1Instance(
-        Y=S, cover=[V.close_under_faces(S, {3}),
-                    V.close_under_faces(S, {4, 5})], j=1)
+        Y=S, cover=[close_under_faces(S, {3}),
+                    close_under_faces(S, {4, 5})], j=1)
     # that cover intersects in two points; build the genuine path instead
     from test_verify import two_edge_path
     P, (p0, p1, p2, e0, e1) = two_edge_path()

@@ -142,21 +142,26 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
 
 def test_huge_k_is_refused_at_the_first_level_over_the_cap():
     """The projected count sums at most min(k, level size) binomials per
-    level, so k = 10^9 is refused at level 17 of s1 at once."""
+    level, so k = 10^9 is refused at level 17 of s1 at once.  The oracle's
+    tuple count 2 + 4 + ... at level 1 of s1 stops at its first partial sum
+    over the cap, 2^18 - 2."""
     env = {key: value for key, value in os.environ.items()
            if key != "SUBSETSPACE_MAX_CELLS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "subsetspace.cli", "homology", "--space", "s1",
-         "--k", "1000000000"],
-        capture_output=True, text=True, timeout=30, env=env)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert json.loads(proc.stderr) == {
-        "error": "resource-cap", "level": 17, "level_size": 18,
-        "projected_cells": 2 ** 18 - 1, "cap": 200_000}
+    for args, level, level_size, projected in [
+            (["homology"], 17, 18, 2 ** 18 - 1),
+            (["verify", "oracle", "--level", "1"], 1, 2, 2 ** 18 - 2)]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subsetspace.cli", *args, "--space", "s1",
+             "--k", "1000000000"],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "resource-cap", "level": level, "level_size": level_size,
+            "projected_cells": projected, "cap": 200_000}
 
 
 def test_env_var_overrides_cap(capsys, monkeypatch):

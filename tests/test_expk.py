@@ -6,16 +6,15 @@ import pytest
 from subsetspace import expk
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     SimplicialSet, degeneracy_words,
-                                    enumerate_level, find_isomorphism,
-                                    validate)
+                                    enumerate_level, validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import (DEFAULT_MAX_CELLS, ResourceCapError,
                               SubsetSimplex, build_expk, colimit_level_oracle)
 
-from oracles import (degeneracy_set, nondegenerate_subsets_unpruned,
-                     strip_degeneracies, strip_degeneracies_iterative,
-                     subset_space_f_vector)
+from oracles import (degeneracy_set, find_isomorphism,
+                     nondegenerate_subsets_unpruned, strip_degeneracies,
+                     strip_degeneracies_iterative, subset_space_f_vector)
 
 
 def circle():

@@ -3,7 +3,7 @@ from math import gcd, prod
 
 import pytest
 
-from subsetspace.simplicial import FormalSimplex
+from subsetspace.simplicial import FormalSimplex, SimplicialError
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import build_expk
@@ -12,48 +12,50 @@ from subsetspace.homology import (ChainComplex, ChainComplexError,
                                   normalized_chains, smith_normal_form,
                                   space_homology)
 
-from oracles import minors_gcd, rank_over_q, smith_normal_form_reference
+from oracles import (from_dense, minors_gcd, rank_over_q,
+                     smith_normal_form_reference, sp2_sphere_reduced_homology,
+                     to_dense)
 
 
 def test_snf_single_entry():
-    res = smith_normal_form([[2]])
+    res = smith_normal_form(from_dense([[2]]))
     assert (res.rank, res.divisors) == (1, [2])
 
 
 def test_snf_rank_one():
-    res = smith_normal_form([[1, 0], [0, 0]])
+    res = smith_normal_form(from_dense([[1, 0], [0, 0]]))
     assert (res.rank, res.divisors) == (1, [1])
 
 
 def test_snf_two_by_two():
     # d1 = gcd of entries = 2, d1*d2 = |det| = 8
-    res = smith_normal_form([[2, 4], [6, 8]])
+    res = smith_normal_form(from_dense([[2, 4], [6, 8]]))
     assert (res.rank, res.divisors) == (2, [2, 4])
 
 
 def test_snf_empty_and_zero():
-    assert smith_normal_form([]).rank == 0
-    assert smith_normal_form([[0, 0], [0, 0]]).rank == 0
+    assert smith_normal_form(from_dense([])).rank == 0
+    assert smith_normal_form(from_dense([[0, 0], [0, 0]])).rank == 0
 
 
 def test_snf_does_not_mutate_input():
-    M = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
-    before = M.to_dense()
+    M = from_dense([[2, 4], [6, 8]])
+    before = to_dense(M)
     smith_normal_form(M)
-    assert M.to_dense() == before
+    assert to_dense(M) == before
 
 
 def test_snf_known_torsion():
     # boundary of the real projective plane's 2-cell picture
-    res = smith_normal_form([[2]])
+    res = smith_normal_form(from_dense([[2]]))
     assert res.divisors == [2]
-    res = smith_normal_form([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    res = smith_normal_form(from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
     assert res.divisors == [1, 1, 2]
     # coprime and non-dividing pivots: the gcd/lcm exchange makes the chain
-    assert smith_normal_form([[2, 0], [0, 3]]).divisors == [1, 6]
-    assert smith_normal_form([[4, 0], [0, 6]]).divisors == [2, 12]
+    assert smith_normal_form(from_dense([[2, 0], [0, 3]])).divisors == [1, 6]
+    assert smith_normal_form(from_dense([[4, 0], [0, 6]])).divisors == [2, 12]
     # a pivot that does not divide its row: the row is reduced modulo it
-    assert smith_normal_form([[2, 3]]).divisors == [1]
+    assert smith_normal_form(from_dense([[2, 3]])).divisors == [1]
 
 
 def _random_matrix(rng, max_side=5, bound=9):
@@ -70,7 +72,7 @@ def test_snf_against_minor_oracle(seed):
     rng = random.Random(seed)
     for _ in range(100):
         m = _random_matrix(rng)
-        res = smith_normal_form(m)
+        res = smith_normal_form(from_dense(m))
         assert res.rank == rank_over_q(m)
         for a, b in zip(res.divisors, res.divisors[1:]):
             assert b % a == 0
@@ -121,6 +123,18 @@ def test_tuffley_circle_oracle(desc, kmax):
         assert all(not t for t in h.torsion)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sp2_sphere_oracle(n):
+    """exp_2 S^n = SP^2 S^n, whose reduced homology follows from
+    SP^2 S^n / S^n = Sigma^{n+1} RP^{n-1}."""
+    h = space_homology(build_expk(sphere(n), 2).result, reduced=True)
+    betti, torsion = sp2_sphere_reduced_homology(n)
+    pad = len(betti) - len(h.betti)
+    assert pad >= 0
+    assert h.betti + [0] * pad == betti
+    assert h.torsion + [[]] * pad == torsion
+
+
 def test_chains_minimal_sphere_boundaries_vanish():
     C = normalized_chains(sphere(2))
     assert all(M.nnz() == 0 for M in C.boundaries)
@@ -144,7 +158,7 @@ def test_chains_exp1_equal_base_chains():
     C_exp = normalized_chains(build_expk(S, 1).result)
     assert C_base.f_vector() == C_exp.f_vector()
     for M, N in zip(C_base.boundaries, C_exp.boundaries):
-        assert M.to_dense() == N.to_dense()
+        assert to_dense(M) == to_dense(N)
 
 
 def test_homology_exp2_circle_is_moebius():
@@ -168,13 +182,13 @@ def test_homology_figure_eight():
 def test_homology_rejects_broken_complex():
     bad = ChainComplex(
         bases=[[0], [1]],
-        boundaries=[SparseIntMatrix(0, 1), SparseIntMatrix.from_dense([[1]])])
+        boundaries=[SparseIntMatrix(0, 1), from_dense([[1]])])
     # d.d = 0 trivially here; break it with a second boundary
     bad2 = ChainComplex(
         bases=[[0], [1], [2]],
         boundaries=[SparseIntMatrix(0, 1),
-                    SparseIntMatrix.from_dense([[1]]),
-                    SparseIntMatrix.from_dense([[1]])])
+                    from_dense([[1]]),
+                    from_dense([[1]])])
     homology(bad)
     with pytest.raises(ChainComplexError):
         homology(bad2)
@@ -227,7 +241,7 @@ def test_direct_sum_is_degreewise_sum():
         assert h.betti[n] == ba + bb
 
 
-def test_restricted_chains_requires_closure():
+def test_normalized_chains_requires_closure():
     S = subdivided_circle(3)
-    with pytest.raises(Exception):
+    with pytest.raises(SimplicialError):
         normalized_chains(S, {S.by_dim[1][0]})  # edge without its vertices

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     apply_face, compose_degeneracy,
                                     degeneracy_words, enumerate_level,
-                                    find_isomorphism,
                                     simplicial_set_from_dict, validate,
                                     word_is_valid)
 from subsetspace.spaces import sphere, subdivided_circle, wedge, WedgeSpec
 
-from oracles import all_degenerate_tuples, eval_word, s_on_tuple
+from oracles import (all_degenerate_tuples, eval_word, find_isomorphism,
+                     s_on_tuple)
 
 
 def test_compose_identity_word():
@@ -40,7 +40,7 @@ def test_compose_rejects_bad_index():
     with pytest.raises(SimplicialError):
         compose_degeneracy((), -1)
     with pytest.raises(SimplicialError):
-        compose_degeneracy((0,), 3, base_dim=0)
+        sphere(1).simplex(0).degenerate(1)  # s_1 of a vertex
 
 
 @given(st.lists(st.integers(0, 6), max_size=6), st.integers(0, 3))
