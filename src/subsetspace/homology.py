@@ -8,7 +8,8 @@ sparse.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field
 from math import gcd
 
 from .simplicial import SimplicialSet, SimplicialError, close_under_faces
@@ -27,13 +28,11 @@ class SparseIntMatrix:
         self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
 
     def add(self, r: int, c: int, v: int) -> None:
-        if v == 0:
-            return
         col = self.cols[c]
         new = col.get(r, 0) + v
         if new:
             col[r] = new
-        else:
+        elif r in col:
             del col[r]
 
     def entries(self):
@@ -43,19 +42,6 @@ class SparseIntMatrix:
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
-
-    def multiply(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = SparseIntMatrix(self.nrows, other.ncols)
-        for c, col in enumerate(other.cols):
-            acc: dict[int, int] = {}
-            for mid, v in col.items():
-                for r, w in self.cols[mid].items():
-                    acc[r] = acc.get(r, 0) + v * w
-            for r, v in acc.items():
-                out.add(r, c, v)
-        return out
 
 
 @dataclass
@@ -74,9 +60,15 @@ class ChainComplex:
         return [len(b) for b in self.bases]
 
     def check_dd_zero(self) -> bool:
-        for n in range(1, len(self.boundaries)):
-            if self.boundaries[n - 1].multiply(self.boundaries[n]).nnz():
-                return False
+        """Exact d_{n-1} d_n = 0 in every degree, one column at a time."""
+        for lower, upper in zip(self.boundaries, self.boundaries[1:]):
+            for col in upper.cols:
+                acc: dict[int, int] = {}
+                for mid, v in col.items():
+                    for r, w in lower.cols[mid].items():
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    return False
         return True
 
 
@@ -84,6 +76,7 @@ class ChainComplex:
 class SmithResult:
     rank: int
     divisors: list[int]  # d_1 | d_2 | ... | d_rank, all positive
+    cleared: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -94,22 +87,19 @@ class HomologyResult:
     f_vector: list[int]
     euler: int
 
+    def group(self, n: int) -> tuple[int, list[int]]:
+        """Betti number and sorted torsion in degree n; (0, []) outside."""
+        if 0 <= n < len(self.betti):
+            return self.betti[n], sorted(self.torsion[n])
+        return 0, []
+
     def groups_equal(self, other: "HomologyResult") -> bool:
         """Degree-wise betti and torsion equality, padding with zeros."""
         top = max(len(self.betti), len(other.betti))
-        for n in range(top):
-            b1 = self.betti[n] if n < len(self.betti) else 0
-            b2 = other.betti[n] if n < len(other.betti) else 0
-            t1 = self.torsion[n] if n < len(self.torsion) else []
-            t2 = other.torsion[n] if n < len(other.torsion) else []
-            if b1 != b2 or sorted(t1) != sorted(t2):
-                return False
-        return True
+        return all(self.group(n) == other.group(n) for n in range(top))
 
     def is_trivial_in(self, n: int) -> bool:
-        b = self.betti[n] if 0 <= n < len(self.betti) else 0
-        t = self.torsion[n] if 0 <= n < len(self.torsion) else []
-        return b == 0 and not t
+        return self.group(n) == (0, [])
 
 
 def normalized_chains(S: SimplicialSet,
@@ -134,37 +124,32 @@ def normalized_chains(S: SimplicialSet,
         M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
         for c, g in enumerate(bases[n]):
             for i, f in enumerate(S.faces[g]):
-                if f.is_degenerate:
-                    continue
-                M.add(index[n - 1][f.base], c, -1 if i % 2 else 1)
+                if not f.is_degenerate:
+                    M.add(index[n - 1][f.base], c, -1 if i % 2 else 1)
         boundaries.append(M)
     return ChainComplex(bases=bases, boundaries=boundaries)
 
 
 def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
     """Rank and elementary divisors of an integer matrix, by unimodular row
-    and column operations with exact arithmetic.
+    and column operations with exact arithmetic; the input is not mutated.
 
-    The input is not mutated.  One elimination loop runs on a sparse
-    row/column store.  Every nonzero entry waits in a heap keyed (|v|,
-    Markowitz cost (len(row) - 1) * (len(col) - 1), row, column), and is
-    pushed again whenever it appears or its |v| shrinks.  A popped key that
-    no longer matches its entry is dropped when the entry is gone and
-    otherwise pushed back at its current key, so the pivot is an entry of
-    least magnitude, and of least fill-in among those.
+    One elimination loop runs on a sparse row/column store.  Every nonzero
+    entry waits in a heap keyed (|v|, Markowitz cost (len(row) - 1) *
+    (len(col) - 1), row, column), pushed again whenever it appears or its
+    |v| shrinks; a stale popped key is dropped or pushed back at its current
+    key, so the pivot is an entry of least magnitude, then of least fill-in.
 
     A pivot step clears the pivot column by floor-division row operations;
-    if a remainder is left, the pivot goes back on the heap behind it.  Once
-    the column is clear and the pivot divides its row, column operations
-    would touch no other row, so the row is deleted and |pivot| recorded;
-    exp_k boundaries are almost all +-1, and then this is the whole step.
-    Otherwise the row is reduced modulo the pivot, which goes back on the
-    heap behind the remainders.
+    a remainder sends the pivot back on the heap behind it.  Once the column
+    is clear and the pivot divides its row, the row is deleted and |pivot|
+    recorded (column operations would touch no other row); otherwise the
+    row is reduced modulo the pivot, which goes back on the heap.  Pairwise
+    gcd/lcm exchanges turn the recorded pivots above 1 into the divisor
+    chain d_1 | d_2 | ..., which is unique, so the pivot order is free.
 
-    The recorded pivots are the diagonal of an equivalent matrix; pairwise
-    gcd/lcm exchanges turn its entries above 1 into the divisor chain
-    d_1 | d_2 | ...  The Smith normal form is unique, so the result does not
-    depend on the pivot order.
+    cleared lists the rows deleted as +-1 pivots before the first pivot step
+    with |pv| != 1 (the heap pops every +-1 entry before any larger one).
     """
     items = list(M.entries())
 
@@ -198,9 +183,10 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
                 del col_rows[c]
 
     pivots: list[int] = []
+    cleared: list[int] = []
+    unit_phase = True
     while heap:
-        top = heapq.heappop(heap)
-        _, _, pr, pc = top
+        _, _, pr, pc = top = heapq.heappop(heap)
         prow = rows.get(pr)
         pv = prow.get(pc) if prow else None
         if pv is None:
@@ -209,6 +195,7 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
         if now != top:
             heapq.heappush(heap, now)
             continue
+        unit_phase = unit_phase and abs(pv) == 1
         for r in col_rows[pc] - {pr}:
             row = rows[r]
             q = row[pc] // pv  # row_r -= q * row_pr
@@ -224,6 +211,8 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
                 set_entry(pr, prow, c, v, 0)
             del rows[pr]
             pivots.append(abs(pv))
+            if unit_phase:
+                cleared.append(pr)
         else:
             # col_c -= (v // pv) * col_pc touches row pr alone
             for c, v in list(prow.items()):
@@ -237,7 +226,8 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
             g = gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] // g * chain[j]
     return SmithResult(rank=len(pivots),
-                       divisors=[1] * (len(pivots) - len(chain)) + chain)
+                       divisors=[1] * (len(pivots) - len(chain)) + chain,
+                       cleared=cleared)
 
 
 def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
@@ -245,19 +235,29 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
 
     betti[n] = |basis_n| - rank d_n - rank d_{n+1}; torsion[n] is the list
     of elementary divisors of d_{n+1} exceeding 1.
+
+    Clearing (Chen and Kerber, "Persistent homology computation with a
+    twist", 2011): the SNFs run from d_top down, and the columns of d_n that
+    are cleared rows of d_{n+1} are emptied first.  Until its first non-unit
+    pivot, the SNF's row operations change only the pivot row's basis
+    vector, so cleared row u stands for b_u = e_u + sum q e_r (r alive then)
+    = +-d_{n+1} of a column, and d_n(b_u) = 0.  The b_u are unit-triangular
+    in pivot order, so with the uncleared e_r they form a Z-basis, in which
+    d_n has the cleared columns empty: rank, divisors and image are kept.
     """
     if not C.check_dd_zero():
         raise ChainComplexError("boundary squared is nonzero")
-    top = C.top
-    snfs = [smith_normal_form(M) for M in C.boundaries]
-    betti: list[int] = []
-    torsion: list[list[int]] = []
+    snfs = [SmithResult(rank=0, divisors=[])]  # of d_n at n; d_{top+1} = 0
+    for M in reversed(C.boundaries):
+        drop = set(snfs[0].cleared)
+        if drop:
+            M = copy(M)
+            M.cols = [{} if c in drop else col for c, col in enumerate(M.cols)]
+        snfs.insert(0, smith_normal_form(M))
     f_vector = C.f_vector()
-    for n in range(top + 1):
-        rank_in = snfs[n + 1].rank if n + 1 <= top else 0
-        betti.append(f_vector[n] - snfs[n].rank - rank_in)
-        torsion.append([d for d in snfs[n + 1].divisors if d > 1]
-                       if n + 1 <= top else [])
+    betti = [f - snfs[n].rank - snfs[n + 1].rank
+             for n, f in enumerate(f_vector)]
+    torsion = [[d for d in s.divisors if d > 1] for s in snfs[1:]]
     euler = sum((-1) ** n * f for n, f in enumerate(f_vector))
     if reduced and f_vector and f_vector[0] > 0:
         betti[0] -= 1

@@ -318,4 +318,8 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
 
 def load_simplicial_set(path: str) -> SimplicialSet:
     with open(path) as fh:
-        return simplicial_set_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SimplicialError("JSON nesting is too deep") from None
+    return simplicial_set_from_dict(doc)

@@ -24,7 +24,8 @@ from itertools import combinations
 from math import comb, factorial, gcd, prod
 
 from subsetspace.expk import SubsetSimplex
-from subsetspace.homology import SmithResult, SparseIntMatrix
+from subsetspace.homology import (ChainComplex, HomologyResult, SmithResult,
+                                  SparseIntMatrix)
 from subsetspace.simplicial import (FormalSimplex, SimplicialSet,
                                     SimplicialError, apply_face,
                                     compose_degeneracy)
@@ -237,7 +238,9 @@ def smith_normal_form_reference(M) -> SmithResult:
     Accepts a SparseIntMatrix or a dense list of rows; the input is not
     mutated.  Pivot selection is smallest nonzero magnitude with ties broken
     by lowest (row, column), which controls entry growth and makes the
-    elimination deterministic.
+    elimination deterministic.  A +-1 pivot is taken from the set of unit
+    positions and skips the divisibility scan; neither shortcut changes the
+    elimination.
     """
     if isinstance(M, SparseIntMatrix):
         items = list(M.entries())
@@ -247,11 +250,18 @@ def smith_normal_form_reference(M) -> SmithResult:
 
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
+    units: set[tuple[int, int]] = set()  # positions of the +-1 entries
     for r, c, v in items:
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
+        if abs(v) == 1:
+            units.add((r, c))
 
     def set_entry(r: int, c: int, v: int) -> None:
+        if abs(v) == 1:
+            units.add((r, c))
+        else:
+            units.discard((r, c))
         if v:
             rows.setdefault(r, {})[c] = v
             col_rows.setdefault(c, set()).add(r)
@@ -277,6 +287,9 @@ def smith_normal_form_reference(M) -> SmithResult:
             set_entry(r, dst, rows.get(r, {}).get(dst, 0) - q * v)
 
     def find_pivot() -> tuple[int, int, int]:
+        if units:  # no magnitude is below 1
+            r, c = min(units)
+            return r, c, 1
         best = None
         for r in rows:
             for c, v in rows[r].items():
@@ -306,7 +319,7 @@ def smith_normal_form_reference(M) -> SmithResult:
             # pivot must divide every remaining entry for the divisor chain
             pv = rows[pr][pc]
             bad = None
-            for r in sorted(rows):
+            for r in sorted(rows) if abs(pv) != 1 else ():
                 if r == pr:
                     continue
                 for c in sorted(rows[r]):
@@ -321,6 +334,102 @@ def smith_normal_form_reference(M) -> SmithResult:
         divisors.append(abs(rows[pr][pc]))
         set_entry(pr, pc, 0)
     return SmithResult(rank=len(divisors), divisors=divisors)
+
+
+def homology_reference(C: ChainComplex) -> HomologyResult:
+    """Homology assembled from the reference SNF of every full boundary, one
+    degree at a time, with no clearing; the caller checks d.d = 0."""
+    snfs = [smith_normal_form_reference(M) for M in C.boundaries]
+    top = len(C.bases) - 1
+    f_vector = [len(b) for b in C.bases]
+    betti, torsion = [], []
+    for n in range(top + 1):
+        rank_in = snfs[n + 1].rank if n < top else 0
+        betti.append(f_vector[n] - snfs[n].rank - rank_in)
+        torsion.append([d for d in snfs[n + 1].divisors if d > 1]
+                       if n < top else [])
+    return HomologyResult(
+        betti=betti, torsion=torsion, reduced=False, f_vector=f_vector,
+        euler=sum((-1) ** n * f for n, f in enumerate(f_vector)))
+
+
+def invariant_factors(orders: list[int]) -> list[int]:
+    """The group Z/a + Z/b + ... of the given orders as Z/d_1 + Z/d_2 + ...
+    with 1 < d_1 | d_2 | ..., gathered from its prime-power parts."""
+    exponents: dict[int, list[int]] = {}
+    for a in orders:
+        p = 2
+        while a > 1:
+            e = 0
+            while a % p == 0:
+                a, e = a // p, e + 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    length = max(map(len, exponents.values()), default=0)
+    out = [1] * length
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            out[length - 1 - i] *= p ** e
+    return out
+
+
+def random_model_complex(rng: random.Random):
+    """A chain complex of known homology: (C, betti, torsion, coefficients),
+    where coefficients[n] lists the model's pair coefficients in d_n.
+
+    The model in each degree has free cells (d = 0, not hit), +-1 pairs and
+    torsion pairs d(a) = t b with t in 2..6.  Each degree is then conjugated
+    by a random sparse unimodular change of basis: a cell shuffle, then
+    elementary matrices E = I + q e_ij with |q| <= 3, each applied as
+    d_{n+1} -> E d_{n+1} and d_n -> d_n E^-1.  So d.d = 0 holds and the
+    groups are those of the model.
+    """
+    top = rng.randint(1, 5)
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    cells: list[list[tuple]] = [[("free",)] * f for f in free]
+    coefficients: list[list[int]] = [[] for _ in range(top + 1)]
+    pairs = []  # (degree of a, coefficient)
+    for n in range(1, top + 1):
+        units = [rng.choice((1, -1)) for _ in range(rng.randint(0, 4))]
+        coefficients[n] = units + [rng.randint(2, 6)
+                                   for _ in range(rng.randint(0, 2))]
+        pairs += [(n, t) for t in coefficients[n]]
+    for i, (n, t) in enumerate(pairs):
+        cells[n].append(("a", i))
+        cells[n - 1].append(("b", i))
+    for basis in cells:
+        rng.shuffle(basis)
+    # dense d_n, rows indexed by degree n-1 cells, columns by degree n cells
+    d = [[[0] * len(cells[n]) for _ in cells[n - 1]] if n else []
+         for n in range(top + 1)]
+    for n in range(1, top + 1):
+        where = {cell: r for r, cell in enumerate(cells[n - 1])}
+        for c, cell in enumerate(cells[n]):
+            if cell[0] == "a":
+                d[n][where[("b", cell[1])]][c] = pairs[cell[1]][1]
+    for n in range(top + 1):
+        size = len(cells[n])
+        for _ in range(rng.randint(0, 3 * size) if size > 1 else 0):
+            i, j = rng.sample(range(size), 2)
+            q = rng.choice((-3, -2, -1, 1, 2, 3))
+            if n < top:  # row_i += q row_j of d_{n+1}
+                d[n + 1][i] = [x + q * y
+                               for x, y in zip(d[n + 1][i], d[n + 1][j])]
+            for row in d[n]:  # col_j -= q col_i of d_n
+                row[j] -= q * row[i]
+    boundaries = []
+    for n in range(top + 1):
+        M = SparseIntMatrix(len(cells[n - 1]) if n else 0, len(cells[n]))
+        for r, row in enumerate(d[n]):
+            for c, v in enumerate(row):
+                M.add(r, c, v)
+        boundaries.append(M)
+    C = ChainComplex(bases=[list(range(len(b))) for b in cells],
+                     boundaries=boundaries)
+    torsion = [invariant_factors([t for t in coefficients[n + 1] if t > 1])
+               if n < top else [] for n in range(top + 1)]
+    return C, free, torsion, coefficients
 
 
 def sp2_sphere_reduced_homology(n: int) -> tuple[list[int], list[list[int]]]:

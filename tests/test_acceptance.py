@@ -21,10 +21,10 @@ from subsetspace.homology import normalized_chains, homology, smith_normal_form,
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
 
-from oracles import (find_isomorphism, from_dense, minors_gcd, rank_over_q,
-                     smith_normal_form_reference, strip_degeneracies,
-                     strip_degeneracies_iterative, subset_space_euler,
-                     subset_space_f_vector)
+from oracles import (find_isomorphism, from_dense, homology_reference,
+                     minors_gcd, rank_over_q, smith_normal_form_reference,
+                     strip_degeneracies, strip_degeneracies_iterative,
+                     subset_space_euler, subset_space_f_vector)
 
 
 def report(name: str, ok: bool):
@@ -121,7 +121,8 @@ def test_criterion_6_structural_properties():
     # table is the elementwise definition, stripped face by face; d.d = 0 on
     # every constructed complex; its Euler characteristic agrees with the
     # Betti numbers and with the configuration-space stratification; every
-    # boundary's SNF agrees with the single-phase elimination
+    # boundary's SNF agrees with the single-phase elimination, and the
+    # homology with the one assembled from those SNFs without clearing
     for desc, k in MATRIX_CASES:
         _, S = parse_space(desc)
         space = build_expk(S, k)
@@ -148,6 +149,9 @@ def test_criterion_6_structural_properties():
                 print(f"  SNF differs from the reference for {desc} k={k}")
                 ok = False
         h = homology(C)
+        if h != homology_reference(C):
+            print(f"  homology differs from the reference for {desc} k={k}")
+            ok = False
         if h.euler != sum((-1) ** n * b for n, b in enumerate(h.betti)):
             print(f"  euler identity fails for {desc} k={k}")
             ok = False

@@ -224,11 +224,13 @@ def test_file_parse_error(capsys, tmp_path):
     # d_0 d_1 t = u but d_0 d_0 t = v: breaks d_0 d_1 = d_0 d_0
     {"generators": [["u", "v"], ["a", "b"], ["t"]],
      "faces": {"a": ["u", "u"], "b": ["v", "v"], "t": ["a", "b", "a"]}},
+    # nested past the decoder's recursion limit
+    "[" * 100_000,
 ], ids=["non-string-name", "string-generators", "no-generators",
-        "list-faces", "string-face-list", "broken-identity"])
+        "list-faces", "string-face-list", "broken-identity", "deep-nesting"])
 def test_malformed_file_is_parse_error(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run_cli(capsys, "homology", "--file", str(path),
                              "--k", "2")
     assert code == 2

@@ -12,7 +12,8 @@ from subsetspace.homology import (ChainComplex, ChainComplexError,
                                   normalized_chains, smith_normal_form,
                                   space_homology)
 
-from oracles import (from_dense, minors_gcd, rank_over_q,
+from oracles import (from_dense, homology_reference, minors_gcd,
+                     random_model_complex, rank_over_q,
                      smith_normal_form_reference, sp2_sphere_reduced_homology,
                      to_dense)
 
@@ -108,6 +109,43 @@ def test_snf_matches_reference_on_random_sparse():
         assert (res.rank, res.divisors) == (ref.rank, ref.divisors)
         torsion += any(d > 1 for d in res.divisors)
     assert torsion >= 40  # non-unit pivots are exercised, not just units
+
+
+def test_snf_reports_unit_phase_rows():
+    """cleared lists the rows deleted as +-1 pivots before the first pivot
+    step with |pv| != 1, and nothing after it."""
+    assert smith_normal_form(from_dense([[1, 0], [0, 1]])).cleared in (
+        [0, 1], [1, 0])
+    assert smith_normal_form(from_dense([[2, 0], [0, 1]])).cleared == [1]
+    # no +-1 entry: the unit phase is empty, though a 1 appears later
+    res = smith_normal_form(from_dense([[2], [3]]))
+    assert (res.rank, res.divisors, res.cleared) == (1, [1], [])
+
+
+def test_homology_on_random_complexes_of_known_homology():
+    """homology() recovers the groups of 300 conjugated model complexes;
+    some have several torsion pairs in one boundary, and some a +-1 pair in
+    a boundary with no +-1 entry, whose units appear only after a torsion
+    pivot."""
+    rng = random.Random(808)
+    several_torsion = late_units = 0
+    for _ in range(300):
+        C, betti, torsion, coefficients = random_model_complex(rng)
+        h = homology(C)
+        assert (h.betti, h.torsion) == (betti, torsion)
+        several_torsion += any(sum(t > 1 for t in co) >= 2
+                               for co in coefficients)
+        late_units += any(
+            1 in map(abs, co) and all(abs(v) > 1 for _, _, v in M.entries())
+            for co, M in zip(coefficients, C.boundaries))
+    assert several_torsion >= 50 and late_units >= 50
+
+
+@pytest.mark.parametrize("desc,k", [("s3", 3), ("circle:5", 4), ("s2", 4),
+                                    ("wedge:1,2", 4)])
+def test_homology_matches_reference_without_clearing(desc, k):
+    C = normalized_chains(build_expk(parse_space(desc)[1], k).result)
+    assert homology(C) == homology_reference(C)
 
 
 @pytest.mark.parametrize("desc,kmax", [("s1", 8), ("circle:3", 5),
