@@ -12,7 +12,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .simplicial import SimplicialError, load_simplicial_set
 from .spaces import parse_space, parse_wedge_spec
@@ -32,18 +31,6 @@ _INVARIANCE_PAIRS = {
 }
 
 
-@dataclass
-class RunConfig:
-    space: str
-    k: int
-    reduced: bool = False
-    max_cells: int = DEFAULT_MAX_CELLS
-    fmt: str = "json"
-    seed: int | None = None
-    level: int | None = None
-    file: str | None = None
-
-
 def default_max_cells() -> int:
     env = os.environ.get("SUBSETSPACE_MAX_CELLS")
     if env is not None:
@@ -55,24 +42,24 @@ def default_max_cells() -> int:
     return DEFAULT_MAX_CELLS
 
 
-def _resolve_space(cfg: RunConfig):
-    if cfg.file:
-        return os.path.basename(cfg.file), load_simplicial_set(cfg.file)
-    return parse_space(cfg.space)
+def _resolve_space(args: argparse.Namespace):
+    if args.file:
+        return os.path.basename(args.file), load_simplicial_set(args.file)
+    return parse_space(args.space)
 
 
-def _payload(space: str, cfg: RunConfig, h=None, verdict=None,
+def _payload(space: str, args: argparse.Namespace, h=None, verdict=None,
              cells: int = 0, elapsed_ms: int = 0) -> dict:
     return {
         "space": space,
-        "k": cfg.k,
+        "k": args.k,
         "f_vector": h.f_vector if h else None,
         "betti": h.betti if h else None,
         "torsion": h.torsion if h else None,
         "euler": h.euler if h else None,
-        "reduced": h.reduced if h else cfg.reduced,
+        "reduced": h.reduced if h else args.reduced,
         "verdict": verdict,
-        "elapsed_ms": 0 if cfg.seed is not None else elapsed_ms,
+        "elapsed_ms": 0 if args.seed is not None else elapsed_ms,
         "cells_enumerated": cells,
     }
 
@@ -104,58 +91,59 @@ def _emit(payload: dict, fmt: str) -> None:
               f"cells: {payload['cells_enumerated']}")
 
 
-def cmd_homology(cfg: RunConfig) -> int:
-    name, S = _resolve_space(cfg)
+def cmd_homology(args: argparse.Namespace) -> int:
+    name, S = _resolve_space(args)
     t0 = time.monotonic()
-    space = build_expk(S, cfg.k, max_cells=cfg.max_cells)
-    h = space_homology(space.result, reduced=cfg.reduced)
+    space = build_expk(S, args.k, max_cells=args.max_cells)
+    h = space_homology(space.result, reduced=args.reduced)
     elapsed = int((time.monotonic() - t0) * 1000)
-    _emit(_payload(name, cfg, h=h, cells=space.cells_enumerated,
-                   elapsed_ms=elapsed), cfg.fmt)
+    _emit(_payload(name, args, h=h, cells=space.cells_enumerated,
+                   elapsed_ms=elapsed), args.format)
     return EXIT_OK
 
 
-def cmd_verify(which: str, cfg: RunConfig) -> int:
+def cmd_verify(which: str, args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    name = cfg.space.strip().lower() if not cfg.file else os.path.basename(cfg.file)
+    name = (os.path.basename(args.file) if args.file
+            else args.space.strip().lower())
     h = None
     cells = 0
     if which in ("theorem1", "tuffley"):
         # these checks build their own wedge; a --file is not one
-        spec = None if cfg.file else parse_wedge_spec(name)
+        spec = None if args.file else parse_wedge_spec(name)
         if spec is None:
             raise SimplicialError(
                 f"descriptor {name!r} is not a wedge of spheres")
         check = V.theorem1_check if which == "theorem1" else V.tuffley_check
-        res = check(spec, cfg.k, max_cells=cfg.max_cells)
+        res = check(spec, args.k, max_cells=args.max_cells)
         verdict, h, cells = res.verdict, res.homology, res.cells_enumerated
     elif which == "oracle":
-        if cfg.level is None:
+        if args.level is None:
             raise SimplicialError("--level is required for the oracle check")
-        _, S = _resolve_space(cfg)
-        summary = colimit_level_oracle(S, cfg.k, cfg.level,
-                                       max_cells=cfg.max_cells,
-                                       seed=cfg.seed or 0)
+        _, S = _resolve_space(args)
+        summary = colimit_level_oracle(S, args.k, args.level,
+                                       max_cells=args.max_cells,
+                                       seed=args.seed or 0)
         verdict = V.PASS if summary.ok else V.FAIL
         cells = summary.class_count
     elif which == "invariance":
         # partners are curated per descriptor; a --file is not one
-        if cfg.file:
+        if args.file:
             raise SimplicialError(
                 "verify invariance takes --space: its partners are curated "
                 "per descriptor")
-        _, A = parse_space(cfg.space)
+        _, A = parse_space(args.space)
         partners = (["s1"] if name.startswith("circle:")
                     else _INVARIANCE_PAIRS.get(name))
         if not partners:
             raise SimplicialError(
                 f"no curated invariance partner for {name!r}")
         res = V.invariance_check(A, [parse_space(p)[1] for p in partners],
-                                 cfg.k, max_cells=cfg.max_cells)
+                                 args.k, max_cells=args.max_cells)
         verdict, h, cells = res.verdict, res.homology_a, res.cells_enumerated
     elif which == "lemma1":
-        _, S = _resolve_space(cfg)
-        rng = random.Random(cfg.seed or 0)
+        _, S = _resolve_space(args)
+        rng = random.Random(args.seed or 0)
         verdict = V.PASS
         for _ in range(50):
             inst = V.random_lemma1_instance(S, rng)
@@ -165,8 +153,8 @@ def cmd_verify(which: str, cfg: RunConfig) -> int:
     else:
         raise SimplicialError(f"unknown check {which!r}")
     elapsed = int((time.monotonic() - t0) * 1000)
-    _emit(_payload(name, cfg, h=h, verdict=verdict, cells=cells,
-                   elapsed_ms=elapsed), cfg.fmt)
+    _emit(_payload(name, args, h=h, verdict=verdict, cells=cells,
+                   elapsed_ms=elapsed), args.format)
     return EXIT_OK if verdict == V.PASS else EXIT_FAIL
 
 
@@ -200,29 +188,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate the parsed arguments in place: resolve the cell cap, and
+    read a missing --space as '' (an empty --file falls back to it)."""
     if args.space is None and args.file is None:
         raise SimplicialError("one of --space or --file is required")
+    args.space = args.space or ""
     if args.k < 1:
         raise SimplicialError("k must be >= 1")
-    max_cells = args.max_cells if args.max_cells is not None \
-        else default_max_cells()
-    if max_cells < 1:
+    if args.max_cells is None:
+        args.max_cells = default_max_cells()
+    if args.max_cells < 1:
         raise SimplicialError("cell cap must be >= 1")
-    return RunConfig(space=args.space or "", k=args.k, reduced=args.reduced,
-                     max_cells=max_cells, fmt=args.format, seed=args.seed,
-                     level=getattr(args, "level", None),
-                     file=args.file)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
         if args.command == "homology":
-            return cmd_homology(cfg)
-        return cmd_verify(args.which, cfg)
+            return cmd_homology(args)
+        return cmd_verify(args.which, args)
     except ResourceCapError as exc:
         print(json.dumps({"error": "resource-cap",
                           **exc.sizing_report()}), file=sys.stderr)

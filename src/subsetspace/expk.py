@@ -4,10 +4,11 @@ Primary construction: levelwise subsets of size <= k of the simplices of S,
 on integer level indices.  A simplex lies in the image of s_i exactly when i
 is in its normal-form word, so a subset is non-degenerate when the
 complements of its elements' words cover [n]: a pruned depth-first search
-finds these subsets.  A face's Eilenberg-Zilber normal form strips the AND of
-its elements' word masks.  Oracle: the colimit of cartesian products of at
-most k factors under diagonal insertions and factor permutations, whose
-classes must biject with the subsets.
+finds these subsets.  A face's Eilenberg-Zilber normal form strips the AND C
+of its elements' word masks: since d_c s_c = id, each element drops C by
+following d_c through the level face tables, highest c first.  Oracle: the
+colimit of cartesian products of at most k factors under diagonal insertions
+and factor permutations, whose classes must biject with the subsets.
 """
 
 from __future__ import annotations
@@ -115,37 +116,33 @@ def build_expk(S: SimplicialSet, k: int,
                max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
     """Construct exp_k S in one pass over the levels n <= k * dim(S), on
     level indices: each level is checked against the cell cap, enumerated,
-    and given an index map, word bitmasks and a face table of indices into
-    level n - 1.  A subset's face d_i is the set of its elements' d_i; it
-    strips the AND C of their masks, mapping each element to level
-    n - 1 - |C|, where its core is registered already."""
+    and given word bitmasks and a face table of indices into level n - 1.
+    A subset's face d_i is the set of its elements' d_i; it strips the AND C
+    of their masks.  If x = s_c y then d_c x = y, so each element follows
+    d_c through the face tables for every c in C, highest first (removing
+    the highest index shifts none below it), and lands on its core in level
+    n - 1 - |C|, where that core is registered already."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
     id_of: dict[SubsetSimplex, int] = {}
     subset_of: dict[int, SubsetSimplex] = {}
     gen_of: dict[tuple[int, tuple[int, ...]], int] = {}
-    levels: list[list[FormalSimplex]] = []
-    index: list[dict[FormalSimplex, int]] = []
-    masks: list[list[int]] = []
-    lowered: dict[tuple[int, int, int], int] = {}
+    faces: list[list[list[int]]] = []  # faces[n][a][i]: d_i of a, in n - 1
+    below: dict[FormalSimplex, int] = {}
+    below_masks: list[int] = []
     cells = 0
 
-    def lower(n: int, a: int, C: int) -> int:
-        if (n, a, C) not in lowered:
-            x, p = levels[n][a], C.bit_count()
-            word = tuple(i - (C & ((1 << i) - 1)).bit_count()
-                         for i in x.word if not C >> i & 1)
-            lowered[n, a, C] = index[n - p][FormalSimplex(x.base, word, n - p)]
-        return lowered[n, a, C]
-
     def face(n: int, elems: set[int]) -> FormalSimplex:
-        C, mask = (1 << n) - 1, masks[n]
+        C = (1 << n) - 1
         for a in elems:
-            C &= mask[a]
-        if C:
-            elems = {lower(n, a, C) for a in elems}
-        word = tuple(i for i in reversed(range(n)) if C >> i & 1) if C else ()
+            C &= below_masks[a]
+        word: tuple[int, ...] = ()
+        while C:  # strip the highest common index first
+            c = C.bit_length() - 1
+            elems = {faces[n - len(word)][a][c] for a in elems}
+            word += (c,)
+            C ^= 1 << c
         return FormalSimplex(gen_of[n - len(word), tuple(sorted(elems))],
                              word, n)
 
@@ -156,13 +153,12 @@ def build_expk(S: SimplicialSet, k: int,
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
         level = enumerate_level(S, n)
-        levels.append(level)
-        index.append({x: a for a, x in enumerate(level)})
-        masks.append([sum(1 << i for i in x.word) for x in level])
-        faces = [[index[n - 1][apply_face(x, i, S)] for i in range(n + 1)]
+        masks = [sum(1 << i for i in x.word) for x in level]
+        table = [[below[apply_face(x, i, S)] for i in range(n + 1)]
                  for x in level] if n else []
+        faces.append(table)
         full = (1 << n) - 1
-        for idxs in _nondegenerate_subsets([full ^ w for w in masks[n]], full,
+        for idxs in _nondegenerate_subsets([full ^ w for w in masks], full,
                                            k, S.dim):
             g = result.add_generator(n)
             gen_of[n, idxs] = g
@@ -170,7 +166,9 @@ def build_expk(S: SimplicialSet, k: int,
             id_of[subset_of[g]] = g
             if n:
                 result.set_faces(g, [face(n - 1, set(f))
-                                     for f in zip(*(faces[a] for a in idxs))])
+                                     for f in zip(*(table[a] for a in idxs))])
+        below = {x: a for a, x in enumerate(level)}
+        below_masks = masks
     return ExpkSpace(k=k, base=S, result=result, subset_of=subset_of,
                      id_of=id_of, cells_enumerated=cells)
 

@@ -158,8 +158,11 @@ def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
     """d_i applied to x, commuted through the degeneracy word.
 
     Identities used: d_i s_j = s_{j-1} d_i (i < j), = id (i in {j, j+1}),
-    = s_j d_{i-1} (i > j + 1).  If the face index survives to the base, the
-    stored face of the generator is substituted and the remaining word is
+    = s_j d_{i-1} (i > j + 1).  If d_i meets some s_j with i in {j, j+1},
+    that operator cancels: the indices before it, each lowered by one, are
+    larger than every index after it, so the two parts concatenate into a
+    normal-form word.  If the face index survives to the base, the stored
+    face of the generator is substituted and the remaining word is
     recomposed into normal form.
     """
     if x.dim < 1:
@@ -172,10 +175,8 @@ def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
         if idx < j:
             survivors.append(j - 1)
         elif idx in (j, j + 1):
-            word = x.word[pos + 1:]
-            for op in reversed(survivors):
-                word = compose_degeneracy(word, op)
-            return FormalSimplex(x.base, word, x.dim - 1)
+            return FormalSimplex(x.base, tuple(survivors) + x.word[pos + 1:],
+                                 x.dim - 1)
         else:
             survivors.append(j)
             idx -= 1
@@ -215,7 +216,6 @@ def enumerate_level(S: SimplicialSet, n: int) -> list[FormalSimplex]:
         if m <= n:
             out.extend(FormalSimplex(g, w, n)
                        for w in degeneracy_words(m, n - m))
-    out.sort()
     return out
 
 

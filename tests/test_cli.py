@@ -130,6 +130,10 @@ def test_wedge_checks_reject_file(capsys, tmp_path):
 def test_missing_space_is_parse_error(capsys):
     code, _, _ = run_cli(capsys, "homology", "--k", "2")
     assert code == 2
+    for argv in (["homology"], ["verify", "lemma1"], ["verify", "theorem1"]):
+        code, out, err = run_cli(capsys, *argv, "--file", "", "--k", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_resource_cap_exit_code(capsys, monkeypatch):

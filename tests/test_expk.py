@@ -5,16 +5,19 @@ import pytest
 
 from subsetspace import expk
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
-                                    SimplicialSet, degeneracy_words,
-                                    enumerate_level, validate)
+                                    SimplicialSet, apply_face,
+                                    degeneracy_words, enumerate_level,
+                                    validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import (DEFAULT_MAX_CELLS, ResourceCapError,
                               SubsetSimplex, build_expk, colimit_level_oracle)
+from subsetspace.homology import homology, normalized_chains
 
-from oracles import (degeneracy_set, find_isomorphism,
+from oracles import (degeneracy_set, find_isomorphism, homology_reference,
                      nondegenerate_subsets_unpruned, strip_degeneracies,
-                     strip_degeneracies_iterative, subset_space_f_vector)
+                     strip_degeneracies_iterative, subset_space_euler,
+                     subset_space_f_vector)
 
 
 def circle():
@@ -87,6 +90,60 @@ def _random_face_table(rng: random.Random) -> SimplicialSet:
     for t in ts:
         S.set_faces(t, [rng.choice(edges) for _ in range(3)])
     return S
+
+
+def _one_vertex_delta_set(rng: random.Random, loops: int,
+                          triangles: int) -> SimplicialSet:
+    """One vertex v, ``loops`` edges from v to v, and ``triangles``
+    2-simplices whose faces are drawn from the loops and s_0 v.  Every
+    vertex of a face is v, so each such table satisfies the simplicial
+    identities."""
+    S = SimplicialSet()
+    v = S.add_generator(0)
+    edges = [S.simplex(v).degenerate(0)]
+    for _ in range(loops):
+        e = S.add_generator(1)
+        S.set_faces(e, [S.simplex(v)] * 2)
+        edges.append(S.simplex(e))
+    for _ in range(triangles):
+        S.set_faces(S.add_generator(2), [rng.choice(edges) for _ in range(3)])
+    return S
+
+
+def test_random_one_vertex_delta_sets():
+    """exp_2 and exp_3 of random one-vertex Delta-sets, whose triangles have
+    non-degenerate faces: the face tables against the face-by-face stripper
+    (all of them at k = 2, a sample at k = 3), the f-vector and Euler
+    oracles, the SNF reference, and exp_1 S = S."""
+    rng = random.Random(909)
+    with_torsion = 0
+    for draw in range(24):
+        k = 2 + draw % 2
+        loops = rng.randint(1, 3 if k == 2 else 2)
+        triangles = rng.randint(1, 3 if k == 2 else 3 - loops)
+        S = _one_vertex_delta_set(rng, loops, triangles)
+        assert validate(S)
+        space = build_expk(S, k)
+        assert validate(space.result)
+        gens = [g for g in space.subset_of if space.result.dim_of[g]]
+        for g in gens if k == 2 else rng.sample(gens, 60):
+            sub = space.subset_of[g]
+            n = sub.dim
+            for i in range(n + 1):
+                word, core = strip_degeneracies_iterative(
+                    [apply_face(a, i, S) for a in sub.elements], S)
+                assert space.result.faces[g][i] == FormalSimplex(
+                    space.id_of[core], word, n - 1)
+        assert space.result.f_vector() == subset_space_f_vector(S.dim_of, k)
+        C = normalized_chains(space.result)
+        assert C.check_dd_zero()
+        h = homology(C)
+        assert h == homology_reference(C)
+        chi = sum((-1) ** n * f for n, f in enumerate(S.f_vector()))
+        assert h.euler == subset_space_euler(chi, k)
+        assert find_isomorphism(build_expk(S, 1).result, S) is not None
+        with_torsion += any(h.torsion)
+    assert with_torsion >= 5
 
 
 def test_word_is_degeneracy_set():

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
-                                    apply_face, compose_degeneracy,
-                                    degeneracy_words, enumerate_level,
-                                    simplicial_set_from_dict, validate,
-                                    word_is_valid)
+                                    SimplicialSet, apply_face,
+                                    compose_degeneracy, degeneracy_words,
+                                    enumerate_level, simplicial_set_from_dict,
+                                    validate, word_is_valid)
 from subsetspace.spaces import sphere, subdivided_circle, wedge, WedgeSpec
 
-from oracles import (all_degenerate_tuples, eval_word, find_isomorphism,
-                     s_on_tuple)
+from oracles import (all_degenerate_tuples, d_on_tuple, eval_word,
+                     find_isomorphism, s_on_tuple)
 
 
 def test_compose_identity_word():
@@ -79,6 +79,29 @@ def test_apply_face_through_word_to_base():
     assert apply_face(x, 0, S) == FormalSimplex(0, (0,), 1)
 
 
+def test_apply_face_matches_tuple_model():
+    """d_i of s_W g, for every normal-form word W of length 1..6 over a
+    generator g of dimension 0..3, and every i whose deleted entry leaves
+    the tuple model onto (0, ..., m): the face is a degeneracy of g itself,
+    and its word evaluates to that tuple."""
+    S = SimplicialSet()
+    checked = 0
+    for m in range(4):
+        g = S.add_generator(m)
+        for length in range(1, 7):
+            for word in degeneracy_words(m, length):
+                t = eval_word(word, m)
+                for i in range(len(t)):
+                    face = d_on_tuple(t, i)
+                    if set(face) != set(range(m + 1)):
+                        continue
+                    y = apply_face(FormalSimplex(g, word, m + length), i, S)
+                    assert y.base == g and y.dim == m + length - 1
+                    assert eval_word(y.word, m) == face
+                    checked += 1
+    assert checked == 2239
+
+
 def test_face_indices_out_of_range():
     S = sphere(1)
     with pytest.raises(SimplicialError):
@@ -116,12 +139,16 @@ def test_enumerate_level_two_sphere():
 
 
 def test_enumerate_level_counts_closed_form():
-    for space in [sphere(1), sphere(3), wedge(WedgeSpec((1, 1, 2)))]:
+    # wedge (2, 1) has its 2-cell's id below its 1-cell's
+    for space in [sphere(1), sphere(3), wedge(WedgeSpec((1, 1, 2))),
+                  wedge(WedgeSpec((2, 1)))]:
         for n in range(0, 6):
             expected = sum(comb(n, n - space.dim_of[g])
                            for g in range(space.n_generators)
                            if space.dim_of[g] <= n)
-            assert len(enumerate_level(space, n)) == expected
+            level = enumerate_level(space, n)
+            assert len(level) == expected
+            assert level == sorted(level)
 
 
 def test_enumerate_level_matches_degeneracy_closure():
