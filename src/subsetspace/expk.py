@@ -2,13 +2,14 @@
 
 Primary construction: levelwise subsets of size <= k of the simplices of S,
 on integer level indices.  A simplex lies in the image of s_i exactly when i
-is in its normal-form word, so a subset is non-degenerate when the
-complements of its elements' words cover [n]: a pruned depth-first search
-finds these subsets.  A face's Eilenberg-Zilber normal form strips the AND C
-of its elements' word masks: since d_c s_c = id, each element drops C by
-following d_c through the level face tables, highest c first.  Oracle: the
-colimit of cartesian products of at most k factors under diagonal insertions
-and factor permutations, whose classes must biject with the subsets.
+is in its normal-form word (a bitmask), so a subset is non-degenerate when
+the complements of its elements' words cover [n]: a pruned depth-first
+search finds these subsets.  A face's Eilenberg-Zilber normal form is s_C of
+a core, C the AND of its elements' words: since d_c s_c = id, each element
+drops C by following d_c through the level face tables, highest c first.
+Oracle: the colimit of cartesian products of at most k factors under
+diagonal insertions and factor permutations, whose classes must biject with
+the subsets.
 """
 
 from __future__ import annotations
@@ -116,12 +117,12 @@ def build_expk(S: SimplicialSet, k: int,
                max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
     """Construct exp_k S in one pass over the levels n <= k * dim(S), on
     level indices: each level is checked against the cell cap, enumerated,
-    and given word bitmasks and a face table of indices into level n - 1.
-    A subset's face d_i is the set of its elements' d_i; it strips the AND C
-    of their masks.  If x = s_c y then d_c x = y, so each element follows
-    d_c through the face tables for every c in C, highest first (removing
-    the highest index shifts none below it), and lands on its core in level
-    n - 1 - |C|, where that core is registered already."""
+    and given a face table of indices into level n - 1.  A subset's face d_i
+    is the set of its elements' d_i; its word is the AND C of their words.
+    If x = s_c y then d_c x = y, so each element follows d_c through the
+    face tables for every c in C, highest first (removing the highest index
+    shifts none below it), and lands on its core in level n - 1 - |C|,
+    where that core is registered already."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
@@ -137,14 +138,13 @@ def build_expk(S: SimplicialSet, k: int,
         C = (1 << n) - 1
         for a in elems:
             C &= below_masks[a]
-        word: tuple[int, ...] = ()
-        while C:  # strip the highest common index first
-            c = C.bit_length() - 1
-            elems = {faces[n - len(word)][a][c] for a in elems}
-            word += (c,)
-            C ^= 1 << c
-        return FormalSimplex(gen_of[n - len(word), tuple(sorted(elems))],
-                             word, n)
+        at, rest = n, C  # the elements are in level ``at``
+        while rest:  # strip the highest common index first
+            c = rest.bit_length() - 1
+            elems = {faces[at][a][c] for a in elems}
+            at -= 1
+            rest ^= 1 << c
+        return FormalSimplex(gen_of[at, tuple(sorted(elems))], C, n)
 
     for n in range(k * S.dim + 1):
         m = _level_size(S, n)
@@ -153,7 +153,7 @@ def build_expk(S: SimplicialSet, k: int,
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
         level = enumerate_level(S, n)
-        masks = [sum(1 << i for i in x.word) for x in level]
+        masks = [x.word for x in level]
         table = [[below[apply_face(x, i, S)] for i in range(n + 1)]
                  for x in level] if n else []
         faces.append(table)

@@ -8,7 +8,6 @@ sparse.
 from __future__ import annotations
 
 import heapq
-from copy import copy
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -130,9 +129,12 @@ def normalized_chains(S: SimplicialSet,
     return ChainComplex(bases=bases, boundaries=boundaries)
 
 
-def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
+def smith_normal_form(M: SparseIntMatrix,
+                      skip: frozenset[int] | set[int] = frozenset()
+                      ) -> SmithResult:
     """Rank and elementary divisors of an integer matrix, by unimodular row
     and column operations with exact arithmetic; the input is not mutated.
+    The entries of the columns in skip are read as zero.
 
     One elimination loop runs on a sparse row/column store.  Every nonzero
     entry waits in a heap keyed (|v|, Markowitz cost (len(row) - 1) *
@@ -151,7 +153,7 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithResult:
     cleared lists the rows deleted as +-1 pivots before the first pivot step
     with |pv| != 1 (the heap pops every +-1 entry before any larger one).
     """
-    items = list(M.entries())
+    items = [e for e in M.entries() if e[1] not in skip]
 
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -237,8 +239,8 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
     of elementary divisors of d_{n+1} exceeding 1.
 
     Clearing (Chen and Kerber, "Persistent homology computation with a
-    twist", 2011): the SNFs run from d_top down, and the columns of d_n that
-    are cleared rows of d_{n+1} are emptied first.  Until its first non-unit
+    twist", 2011): the SNFs run from d_top down, and the SNF of d_n skips
+    the columns that are cleared rows of d_{n+1}.  Until its first non-unit
     pivot, the SNF's row operations change only the pivot row's basis
     vector, so cleared row u stands for b_u = e_u + sum q e_r (r alive then)
     = +-d_{n+1} of a column, and d_n(b_u) = 0.  The b_u are unit-triangular
@@ -249,11 +251,7 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
         raise ChainComplexError("boundary squared is nonzero")
     snfs = [SmithResult(rank=0, divisors=[])]  # of d_n at n; d_{top+1} = 0
     for M in reversed(C.boundaries):
-        drop = set(snfs[0].cleared)
-        if drop:
-            M = copy(M)
-            M.cols = [{} if c in drop else col for c, col in enumerate(M.cols)]
-        snfs.insert(0, smith_normal_form(M))
+        snfs.insert(0, smith_normal_form(M, set(snfs[0].cleared)))
     f_vector = C.f_vector()
     betti = [f - snfs[n].rank - snfs[n + 1].rank
              for n, f in enumerate(f_vector)]

@@ -1,10 +1,12 @@
 """Finite simplicial sets with exact face/degeneracy calculus.
 
 A simplicial set is presented by its non-degenerate generators and a face
-table.  Every simplex is written uniquely as a strictly decreasing word of
-degeneracy operators applied to a generator (Eilenberg-Zilber normal form),
-and all face/degeneracy algebra is done on these normal forms with the usual
-simplicial identities.
+table.  Every simplex is written uniquely as a word s_{i_1} ... s_{i_p}
+(i_1 > ... > i_p) of degeneracy operators applied to a generator
+(Eilenberg-Zilber normal form), stored as the bitmask of its indices: bit i
+is set when s_i occurs.  d_i cancels against the word exactly when bit i or
+bit i - 1 is set, leaving the word with that bit deleted; otherwise it
+reaches the generator as d_v, v = i - #{bits below i}.
 """
 
 from __future__ import annotations
@@ -19,54 +21,49 @@ class SimplicialError(Exception):
     """Malformed simplicial data: bad word, bad face table, bad index."""
 
 
-def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
+def word_is_valid(word: int, base_dim: int) -> bool:
     """True if ``word`` is a normal-form degeneracy word applicable to a base
-    of dimension ``base_dim``.  The word (i_1, ..., i_p) denotes
-    s_{i_1} . ... . s_{i_p}, outermost first.
+    of dimension ``base_dim``.  The word is the bitmask of its indices
+    i_1 > ... > i_p, denoting s_{i_1} . ... . s_{i_p}, outermost first.
 
-    Normal form means strictly decreasing indices i_1 > ... > i_p, with the
-    t-th index (1-based) at most base_dim + p - t.
+    Strict decrease is the format itself; the t-th index (1-based) is at
+    most base_dim + p - t, which the largest index bounds for all of them.
     """
-    p = len(word)
-    for t, i in enumerate(word):
-        if i < 0 or i > base_dim + p - 1 - t:
-            return False
-        if t + 1 < p and word[t + 1] >= i:
-            return False
-    return True
+    return word >= 0 and word.bit_length() <= base_dim + word.bit_count()
 
 
-def compose_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
+def compose_degeneracy(word: int, j: int) -> int:
     """Normal form of s_j composed after ``word`` (i.e. s_j applied last).
 
-    Uses the identity s_j s_i = s_{i+1} s_j for j <= i to push the new
-    operator into its sorted slot.
+    The identity s_j s_i = s_{i+1} s_j for j <= i shifts every index >= j
+    up by one, and bit j is set.
     """
     if j < 0:
         raise SimplicialError(f"degeneracy index {j} out of range")
-    bumped = [i + 1 for i in word if i >= j]
-    kept = [i for i in word if i < j]
-    return tuple(bumped) + (j,) + tuple(kept)
+    low = word & ((1 << j) - 1)
+    return (word ^ low) << 1 | 1 << j | low
 
 
-def degeneracy_words(base_dim: int, length: int) -> list[tuple[int, ...]]:
+def degeneracy_words(base_dim: int, length: int) -> list[int]:
     """All valid normal-form words of the given length over a base of
-    dimension ``base_dim``, in lexicographic order.
+    dimension ``base_dim``, in increasing order: for words of one length,
+    the lexicographic order of their decreasing index tuples.
 
-    These are the strictly decreasing tuples over 0..base_dim + length - 1;
-    there are C(base_dim + length, length) of them.
+    These are the length-subsets of 0..base_dim + length - 1; there are
+    C(base_dim + length, length) of them.
     """
-    return sorted(combinations(range(base_dim + length - 1, -1, -1), length))
+    return sorted(sum(1 << i for i in c)
+                  for c in combinations(range(base_dim + length), length))
 
 
 @dataclass(frozen=True, order=True)
 class FormalSimplex:
-    """A (possibly degenerate) simplex: a degeneracy word applied to a
-    non-degenerate generator.  Ordering is (base id, word), the canonical
-    total order used everywhere for determinism.
+    """A (possibly degenerate) simplex: a degeneracy word (the bitmask of
+    its indices) applied to a non-degenerate generator.  Ordering is (base
+    id, word), the canonical total order used everywhere for determinism.
     """
     base: int
-    word: tuple[int, ...]
+    word: int
     dim: int
 
     @property
@@ -129,8 +126,10 @@ class SimplicialSet:
             if not 0 <= f.base < len(self.dim_of):
                 raise SimplicialError(f"face base {f.base} does not exist")
             if not word_is_valid(f.word, self.dim_of[f.base]):
-                raise SimplicialError(f"face word {f.word} not in normal form")
-            if f.dim != n - 1 or self.dim_of[f.base] + len(f.word) != n - 1:
+                raise SimplicialError(
+                    f"face word {f.word:#b} not in normal form")
+            if (f.dim != n - 1
+                    or self.dim_of[f.base] + f.word.bit_count() != n - 1):
                 raise SimplicialError("face dimension mismatch")
         self.faces[g] = list(faces)
 
@@ -151,42 +150,38 @@ class SimplicialSet:
         return [len(gs) for gs in self.by_dim]
 
     def simplex(self, g: int) -> FormalSimplex:
-        return FormalSimplex(g, (), self.dim_of[g])
+        return FormalSimplex(g, 0, self.dim_of[g])
 
 
 def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
-    """d_i applied to x, commuted through the degeneracy word.
+    """d_i applied to x, commuted through the degeneracy word W.
 
     Identities used: d_i s_j = s_{j-1} d_i (i < j), = id (i in {j, j+1}),
-    = s_j d_{i-1} (i > j + 1).  If d_i meets some s_j with i in {j, j+1},
-    that operator cancels: the indices before it, each lowered by one, are
-    larger than every index after it, so the two parts concatenate into a
-    normal-form word.  If the face index survives to the base, the stored
-    face of the generator is substituted and the remaining word is
-    recomposed into normal form.
+    = s_j d_{i-1} (i > j + 1).  From W's highest index down, d_i keeps its
+    index past each j > i and loses one past each j < i - 1, so it cancels
+    exactly when bit i or bit i - 1 of W is set, and the face's word is W
+    with that bit deleted.  Otherwise the stored face d_v of the base is
+    taken, v = i - popcount(W & (2^i - 1)), and the survivors (W with bit i
+    deleted) are composed onto its word, lowest first.
     """
     if x.dim < 1:
         raise SimplicialError("cannot take a face of a vertex")
     if not 0 <= i <= x.dim:
         raise SimplicialError(f"face index {i} out of range for dim {x.dim}")
-    survivors: list[int] = []
-    idx = i
-    for pos, j in enumerate(x.word):
-        if idx < j:
-            survivors.append(j - 1)
-        elif idx in (j, j + 1):
-            return FormalSimplex(x.base, tuple(survivors) + x.word[pos + 1:],
-                                 x.dim - 1)
-        else:
-            survivors.append(j)
-            idx -= 1
+    W = x.word
+    b = i - 1 if i and (W >> (i - 1)) & 3 == 1 else i  # bit i - 1, not i
+    rest = (W >> (b + 1)) << b | W & ((1 << b) - 1)  # W with bit b deleted
+    if W >> b & 1:
+        return FormalSimplex(x.base, rest, x.dim - 1)
     face_table = S.faces[x.base]
     if face_table is None:
         raise SimplicialError(f"generator {x.base} has no face table")
-    f = face_table[idx]
+    f = face_table[i - (W & ((1 << i) - 1)).bit_count()]
     word = f.word
-    for op in reversed(survivors):
-        word = compose_degeneracy(word, op)
+    while rest:
+        low = rest & -rest
+        word = compose_degeneracy(word, low.bit_length() - 1)
+        rest ^= low
     return FormalSimplex(f.base, word, x.dim - 1)
 
 
@@ -245,7 +240,8 @@ def validate(S: SimplicialSet) -> ValidationReport:
 # Format: {"generators": [["v"], ["e"]], "faces": {"e": ["v", "v"]}}
 # where "generators" lists names per dimension (index 0 = vertices) and each
 # face expression is "s_{i1} ... s_{ip} name" with i1 > ... > ip (the empty
-# prefix is allowed).  Words not in normal form are rejected.
+# prefix is allowed).  Words not in normal form are rejected; the others
+# become bitmasks.
 
 _DEGEN_TOKEN = re.compile(r"^s_(\d+)$")
 
@@ -265,10 +261,13 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
             raise SimplicialError(f"bad token {tok!r} in face expression")
         word.append(int(m.group(1)))
     base = name_to_id[name]
-    if not word_is_valid(tuple(word), dim_of[base]):
+    # before the mask: it merges s_1 s_1 into s_2, and 1 << 10**12 is huge
+    p = len(word)
+    if (any(a <= b for a, b in zip(word, word[1:]))
+            or p and word[0] >= dim_of[base] + p):
         raise SimplicialError(
             f"word {tuple(word)} is not in normal form for {name!r}")
-    return FormalSimplex(base, tuple(word), dim_of[base] + len(word))
+    return FormalSimplex(base, sum(1 << i for i in word), dim_of[base] + p)
 
 
 def _is_str_list(value) -> bool:

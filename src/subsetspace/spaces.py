@@ -24,7 +24,7 @@ class WedgeSpec:
 def _degenerate_vertex(v: int, dim: int) -> FormalSimplex:
     """The unique degenerate simplex over a vertex at the given dimension:
     s_{dim-1} ... s_1 s_0 v."""
-    return FormalSimplex(v, tuple(range(dim - 1, -1, -1)), dim)
+    return FormalSimplex(v, (1 << dim) - 1, dim)
 
 
 def sphere(m: int) -> SimplicialSet:

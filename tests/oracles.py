@@ -2,7 +2,9 @@
 
 Degeneracy words are modelled by their action on monotone index tuples of
 the standard simplex (s_j duplicates entry j, d_i deletes entry i), so word
-algebra can be checked without any normal-form machinery.  Degeneracy sets
+algebra can be checked without any normal-form machinery.  The oracles work
+on words as decreasing index tuples and convert to and from the engine's
+bitmasks (word_tuple, word_mask) only at their boundary.  Degeneracy sets
 and the subset normal form are checked against the exact membership test
 s_i(d_i(x)) == x, the face-by-face stripper and the object-level closed-form
 strip; the pruned subset search against the unpruned search it replaced.
@@ -27,8 +29,27 @@ from subsetspace.expk import SubsetSimplex
 from subsetspace.homology import (ChainComplex, HomologyResult, SmithResult,
                                   SparseIntMatrix)
 from subsetspace.simplicial import (FormalSimplex, SimplicialSet,
-                                    SimplicialError, apply_face,
-                                    compose_degeneracy)
+                                    SimplicialError, apply_face)
+
+
+def word_tuple(mask: int) -> tuple[int, ...]:
+    """The indices of a word bitmask, decreasing: (i_1, ..., i_p) for
+    s_{i_1} ... s_{i_p}."""
+    return tuple(i for i in range(mask.bit_length() - 1, -1, -1)
+                 if mask >> i & 1)
+
+
+def word_mask(word: tuple[int, ...]) -> int:
+    """The bitmask of a strictly decreasing index tuple."""
+    assert all(a > b for a, b in zip(word, word[1:])), word
+    return sum(1 << i for i in word)
+
+
+def compose_tuple(word: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """s_j after a decreasing index tuple, pushed into its sorted slot by
+    s_j s_i = s_{i+1} s_j for j <= i."""
+    return (tuple(i + 1 for i in word if i >= j) + (j,)
+            + tuple(i for i in word if i < j))
 
 
 def s_on_tuple(t: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -41,11 +62,11 @@ def d_on_tuple(t: tuple[int, ...], i: int) -> tuple[int, ...]:
     return t[:i] + t[i + 1:]
 
 
-def eval_word(word: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
+def eval_word(word: int, base_dim: int) -> tuple[int, ...]:
     """The monotone surjection encoded by a degeneracy word, as the image
     tuple of (0, ..., base_dim); operators apply right to left."""
     t = tuple(range(base_dim + 1))
-    for j in reversed(word):
+    for j in reversed(word_tuple(word)):
         t = s_on_tuple(t, j)
     return t
 
@@ -126,7 +147,7 @@ def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
     return out if out is not None else frozenset()
 
 
-def strip_degeneracies(A) -> tuple[tuple[int, ...], SubsetSimplex]:
+def strip_degeneracies(A) -> tuple[int, SubsetSimplex]:
     """Eilenberg-Zilber normal form of a set of equal-dimension simplices:
     word . core, with core a non-degenerate subset.
 
@@ -138,15 +159,18 @@ def strip_degeneracies(A) -> tuple[tuple[int, ...], SubsetSimplex]:
     elems = set(A)
     if not elems:
         raise SimplicialError("cannot strip an empty subset")
-    common = frozenset.intersection(*(frozenset(a.word) for a in elems))
+    common = frozenset.intersection(*(frozenset(word_tuple(a.word))
+                                      for a in elems))
     if not common:
-        return (), SubsetSimplex.of(elems)
+        return 0, SubsetSimplex.of(elems)
     core = [FormalSimplex(a.base,
-                          tuple(i - sum(c < i for c in common)
-                                for i in a.word if i not in common),
+                          word_mask(tuple(i - sum(c < i for c in common)
+                                          for i in word_tuple(a.word)
+                                          if i not in common)),
                           a.dim - len(common))
             for a in elems]
-    return tuple(sorted(common, reverse=True)), SubsetSimplex.of(core)
+    return (word_mask(tuple(sorted(common, reverse=True))),
+            SubsetSimplex.of(core))
 
 
 def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
@@ -174,7 +198,7 @@ def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
 
 
 def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
-                                 ) -> tuple[tuple[int, ...], SubsetSimplex]:
+                                 ) -> tuple[int, SubsetSimplex]:
     """word . core by stripping one common degeneracy index at a time with
     d_i: the smallest first (order 'min') or a seeded random choice (order
     'random:<seed>')."""
@@ -194,8 +218,8 @@ def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
         elems = sorted({apply_face(a, i, S) for a in elems})
     word: tuple[int, ...] = ()
     for j in reversed(stripped):
-        word = compose_degeneracy(word, j)
-    return word, SubsetSimplex.of(elems)
+        word = compose_tuple(word, j)
+    return word_mask(word), SubsetSimplex.of(elems)
 
 
 def generalized_binomial(x: int, j: int) -> int:

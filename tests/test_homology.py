@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import gcd, prod
 
@@ -43,6 +44,10 @@ def test_snf_does_not_mutate_input():
     M = from_dense([[2, 4], [6, 8]])
     before = to_dense(M)
     smith_normal_form(M)
+    assert to_dense(M) == before
+    # a skipped column reads as zero and stays in the input
+    res = smith_normal_form(M, {0})
+    assert (res.rank, res.divisors) == (1, [4])
     assert to_dense(M) == before
 
 
@@ -120,6 +125,26 @@ def test_snf_reports_unit_phase_rows():
     # no +-1 entry: the unit phase is empty, though a 1 appears later
     res = smith_normal_form(from_dense([[2], [3]]))
     assert (res.rank, res.divisors, res.cleared) == (1, [1], [])
+
+
+def test_homology_hands_smith_normal_form_the_boundaries(monkeypatch):
+    """Clearing passes the cleared columns as skip: every matrix handed to
+    smith_normal_form is one of the complex's boundaries, each once."""
+    # the package's ``homology`` attribute is the function, not the module
+    homology_module = importlib.import_module("subsetspace.homology")
+    C = normalized_chains(build_expk(sphere(3), 3).result)
+    calls = []
+
+    def recording(M, skip=frozenset()):
+        calls.append((M, set(skip)))
+        return smith_normal_form(M, skip)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", recording)
+    homology(C)
+    assert len(calls) == len(C.boundaries)
+    for (M, _), B in zip(calls, reversed(C.boundaries)):
+        assert M is B
+    assert any(skip for _, skip in calls)  # clearing took place
 
 
 def test_homology_on_random_complexes_of_known_homology():

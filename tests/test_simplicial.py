@@ -11,34 +11,41 @@ from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     validate, word_is_valid)
 from subsetspace.spaces import sphere, subdivided_circle, wedge, WedgeSpec
 
-from oracles import (all_degenerate_tuples, d_on_tuple, eval_word,
-                     find_isomorphism, s_on_tuple)
+from oracles import (all_degenerate_tuples, compose_tuple, d_on_tuple,
+                     eval_word, find_isomorphism, s_on_tuple, word_mask,
+                     word_tuple)
+
+
+def compose(word: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """compose_degeneracy on a word spelled as its decreasing indices."""
+    return word_tuple(compose_degeneracy(word_mask(word), j))
 
 
 def test_compose_identity_word():
-    assert compose_degeneracy((), 0) == (0,)
+    assert compose((), 0) == (0,)
 
 
 def test_compose_s0_s0():
-    assert compose_degeneracy((0,), 0) == (1, 0)
+    assert compose((0,), 0) == (1, 0)
 
 
 def test_compose_into_longer_word():
     # checked below against the standard-simplex action as well
-    assert compose_degeneracy((2, 0), 1) == (3, 1, 0)
+    assert compose((2, 0), 1) == (3, 1, 0)
 
 
 def test_compose_matches_standard_simplex_action():
     # s_j after (2,0) over a base of dimension 1
     for base_dim, word, j in [(1, (2, 0), 1), (0, (0,), 0), (2, (), 0),
                               (1, (1, 0), 2), (2, (3, 1), 0)]:
+        word = word_mask(word)
         expected = s_on_tuple(eval_word(word, base_dim), j)
         assert eval_word(compose_degeneracy(word, j), base_dim) == expected
 
 
 def test_compose_rejects_bad_index():
     with pytest.raises(SimplicialError):
-        compose_degeneracy((), -1)
+        compose_degeneracy(0, -1)
     with pytest.raises(SimplicialError):
         sphere(1).simplex(0).degenerate(1)  # s_1 of a vertex
 
@@ -47,16 +54,20 @@ def test_compose_rejects_bad_index():
 @settings(max_examples=300)
 def test_compose_normal_form_confluence(ops, base_dim):
     """Composing any operator sequence in order yields a valid normal form
-    matching the brute-force standard-simplex action."""
-    word = ()
+    matching the brute-force standard-simplex action and the tuple model's
+    composition."""
+    word = 0
+    tword: tuple[int, ...] = ()
     t = tuple(range(base_dim + 1))
     for j in ops:
-        if j > base_dim + len(word):
-            j = j % (base_dim + len(word) + 1)
+        if j > base_dim + word.bit_count():
+            j = j % (base_dim + word.bit_count() + 1)
         word = compose_degeneracy(word, j)
+        tword = compose_tuple(tword, j)
         t = s_on_tuple(t, j)
     assert word_is_valid(word, base_dim)
     assert eval_word(word, base_dim) == t
+    assert word_tuple(word) == tword
 
 
 def test_apply_face_d0_s0_vertex():
@@ -76,30 +87,55 @@ def test_apply_face_through_word_to_base():
     # minimal circle: d_0(s_1 e) = s_0(d_0 e) = s_0 v
     S = sphere(1)
     x = S.simplex(1).degenerate(1)
-    assert apply_face(x, 0, S) == FormalSimplex(0, (0,), 1)
+    assert apply_face(x, 0, S) == FormalSimplex(0, word_mask((0,)), 1)
+
+
+def test_apply_face_on_a_deep_degenerate_vertex():
+    """d_i of s_{n-1} ... s_0 v is s_{n-2} ... s_0 v for every i, at n = 300:
+    each d_i cancels one operator."""
+    S = sphere(1)
+    n = 300
+    x = FormalSimplex(0, word_mask(tuple(range(n - 1, -1, -1))), n)
+    for i in range(n + 1):
+        y = apply_face(x, i, S)
+        assert (y.base, word_tuple(y.word), y.dim) == (
+            0, tuple(range(n - 2, -1, -1)), n - 1)
 
 
 def test_apply_face_matches_tuple_model():
     """d_i of s_W g, for every normal-form word W of length 1..6 over a
-    generator g of dimension 0..3, and every i whose deleted entry leaves
-    the tuple model onto (0, ..., m): the face is a degeneracy of g itself,
-    and its word evaluates to that tuple."""
+    generator g of dimension 0..3, and every i.  When the deleted entry
+    leaves the tuple model onto (0, ..., m), the face is a degeneracy of g
+    itself, and its word evaluates to that tuple.  Otherwise the tuple
+    misses one value v: the face is a degeneracy of g's face d_v, whose word
+    evaluates to the tuple with the values above v lowered by one."""
     S = SimplicialSet()
-    checked = 0
+    checked = through_base = 0
     for m in range(4):
         g = S.add_generator(m)
+        if m:  # distinct faces, so the face index used can be read back
+            sides = [S.add_generator(m - 1) for _ in range(m + 1)]
+            S.set_faces(g, [S.simplex(h) for h in sides])
         for length in range(1, 7):
             for word in degeneracy_words(m, length):
                 t = eval_word(word, m)
                 for i in range(len(t)):
                     face = d_on_tuple(t, i)
-                    if set(face) != set(range(m + 1)):
-                        continue
                     y = apply_face(FormalSimplex(g, word, m + length), i, S)
+                    missing = set(range(m + 1)) - set(face)
+                    if missing:
+                        (v,) = missing
+                        assert y.base == sides[v]
+                        assert y.dim == m + length - 1
+                        assert eval_word(y.word, m - 1) == tuple(
+                            a - (a > v) for a in face)
+                        through_base += 1
+                        continue
                     assert y.base == g and y.dim == m + length - 1
                     assert eval_word(y.word, m) == face
                     checked += 1
     assert checked == 2239
+    assert through_base == 425
 
 
 def test_face_indices_out_of_range():
@@ -128,9 +164,11 @@ def test_simplicial_identity_on_all_levels(space):
 def test_enumerate_level_circle():
     S = sphere(1)
     lvl1 = enumerate_level(S, 1)
-    assert [(x.base, x.word) for x in lvl1] == [(0, (0,)), (1, ())]
+    assert [(x.base, word_tuple(x.word)) for x in lvl1] == [(0, (0,)),
+                                                            (1, ())]
     lvl2 = enumerate_level(S, 2)
-    assert [(x.base, x.word) for x in lvl2] == [(0, (1, 0)), (1, (0,)),
+    assert [(x.base, word_tuple(x.word)) for x in lvl2] == [(0, (1, 0)),
+                                                            (1, (0,)),
                                                 (1, (1,))]
 
 
@@ -153,10 +191,13 @@ def test_enumerate_level_counts_closed_form():
 
 def test_enumerate_level_matches_degeneracy_closure():
     """Independent oracle: the words of a level correspond one-to-one with
-    the tuples reachable by repeated degeneracy applications."""
+    the tuples reachable by repeated degeneracy applications.  Their integer
+    order is the lexicographic order of their decreasing index tuples."""
     for base_dim in range(0, 3):
         for length in range(0, 4):
             words = degeneracy_words(base_dim, length)
+            assert words == sorted(words)
+            assert words == sorted(words, key=word_tuple)
             tuples = all_degenerate_tuples(base_dim, length)
             images = {eval_word(w, base_dim) for w in words}
             assert images == tuples
@@ -203,6 +244,16 @@ def test_json_ingestion_rejects_non_normal_words():
             "generators": [["v"], [], ["c"]],
             "faces": {"c": ["s_0 s_1 v", "s_0 v", "s_0 v"]},
         })
+    # a repeated index, whose bitmask would read s_2; and an index too high
+    # for the word's length
+    for bad, word in [("s_1 s_1 v", r"\(1, 1\)"),
+                      ("s_3 s_0 v", r"\(3, 0\)")]:
+        with pytest.raises(SimplicialError,
+                           match=rf"word {word} is not in normal form"):
+            simplicial_set_from_dict({
+                "generators": [["v"], [], [], ["c"]],
+                "faces": {"c": [bad] + ["s_1 s_0 v"] * 3},
+            })
 
 
 def test_json_ingestion_rejects_missing_faces():

@@ -5,7 +5,7 @@ from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.homology import space_homology
 
-from oracles import find_isomorphism
+from oracles import find_isomorphism, word_mask
 
 
 def test_sphere_one():
@@ -21,7 +21,8 @@ def test_sphere_two_f_vector():
 def test_sphere_three_faces_fully_degenerate():
     S = sphere(3)
     assert validate(S).ok
-    assert all(f == FormalSimplex(0, (1, 0), 2) for f in S.faces[1])
+    assert all(f == FormalSimplex(0, word_mask((1, 0)), 2)
+               for f in S.faces[1])
 
 
 def test_sphere_rejects_dimension_zero():
