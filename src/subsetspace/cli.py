@@ -18,7 +18,6 @@ from .spaces import parse_space, parse_wedge_spec
 from .expk import (DEFAULT_MAX_CELLS, ResourceCapError, build_expk,
                    colimit_level_oracle)
 from .homology import space_homology
-from . import verify as V
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,10 +41,12 @@ def default_max_cells() -> int:
     return DEFAULT_MAX_CELLS
 
 
-def _resolve_space(args: argparse.Namespace):
+def _resolve_space(args: argparse.Namespace, max_cells: int | None = None):
+    """The named space; with max_cells, a descriptor over the cap at level 0
+    of exp_k is refused before it is built (see parse_space)."""
     if args.file:
         return os.path.basename(args.file), load_simplicial_set(args.file)
-    return parse_space(args.space)
+    return parse_space(args.space, args.k, max_cells)
 
 
 def _payload(space: str, args: argparse.Namespace, h=None, verdict=None,
@@ -92,7 +93,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    name, S = _resolve_space(args)
+    name, S = _resolve_space(args, args.max_cells)
     t0 = time.monotonic()
     space = build_expk(S, args.k, max_cells=args.max_cells)
     h = space_homology(space.result, reduced=args.reduced)
@@ -103,6 +104,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(which: str, args: argparse.Namespace) -> int:
+    from . import verify as V  # here, so that homology calls skip its import
     t0 = time.monotonic()
     name = (os.path.basename(args.file) if args.file
             else args.space.strip().lower())
@@ -132,7 +134,7 @@ def cmd_verify(which: str, args: argparse.Namespace) -> int:
             raise SimplicialError(
                 "verify invariance takes --space: its partners are curated "
                 "per descriptor")
-        _, A = parse_space(args.space)
+        _, A = _resolve_space(args, args.max_cells)
         partners = (["s1"] if name.startswith("circle:")
                     else _INVARIANCE_PAIRS.get(name))
         if not partners:

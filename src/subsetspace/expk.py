@@ -15,7 +15,7 @@ the subsets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import comb
 
@@ -42,11 +42,10 @@ class ResourceCapError(Exception):
                 "projected_cells": self.projected, "cap": self.cap}
 
 
-@dataclass(frozen=True)
-class SubsetSimplex:
+class SubsetSimplex(namedtuple("SubsetSimplex", "elements")):
     """A canonically sorted nonempty set of distinct same-dimension
-    FormalSimplexes; the simplices of exp_k S."""
-    elements: tuple[FormalSimplex, ...]
+    FormalSimplexes, the tuple elements; the simplices of exp_k S."""
+    __slots__ = ()
 
     @staticmethod
     def of(elements) -> "SubsetSimplex":
@@ -62,14 +61,19 @@ class SubsetSimplex:
         return self.elements[0].dim
 
 
-@dataclass
-class ExpkSpace:
-    k: int
-    base: SimplicialSet
-    result: SimplicialSet
-    subset_of: dict[int, SubsetSimplex]      # result generator id -> subset
-    id_of: dict[SubsetSimplex, int]
-    cells_enumerated: int
+# base and result are SimplicialSets; subset_of maps a result generator id
+# to its SubsetSimplex and id_of is its inverse; cells_enumerated sums the
+# projected_cells of the levels built
+ExpkSpace = namedtuple(
+    "ExpkSpace", "k base result subset_of id_of cells_enumerated")
+
+
+def projected_cells(m: int, k: int) -> int:
+    """The count the cell cap tests for a level of m simplices: its
+    nonempty subsets of size <= k, all 2^m - 1 of them when k >= m."""
+    if k >= m:
+        return (1 << m) - 1
+    return sum(comb(m, j) for j in range(1, k + 1))
 
 
 def _level_size(S: SimplicialSet, n: int) -> int:
@@ -148,7 +152,7 @@ def build_expk(S: SimplicialSet, k: int,
 
     for n in range(k * S.dim + 1):
         m = _level_size(S, n)
-        projected = sum(comb(m, j) for j in range(1, min(k, m) + 1))
+        projected = projected_cells(m, k)
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
@@ -173,16 +177,11 @@ def build_expk(S: SimplicialSet, k: int,
                      id_of=id_of, cells_enumerated=cells)
 
 
-@dataclass
-class OracleSummary:
-    level: int
-    k: int
-    level_size: int
-    class_count: int
-    expected_classes: int
-    bijection_ok: bool
-    arrows_checked: int
-    arrows_ok: bool
+class OracleSummary(namedtuple(
+        "OracleSummary", "level k level_size class_count expected_classes "
+        "bijection_ok arrows_checked arrows_ok")):
+    """The colimit oracle's counts (ints) and checks (bools) at one level."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,7 @@ sparse.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .simplicial import SimplicialSet, SimplicialError, close_under_faces
@@ -43,13 +43,11 @@ class SparseIntMatrix:
         return sum(len(col) for col in self.cols)
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(namedtuple("ChainComplex", "bases boundaries")):
     """bases[n] lists the generator ids in degree n; boundaries[n] is the
-    matrix of d_n from degree n to degree n-1 (boundaries[0] is the zero map
-    out of degree 0)."""
-    bases: list[list[int]]
-    boundaries: list[SparseIntMatrix]
+    SparseIntMatrix of d_n from degree n to degree n-1 (boundaries[0] is the
+    zero map out of degree 0)."""
+    __slots__ = ()
 
     @property
     def top(self) -> int:
@@ -71,20 +69,17 @@ class ChainComplex:
         return True
 
 
-@dataclass
-class SmithResult:
-    rank: int
-    divisors: list[int]  # d_1 | d_2 | ... | d_rank, all positive
-    cleared: list[int] = field(default_factory=list)
+# rank: int; divisors: d_1 | d_2 | ... | d_rank, all positive; cleared: the
+# rows deleted as +-1 pivots in the unit phase (see smith_normal_form)
+SmithResult = namedtuple("SmithResult", "rank divisors cleared",
+                         defaults=((),))
 
 
-@dataclass
-class HomologyResult:
-    betti: list[int]
-    torsion: list[list[int]]
-    reduced: bool
-    f_vector: list[int]
-    euler: int
+class HomologyResult(namedtuple("HomologyResult",
+                                "betti torsion reduced f_vector euler")):
+    """betti, torsion and f_vector are lists indexed by degree, torsion[n]
+    the divisors > 1 of H_n; reduced is a bool and euler an int."""
+    __slots__ = ()
 
     def group(self, n: int) -> tuple[int, list[int]]:
         """Betti number and sorted torsion in degree n; (0, []) outside."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 
@@ -56,15 +56,13 @@ def degeneracy_words(base_dim: int, length: int) -> list[int]:
                   for c in combinations(range(base_dim + length), length))
 
 
-@dataclass(frozen=True, order=True)
-class FormalSimplex:
+class FormalSimplex(namedtuple("FormalSimplex", "base word dim")):
     """A (possibly degenerate) simplex: a degeneracy word (the bitmask of
-    its indices) applied to a non-degenerate generator.  Ordering is (base
-    id, word), the canonical total order used everywhere for determinism.
+    its indices) applied to a non-degenerate generator; all three fields are
+    ints.  Ordering is (base id, word), the canonical total order used
+    everywhere for determinism.
     """
-    base: int
-    word: int
-    dim: int
+    __slots__ = ()
 
     @property
     def is_degenerate(self) -> bool:
@@ -78,10 +76,10 @@ class FormalSimplex:
                              self.dim + 1)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violation: tuple[int, int, int] | None = None  # (generator, i, j)
+class ValidationReport(namedtuple("ValidationReport", "ok violation",
+                                  defaults=(None,))):
+    """ok: bool; violation: (generator, i, j) of the first one, or None."""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -4,21 +4,23 @@ triangulation-invariance tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .simplicial import FormalSimplex, SimplicialSet, SimplicialError
+from .expk import ResourceCapError, projected_cells
 
 
-@dataclass(frozen=True)
-class WedgeSpec:
-    """A wedge of spheres: one entry per summand, giving its dimension."""
-    sphere_dims: tuple[int, ...]
+class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
+    """A wedge of spheres: one entry per summand of the tuple sphere_dims,
+    giving its dimension."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sphere_dims:
+    def __new__(cls, sphere_dims):
+        if not sphere_dims:
             raise SimplicialError("wedge spec must have at least one summand")
-        if any(d < 1 for d in self.sphere_dims):
+        if any(d < 1 for d in sphere_dims):
             raise SimplicialError("sphere dimensions must be >= 1")
+        return super().__new__(cls, sphere_dims)
 
 
 def _degenerate_vertex(v: int, dim: int) -> FormalSimplex:
@@ -71,9 +73,14 @@ def parse_wedge_spec(descriptor: str) -> WedgeSpec | None:
     return None
 
 
-def parse_space(descriptor: str) -> tuple[str, SimplicialSet]:
+def parse_space(descriptor: str, k: int = 1,
+                max_cells: int | None = None) -> tuple[str, SimplicialSet]:
     """Parse a CLI space descriptor: 's1', 's2', ..., 'wedge:1,1', 'circle:4'.
-    Returns (canonical name, simplicial set)."""
+    Returns (canonical name, simplicial set).
+
+    With max_cells, a 'circle:V' whose V vertices alone exceed it is refused
+    unbuilt, with the level-0 ResourceCapError that build_expk(_, k) raises.
+    """
     d = descriptor.strip().lower()
     spec = parse_wedge_spec(descriptor)
     if spec is not None:
@@ -83,5 +90,7 @@ def parse_space(descriptor: str) -> tuple[str, SimplicialSet]:
             v = int(d[len("circle:"):])
         except ValueError:
             raise SimplicialError(f"bad circle descriptor {descriptor!r}")
+        if max_cells is not None and v > max_cells:
+            raise ResourceCapError(0, v, projected_cells(v, k), max_cells)
         return d, subdivided_circle(v)
     raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")

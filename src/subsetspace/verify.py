@@ -9,7 +9,7 @@ by citation and not computed here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .simplicial import SimplicialSet, close_under_faces
@@ -23,15 +23,11 @@ FAIL = "fail"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
 
 
-@dataclass
-class ConnectivityClaim:
-    k: int
-    m: int
-    bound: int  # k + m - 2
-    verdict: str
-    offending_degree: int | None
-    homology: HomologyResult
-    cells_enumerated: int  # of the exp_k build
+# bound is k + m - 2; offending_degree is the first degree <= bound of
+# nonzero reduced homology, or None; cells_enumerated is the exp_k build's
+ConnectivityClaim = namedtuple(
+    "ConnectivityClaim",
+    "k m bound verdict offending_degree homology cells_enumerated")
 
 
 def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
@@ -73,19 +69,10 @@ def tuffley_check(spec: WedgeSpec, k: int,
     return _vanishing_claim(spec, k, 0, max_cells)
 
 
-@dataclass
-class Lemma1Instance:
-    """A simplicial set with a cover by generator-closed subsets and the
-    vanishing degree parameter j."""
-    Y: SimplicialSet
-    cover: list[set[int]]
-    j: int
-
-
-@dataclass
-class Lemma1Verdict:
-    verdict: str
-    detail: str
+# A simplicial set Y with a cover (a list of generator-closed sets of
+# generator ids) and the vanishing degree parameter j
+Lemma1Instance = namedtuple("Lemma1Instance", "Y cover j")
+Lemma1Verdict = namedtuple("Lemma1Verdict", "verdict detail")
 
 
 def _first_nonzero_degree_of(Y: SimplicialSet, gens: set[int],
@@ -158,12 +145,11 @@ def random_lemma1_instance(Y: SimplicialSet, rng: random.Random) -> Lemma1Instan
     return Lemma1Instance(Y=Y, cover=cover, j=rng.choice([0, 1, 2]))
 
 
-@dataclass
-class InvarianceVerdict:
-    verdict: str
-    homology_a: HomologyResult
-    homology_partners: list[HomologyResult]
-    cells_enumerated: int  # of the exp_k A build
+# homology_a is A's HomologyResult and homology_partners the partners', in
+# order; cells_enumerated is the exp_k A build's
+InvarianceVerdict = namedtuple(
+    "InvarianceVerdict",
+    "verdict homology_a homology_partners cells_enumerated")
 
 
 def invariance_check(A: SimplicialSet, partners: list[SimplicialSet], k: int,

@@ -3,11 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from subsetspace.cli import main
+from subsetspace.expk import ResourceCapError, build_expk
+from subsetspace.spaces import subdivided_circle
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +169,29 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
         assert json.loads(proc.stderr) == {
             "error": "resource-cap", "level": level, "level_size": level_size,
             "projected_cells": projected, "cap": 200_000}
+
+
+def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
+    """A circle:V whose V vertices alone exceed the cap gets build_expk's
+    level-0 sizing report without being built; circle:300000 used to spend
+    about 3 s in the parser first."""
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "homology", "--space", "circle:300000",
+                             "--k", "1")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "resource-cap", "level": 0, "level_size": 300_000,
+        "projected_cells": 300_000, "cap": 200_000}
+    for k in (1, 2, 3):
+        with pytest.raises(ResourceCapError) as built:
+            build_expk(subdivided_circle(7), k, max_cells=6)
+        for argv in (["homology"], ["verify", "invariance"]):
+            code, out, err = run_cli(capsys, *argv, "--space", "circle:7",
+                                     "--k", str(k), "--max-cells", "6")
+            assert (code, out) == (3, "")
+            assert json.loads(err) == {"error": "resource-cap",
+                                       **built.value.sizing_report()}
 
 
 def test_env_var_overrides_cap(capsys, monkeypatch):

@@ -12,7 +12,8 @@ from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import (DEFAULT_MAX_CELLS, ResourceCapError,
                               SubsetSimplex, build_expk, colimit_level_oracle)
-from subsetspace.homology import homology, normalized_chains
+from subsetspace.homology import (SmithResult, homology, normalized_chains,
+                                  space_homology)
 
 from oracles import (degeneracy_set, find_isomorphism, homology_reference,
                      nondegenerate_subsets_unpruned, strip_degeneracies,
@@ -339,3 +340,28 @@ def test_oracle_checks_cap_before_enumerating(monkeypatch):
 def test_oracle_resource_cap():
     with pytest.raises(ResourceCapError):
         colimit_level_oracle(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
+
+
+def test_records_compare_and_hash_as_their_field_tuples():
+    """Set orders, generator ids and seeded output rest on this: a
+    FormalSimplex hashes and sorts as (base, word, dim), the records are
+    immutable and carry no __dict__, and SmithResult's default cleared is
+    empty."""
+    S = wedge(WedgeSpec((1, 2)))
+    for n in range(5):
+        level = enumerate_level(S, n)
+        assert all(hash(x) == hash((x.base, x.word, x.dim)) for x in level)
+        shuffled = random.Random(n).sample(level, len(level))
+        assert sorted(shuffled) == sorted(
+            shuffled, key=lambda x: (x.base, x.word, x.dim))
+    x = level[-1]
+    space = build_expk(S, 2)
+    records = [(x, "word"), (SubsetSimplex.of([x]), "elements"),
+               (WedgeSpec((1,)), "sphere_dims"), (space, "result"),
+               (space_homology(space.result), "betti"),
+               (colimit_level_oracle(S, 2, 1), "level_size")]
+    for record, field in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert SmithResult(rank=0, divisors=[]).cleared == ()

@@ -1,7 +1,10 @@
 """Package-wide guards: the library imports only the standard library, so
-``dependencies = []`` stays true, and every public name resolves."""
+``dependencies = []`` stays true, every public name resolves, and importing
+the CLI stays cheap."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +29,19 @@ def test_stdlib_only_and_public_names_resolve():
                     f"{path.name} imports {module}"
     for name in subsetspace.__all__:
         assert getattr(subsetspace, name, None) is not None, name
+
+
+def test_cli_import_skips_dataclasses_and_verify():
+    """Start-up is most of a short CLI call.  Importing the CLI loads
+    neither dataclasses nor the modules it pulls in, nor subsetspace.verify,
+    which only verify calls import."""
+    code = "import subsetspace.cli, sys; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "subsetspace.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+             "subsetspace.verify"}
+    assert not heavy & loaded, sorted(heavy & loaded)
