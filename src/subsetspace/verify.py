@@ -23,8 +23,9 @@ FAIL = "fail"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
 
 
-# bound is k + m - 2; offending_degree is the first degree <= bound of
-# nonzero reduced homology, or None; cells_enumerated is the exp_k build's
+# verdict is PASS or FAIL; bound is k + m - 2; offending_degree is the first
+# degree <= bound of nonzero reduced homology, or None; homology is the
+# HomologyResult and cells_enumerated the count of the exp_k build
 ConnectivityClaim = namedtuple(
     "ConnectivityClaim",
     "k m bound verdict offending_degree homology cells_enumerated")
@@ -72,6 +73,7 @@ def tuffley_check(spec: WedgeSpec, k: int,
 # A simplicial set Y with a cover (a list of generator-closed sets of
 # generator ids) and the vanishing degree parameter j
 Lemma1Instance = namedtuple("Lemma1Instance", "Y cover j")
+# verdict is PASS, FAIL or HYPOTHESES_NOT_MET; detail (a str) says why
 Lemma1Verdict = namedtuple("Lemma1Verdict", "verdict detail")
 
 
@@ -145,8 +147,9 @@ def random_lemma1_instance(Y: SimplicialSet, rng: random.Random) -> Lemma1Instan
     return Lemma1Instance(Y=Y, cover=cover, j=rng.choice([0, 1, 2]))
 
 
-# homology_a is A's HomologyResult and homology_partners the partners', in
-# order; cells_enumerated is the exp_k A build's
+# verdict is PASS or FAIL; homology_a is A's HomologyResult and
+# homology_partners the partners', in order; cells_enumerated is the exp_k A
+# build's
 InvarianceVerdict = namedtuple(
     "InvarianceVerdict",
     "verdict homology_a homology_partners cells_enumerated")
