@@ -41,12 +41,12 @@ def default_max_cells() -> int:
     return DEFAULT_MAX_CELLS
 
 
-def _resolve_space(args: argparse.Namespace, max_cells: int | None = None):
-    """The named space; with max_cells, a descriptor over the cap at level 0
-    of exp_k is refused before it is built (see parse_space)."""
+def _resolve_space(args: argparse.Namespace):
+    """The named space; a descriptor over the cap at level 0 of exp_k is
+    refused before it is built (see parse_space)."""
     if args.file:
         return os.path.basename(args.file), load_simplicial_set(args.file)
-    return parse_space(args.space, args.k, max_cells)
+    return parse_space(args.space, args.max_cells)
 
 
 def _payload(space: str, args: argparse.Namespace, h=None, verdict=None,
@@ -93,7 +93,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    name, S = _resolve_space(args, args.max_cells)
+    name, S = _resolve_space(args)
     t0 = time.monotonic()
     space = build_expk(S, args.k, max_cells=args.max_cells)
     h = space_homology(space.result, reduced=args.reduced)
@@ -134,7 +134,7 @@ def cmd_verify(which: str, args: argparse.Namespace) -> int:
             raise SimplicialError(
                 "verify invariance takes --space: its partners are curated "
                 "per descriptor")
-        _, A = _resolve_space(args, args.max_cells)
+        _, A = _resolve_space(args)
         partners = (["s1"] if name.startswith("circle:")
                     else _INVARIANCE_PAIRS.get(name))
         if not partners:

@@ -42,38 +42,21 @@ class ResourceCapError(Exception):
                 "projected_cells": self.projected, "cap": self.cap}
 
 
-class SubsetSimplex(namedtuple("SubsetSimplex", "elements")):
-    """A canonically sorted nonempty set of distinct same-dimension
-    FormalSimplexes, the tuple elements; the simplices of exp_k S."""
-    __slots__ = ()
-
-    @staticmethod
-    def of(elements) -> "SubsetSimplex":
-        elems = tuple(sorted(set(elements)))
-        if not elems:
-            raise SimplicialError("subset simplex must be nonempty")
-        if len({e.dim for e in elems}) != 1:
-            raise SimplicialError("subset elements must have equal dimension")
-        return SubsetSimplex(elems)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].dim
-
-
-# base and result are SimplicialSets; subset_of maps a result generator id
-# to its SubsetSimplex and id_of is its inverse; cells_enumerated sums the
+# result is the SimplicialSet exp_k S; cells_enumerated sums the
 # projected_cells of the levels built
-ExpkSpace = namedtuple(
-    "ExpkSpace", "k base result subset_of id_of cells_enumerated")
+ExpkSpace = namedtuple("ExpkSpace", "result cells_enumerated")
 
 
-def projected_cells(m: int, k: int) -> int:
-    """The count the cell cap tests for a level of m simplices: its
-    nonempty subsets of size <= k, all 2^m - 1 of them when k >= m."""
-    if k >= m:
-        return (1 << m) - 1
-    return sum(comb(m, j) for j in range(1, k + 1))
+def projected_cells(m: int, k: int, cap: int) -> int:
+    """The count the cell cap tests for a level of m simplices: its nonempty
+    subsets of size <= k, summed as C(m, j) for j <= min(k, m) up to the
+    first partial sum over ``cap``, where the sum stops."""
+    total = 0
+    for j in range(1, min(k, m) + 1):
+        total += comb(m, j)
+        if total > cap:
+            break
+    return total
 
 
 def _level_size(S: SimplicialSet, n: int) -> int:
@@ -130,8 +113,6 @@ def build_expk(S: SimplicialSet, k: int,
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
-    id_of: dict[SubsetSimplex, int] = {}
-    subset_of: dict[int, SubsetSimplex] = {}
     gen_of: dict[tuple[int, tuple[int, ...]], int] = {}
     faces: list[list[list[int]]] = []  # faces[n][a][i]: d_i of a, in n - 1
     below: dict[FormalSimplex, int] = {}
@@ -152,7 +133,7 @@ def build_expk(S: SimplicialSet, k: int,
 
     for n in range(k * S.dim + 1):
         m = _level_size(S, n)
-        projected = projected_cells(m, k)
+        projected = projected_cells(m, k, max_cells)
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
@@ -166,15 +147,12 @@ def build_expk(S: SimplicialSet, k: int,
                                            k, S.dim):
             g = result.add_generator(n)
             gen_of[n, idxs] = g
-            subset_of[g] = SubsetSimplex(tuple(level[a] for a in idxs))
-            id_of[subset_of[g]] = g
             if n:
                 result.set_faces(g, [face(n - 1, set(f))
                                      for f in zip(*(table[a] for a in idxs))])
         below = {x: a for a, x in enumerate(level)}
         below_masks = masks
-    return ExpkSpace(k=k, base=S, result=result, subset_of=subset_of,
-                     id_of=id_of, cells_enumerated=cells)
+    return ExpkSpace(result=result, cells_enumerated=cells)
 
 
 class OracleSummary(namedtuple(

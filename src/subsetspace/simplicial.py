@@ -96,18 +96,16 @@ class SimplicialSet:
     def __init__(self) -> None:
         self.dim_of: list[int] = []
         self.faces: list[list[FormalSimplex] | None] = []
-        self.labels: list[str] = []
         self.by_dim: list[list[int]] = []
 
     # -- construction ------------------------------------------------------
 
-    def add_generator(self, dim: int, label: str | None = None) -> int:
+    def add_generator(self, dim: int) -> int:
         if dim < 0:
             raise SimplicialError("generator dimension must be >= 0")
         g = len(self.dim_of)
         self.dim_of.append(dim)
         self.faces.append(None)
-        self.labels.append(label if label is not None else f"g{g}")
         while len(self.by_dim) <= dim:
             self.by_dim.append([])
         self.by_dim[dim].append(g)
@@ -287,11 +285,13 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
             "'faces' must map generator names to lists of face expressions")
     S = SimplicialSet()
     name_to_id: dict[str, int] = {}
-    for dim, names in enumerate(gen_lists):
-        for name in names:
+    names: list[str] = []  # names[g] is generator g's
+    for dim, dim_names in enumerate(gen_lists):
+        for name in dim_names:
             if name in name_to_id:
                 raise SimplicialError(f"duplicate generator name {name!r}")
-            name_to_id[name] = S.add_generator(dim, name)
+            name_to_id[name] = S.add_generator(dim)
+            names.append(name)
     if not name_to_id:
         raise SimplicialError("'generators' names no generator")
     for name, exprs in face_map.items():
@@ -303,12 +303,12 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
     for g in range(S.n_generators):
         if S.dim_of[g] >= 1 and S.faces[g] is None:
             raise SimplicialError(
-                f"generator {S.labels[g]!r} has no face table")
+                f"generator {names[g]!r} has no face table")
     report = validate(S)
     if not report:
         g, i, j = report.violation
         raise SimplicialError(
-            f"faces of generator {S.labels[g]!r} break d_i d_j = d_(j-1) d_i "
+            f"faces of generator {names[g]!r} break d_i d_j = d_(j-1) d_i "
             f"at (i, j) = ({i}, {j})")
     return S
 

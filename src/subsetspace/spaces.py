@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .simplicial import FormalSimplex, SimplicialSet, SimplicialError
-from .expk import ResourceCapError, projected_cells
+from .expk import ResourceCapError
 
 
 class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
@@ -38,9 +38,9 @@ def sphere(m: int) -> SimplicialSet:
 def wedge(spec: WedgeSpec) -> SimplicialSet:
     """Wedge of minimal spheres sharing a single vertex."""
     S = SimplicialSet()
-    v = S.add_generator(0, "v")
-    for idx, m in enumerate(spec.sphere_dims):
-        g = S.add_generator(m, f"c{m}_{idx}")
+    v = S.add_generator(0)
+    for m in spec.sphere_dims:
+        g = S.add_generator(m)
         S.set_faces(g, [_degenerate_vertex(v, m - 1)] * (m + 1))
     return S
 
@@ -51,9 +51,9 @@ def subdivided_circle(v: int) -> SimplicialSet:
     if v < 3:
         raise SimplicialError("subdivided circle needs at least 3 vertices")
     S = SimplicialSet()
-    verts = [S.add_generator(0, f"p{i}") for i in range(v)]
+    verts = [S.add_generator(0) for _ in range(v)]
     for i in range(v):
-        e = S.add_generator(1, f"e{i}")
+        e = S.add_generator(1)
         S.set_faces(e, [S.simplex(verts[(i + 1) % v]), S.simplex(verts[i])])
     return S
 
@@ -73,13 +73,14 @@ def parse_wedge_spec(descriptor: str) -> WedgeSpec | None:
     return None
 
 
-def parse_space(descriptor: str, k: int = 1,
+def parse_space(descriptor: str,
                 max_cells: int | None = None) -> tuple[str, SimplicialSet]:
     """Parse a CLI space descriptor: 's1', 's2', ..., 'wedge:1,1', 'circle:4'.
     Returns (canonical name, simplicial set).
 
     With max_cells, a 'circle:V' whose V vertices alone exceed it is refused
-    unbuilt, with the level-0 ResourceCapError that build_expk(_, k) raises.
+    unbuilt, with the level-0 ResourceCapError that build_expk raises for
+    every k: its projected count stops at the first partial sum, C(V, 1).
     """
     d = descriptor.strip().lower()
     spec = parse_wedge_spec(descriptor)
@@ -91,6 +92,6 @@ def parse_space(descriptor: str, k: int = 1,
         except ValueError:
             raise SimplicialError(f"bad circle descriptor {descriptor!r}")
         if max_cells is not None and v > max_cells:
-            raise ResourceCapError(0, v, projected_cells(v, k), max_cells)
+            raise ResourceCapError(0, v, v, max_cells)
         return d, subdivided_circle(v)
     raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")

@@ -7,10 +7,12 @@ on words as decreasing index tuples and convert to and from the engine's
 bitmasks (word_tuple, word_mask) only at their boundary.  Degeneracy sets
 and the subset normal form are checked against the exact membership test
 s_i(d_i(x)) == x, the face-by-face stripper and the object-level closed-form
-strip; the pruned subset search against the unpruned search it replaced.
-Integer matrix facts are checked against brute-force cofactor determinants
-and minors, and the Smith normal form against the single-phase elimination
-it replaced.  The Euler characteristic of exp_k X is checked against the
+strip; the pruned subset search against the unpruned search it replaced,
+which with the membership test also rebuilds the generators of exp_k S as
+element tuples (expk_subsets) for the face-table checks.  Integer matrix
+facts are checked against brute-force cofactor determinants and minors, and
+the Smith normal form against the single-phase elimination it replaced.
+The Euler characteristic of exp_k X is checked against the
 configuration-space stratification, and its f-vector against a closed form
 in the generator dimensions of X.  The homology of exp_2 S^n is checked
 against the cofibre sequence S^n -> SP^2 S^n -> Sigma^{n+1} RP^{n-1}, and
@@ -25,11 +27,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, prod
 
-from subsetspace.expk import SubsetSimplex
 from subsetspace.homology import (ChainComplex, HomologyResult, SmithResult,
                                   SparseIntMatrix)
 from subsetspace.simplicial import (FormalSimplex, SimplicialSet,
-                                    SimplicialError, apply_face)
+                                    SimplicialError, apply_face,
+                                    enumerate_level)
 
 
 def word_tuple(mask: int) -> tuple[int, ...]:
@@ -147,7 +149,18 @@ def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
     return out if out is not None else frozenset()
 
 
-def strip_degeneracies(A) -> tuple[int, SubsetSimplex]:
+def subset_tuple(elements) -> tuple[FormalSimplex, ...]:
+    """A simplex of exp_k S as the sorted tuple of its distinct elements,
+    which must be nonempty and of one dimension."""
+    elems = tuple(sorted(set(elements)))
+    if not elems:
+        raise SimplicialError("subset simplex must be nonempty")
+    if len({e.dim for e in elems}) != 1:
+        raise SimplicialError("subset elements must have equal dimension")
+    return elems
+
+
+def strip_degeneracies(A) -> tuple[int, tuple[FormalSimplex, ...]]:
     """Eilenberg-Zilber normal form of a set of equal-dimension simplices:
     word . core, with core a non-degenerate subset.
 
@@ -162,7 +175,7 @@ def strip_degeneracies(A) -> tuple[int, SubsetSimplex]:
     common = frozenset.intersection(*(frozenset(word_tuple(a.word))
                                       for a in elems))
     if not common:
-        return 0, SubsetSimplex.of(elems)
+        return 0, subset_tuple(elems)
     core = [FormalSimplex(a.base,
                           word_mask(tuple(i - sum(c < i for c in common)
                                           for i in word_tuple(a.word)
@@ -170,7 +183,7 @@ def strip_degeneracies(A) -> tuple[int, SubsetSimplex]:
                           a.dim - len(common))
             for a in elems]
     return (word_mask(tuple(sorted(common, reverse=True))),
-            SubsetSimplex.of(core))
+            subset_tuple(core))
 
 
 def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
@@ -198,7 +211,7 @@ def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
 
 
 def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
-                                 ) -> tuple[int, SubsetSimplex]:
+                                 ) -> tuple[int, tuple[FormalSimplex, ...]]:
     """word . core by stripping one common degeneracy index at a time with
     d_i: the smallest first (order 'min') or a seeded random choice (order
     'random:<seed>')."""
@@ -219,7 +232,22 @@ def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
     word: tuple[int, ...] = ()
     for j in reversed(stripped):
         word = compose_tuple(word, j)
-    return word_mask(word), SubsetSimplex.of(elems)
+    return word_mask(word), subset_tuple(elems)
+
+
+def expk_subsets(S: SimplicialSet, k: int) -> list[tuple[FormalSimplex, ...]]:
+    """The generators of exp_k S in the build's id order, each as its
+    subset_tuple: level by level, the subsets of size <= k whose
+    degeneracy sets (by the membership test) have an empty intersection,
+    found by the unpruned search in lexicographic order of level
+    indices."""
+    out = []
+    for n in range(k * S.dim + 1):
+        level = enumerate_level(S, n)
+        dsets = [degeneracy_set(x, S) for x in level]
+        out += [tuple(level[a] for a in idxs)
+                for idxs in nondegenerate_subsets_unpruned(dsets, k)]
+    return out
 
 
 def generalized_binomial(x: int, j: int) -> int:

@@ -21,10 +21,11 @@ from subsetspace.homology import normalized_chains, homology, smith_normal_form,
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
 
-from oracles import (find_isomorphism, from_dense, homology_reference,
-                     minors_gcd, rank_over_q, smith_normal_form_reference,
-                     strip_degeneracies, strip_degeneracies_iterative,
-                     subset_space_euler, subset_space_f_vector)
+from oracles import (expk_subsets, find_isomorphism, from_dense,
+                     homology_reference, minors_gcd, rank_over_q,
+                     smith_normal_form_reference, strip_degeneracies,
+                     strip_degeneracies_iterative, subset_space_euler,
+                     subset_space_f_vector)
 
 
 def report(name: str, ok: bool):
@@ -129,12 +130,14 @@ def test_criterion_6_structural_properties():
         if space.result.f_vector() != subset_space_f_vector(S.dim_of, k):
             print(f"  f-vector differs from the closed form for {desc} k={k}")
             ok = False
-        for g, sub in space.subset_of.items():
-            n = sub.dim
+        subsets = expk_subsets(S, k)
+        id_of = {sub: g for g, sub in enumerate(subsets)}
+        for g, sub in enumerate(subsets):
+            n = sub[0].dim
             stripped = (strip_degeneracies_iterative(
-                [apply_face(a, i, S) for a in sub.elements], S)
+                [apply_face(a, i, S) for a in sub], S)
                 for i in range(n + 1))
-            expected = [FormalSimplex(space.id_of.get(core), word, n - 1)
+            expected = [FormalSimplex(id_of.get(core), word, n - 1)
                         for word, core in stripped] if n else None
             if space.result.faces[g] != expected:
                 print(f"  face table of generator {g} wrong for {desc} k={k}")

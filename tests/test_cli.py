@@ -148,20 +148,25 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
 
 
 def test_huge_k_is_refused_at_the_first_level_over_the_cap():
-    """The projected count sums at most min(k, level size) binomials per
-    level, so k = 10^9 is refused at level 17 of s1 at once.  The oracle's
-    tuple count 2 + 4 + ... at level 1 of s1 stops at its first partial sum
-    over the cap, 2^18 - 2."""
+    """The projected count sums C(m, j) for j <= min(k, m) up to its first
+    partial sum over the cap, so k = 10^9 is refused at once: at level 17
+    of s1 with C(18, 1) + ... + C(18, 6) = 230,963, and at level 0 of
+    circle:15000 with 15000 + C(15000, 2), a count whose full sum 2^15000
+    has more digits than int -> str converts.  The oracle's tuple count
+    2 + 4 + ... at level 1 of s1 stops the same way, at 2^18 - 2."""
     env = {key: value for key, value in os.environ.items()
            if key != "SUBSETSPACE_MAX_CELLS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for args, level, level_size, projected in [
-            (["homology"], 17, 18, 2 ** 18 - 1),
-            (["verify", "oracle", "--level", "1"], 1, 2, 2 ** 18 - 2)]:
+            (["homology", "--space", "s1"], 17, 18, 230_963),
+            (["homology", "--space", "circle:15000"], 0, 15_000,
+             112_507_500),
+            (["verify", "oracle", "--space", "s1", "--level", "1"], 1, 2,
+             2 ** 18 - 2)]:
         proc = subprocess.run(
-            [sys.executable, "-m", "subsetspace.cli", *args, "--space", "s1",
+            [sys.executable, "-m", "subsetspace.cli", *args,
              "--k", "1000000000"],
             capture_output=True, text=True, timeout=30, env=env)
         assert proc.returncode == 3
@@ -173,16 +178,19 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
 
 def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
     """A circle:V whose V vertices alone exceed the cap gets build_expk's
-    level-0 sizing report without being built; circle:300000 used to spend
-    about 3 s in the parser first."""
-    started = time.perf_counter()
-    code, out, err = run_cli(capsys, "homology", "--space", "circle:300000",
-                             "--k", "1")
-    assert time.perf_counter() - started < 0.5
-    assert (code, out) == (3, "")
-    assert json.loads(err) == {
-        "error": "resource-cap", "level": 0, "level_size": 300_000,
-        "projected_cells": 300_000, "cap": 200_000}
+    level-0 sizing report without being built, from every subcommand that
+    takes --space; circle:300000 used to spend about 3 s in the parser
+    first, and verify lemma1 minutes in its covers."""
+    for argv in (["homology"], ["verify", "oracle", "--level", "0"],
+                 ["verify", "lemma1"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--space", "circle:300000",
+                                 "--k", "1")
+        assert time.perf_counter() - started < 0.5, argv
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err) == {
+            "error": "resource-cap", "level": 0, "level_size": 300_000,
+            "projected_cells": 300_000, "cap": 200_000}
     for k in (1, 2, 3):
         with pytest.raises(ResourceCapError) as built:
             build_expk(subdivided_circle(7), k, max_cells=6)

@@ -11,14 +11,16 @@ from subsetspace.simplicial import (FormalSimplex, SimplicialError,
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import (DEFAULT_MAX_CELLS, ResourceCapError,
-                              SubsetSimplex, build_expk, colimit_level_oracle)
+                              build_expk, colimit_level_oracle)
 from subsetspace.homology import (SmithResult, homology, normalized_chains,
                                   space_homology)
 
-from oracles import (degeneracy_set, find_isomorphism, homology_reference,
-                     nondegenerate_subsets_unpruned, strip_degeneracies,
-                     strip_degeneracies_iterative, subset_space_euler,
-                     subset_space_f_vector, word_mask, word_tuple)
+from oracles import (degeneracy_set, expk_subsets, find_isomorphism,
+                     homology_reference, nondegenerate_subsets_unpruned,
+                     strip_degeneracies, strip_degeneracies_iterative,
+                     subset_space_euler, subset_space_f_vector, subset_tuple,
+                     word_mask, word_tuple)
+from test_acceptance import MATRIX_CASES
 
 
 def circle():
@@ -29,7 +31,7 @@ def test_strip_single_degenerate_vertex():
     S = circle()
     word, core = strip_degeneracies([S.simplex(0).degenerate(0)])
     assert word_tuple(word) == (0,)
-    assert core == SubsetSimplex.of([S.simplex(0)])
+    assert core == subset_tuple([S.simplex(0)])
 
 
 def test_strip_nondegenerate_pair():
@@ -39,7 +41,7 @@ def test_strip_nondegenerate_pair():
     A = [e.degenerate(0), e.degenerate(1)]
     word, core = strip_degeneracies(A)
     assert word_tuple(word) == ()
-    assert core == SubsetSimplex.of(A)
+    assert core == subset_tuple(A)
 
 
 def test_strip_mixed_pair():
@@ -49,7 +51,7 @@ def test_strip_mixed_pair():
     A = [FormalSimplex(0, word_mask((1, 0)), 2), e.degenerate(1)]
     word, core = strip_degeneracies(A)
     assert word_tuple(word) == (1,)
-    assert core == SubsetSimplex.of([e, v.degenerate(0)])
+    assert core == subset_tuple([e, v.degenerate(0)])
 
 
 def test_strip_confluence_randomized():
@@ -111,6 +113,17 @@ def _one_vertex_delta_set(rng: random.Random, loops: int,
     return S
 
 
+def _delta_set_draws(rng: random.Random):
+    """24 random one-vertex Delta-sets, each with the k of its exp_k: k = 2
+    with up to three loops and three triangles, k = 3 with up to three
+    generators of positive dimension."""
+    for draw in range(24):
+        k = 2 + draw % 2
+        loops = rng.randint(1, 3 if k == 2 else 2)
+        triangles = rng.randint(1, 3 if k == 2 else 3 - loops)
+        yield _one_vertex_delta_set(rng, loops, triangles), k
+
+
 def test_random_one_vertex_delta_sets():
     """exp_2 and exp_3 of random one-vertex Delta-sets, whose triangles have
     non-degenerate faces: the face tables against the face-by-face stripper
@@ -118,23 +131,20 @@ def test_random_one_vertex_delta_sets():
     oracles, the SNF reference, and exp_1 S = S."""
     rng = random.Random(909)
     with_torsion = 0
-    for draw in range(24):
-        k = 2 + draw % 2
-        loops = rng.randint(1, 3 if k == 2 else 2)
-        triangles = rng.randint(1, 3 if k == 2 else 3 - loops)
-        S = _one_vertex_delta_set(rng, loops, triangles)
+    for S, k in _delta_set_draws(rng):
         assert validate(S)
         space = build_expk(S, k)
         assert validate(space.result)
-        gens = [g for g in space.subset_of if space.result.dim_of[g]]
+        subsets = expk_subsets(S, k)
+        id_of = {sub: g for g, sub in enumerate(subsets)}
+        gens = [g for g, sub in enumerate(subsets) if sub[0].dim]
         for g in gens if k == 2 else rng.sample(gens, 60):
-            sub = space.subset_of[g]
-            n = sub.dim
+            n = subsets[g][0].dim
             for i in range(n + 1):
                 word, core = strip_degeneracies_iterative(
-                    [apply_face(a, i, S) for a in sub.elements], S)
+                    [apply_face(a, i, S) for a in subsets[g]], S)
                 assert space.result.faces[g][i] == FormalSimplex(
-                    space.id_of[core], word, n - 1)
+                    id_of[core], word, n - 1)
         assert space.result.f_vector() == subset_space_f_vector(S.dim_of, k)
         C = normalized_chains(space.result)
         assert C.check_dd_zero()
@@ -194,6 +204,22 @@ def test_pruned_search_matches_unpruned():
     assert 50 < found < checked
 
 
+def test_oracle_subsets_give_the_generator_ids():
+    """Seeded output rests on the build's generator ids: level by level, the
+    non-degenerate subsets in lexicographic order of level indices.  The
+    oracle's subsets, found by the unpruned search over membership-test
+    degeneracy sets, number the build's generators and have their
+    dimensions, on every matrix case and the random one-vertex Delta-sets;
+    the face-table tests compare ids through them."""
+    cases = [(parse_space(desc)[1], k) for desc, k in MATRIX_CASES]
+    cases += list(_delta_set_draws(random.Random(909)))
+    for S, k in cases:
+        R = build_expk(S, k).result
+        subsets = expk_subsets(S, k)
+        assert len(subsets) == R.n_generators
+        assert [sub[0].dim for sub in subsets] == R.dim_of
+
+
 def test_f_vector_closed_form_s3k3():
     S = sphere(3)
     assert (build_expk(S, 3).result.f_vector()
@@ -201,18 +227,18 @@ def test_f_vector_closed_form_s3k3():
 
 
 def test_build_exp2_circle_generators():
-    space = build_expk(circle(), 2)
-    R = space.result
-    assert R.f_vector() == [1, 2, 1]
-    subsets = {n: [space.subset_of[g] for g in R.by_dim[n]]
-               for n in range(R.dim + 1)}
     S = circle()
+    R = build_expk(S, 2).result
+    assert R.f_vector() == [1, 2, 1]
+    subsets = expk_subsets(S, 2)
+    assert [sub[0].dim for sub in subsets] == R.dim_of
+    subsets = {n: [sub for sub in subsets if sub[0].dim == n]
+               for n in range(R.dim + 1)}
     v, e = S.simplex(0), S.simplex(1)
-    assert subsets[0] == [SubsetSimplex.of([v])]
-    assert set(subsets[1]) == {SubsetSimplex.of([e]),
-                               SubsetSimplex.of([e, v.degenerate(0)])}
-    assert subsets[2] == [SubsetSimplex.of([e.degenerate(0),
-                                            e.degenerate(1)])]
+    assert subsets[0] == [subset_tuple([v])]
+    assert set(subsets[1]) == {subset_tuple([e]),
+                               subset_tuple([e, v.degenerate(0)])}
+    assert subsets[2] == [subset_tuple([e.degenerate(0), e.degenerate(1)])]
     assert validate(R).ok
 
 
@@ -222,8 +248,8 @@ def test_exp2_circle_rejects_degenerate_level2_pair():
     A = [S.simplex(1).degenerate(0), FormalSimplex(0, word_mask((1, 0)), 2)]
     assert strip_degeneracies(A) == (
         word_mask((0,)),
-        SubsetSimplex.of([S.simplex(1), S.simplex(0).degenerate(0)]))
-    assert SubsetSimplex.of(A) not in build_expk(S, 2).id_of
+        subset_tuple([S.simplex(1), S.simplex(0).degenerate(0)]))
+    assert subset_tuple(A) not in expk_subsets(S, 2)
 
 
 def test_exp1_is_identity_on_all_builders():
@@ -258,16 +284,19 @@ def test_monotone_inclusion():
     faces."""
     S = wedge(WedgeSpec((1, 1)))
     for k in (1, 2):
-        small = build_expk(S, k)
-        big = build_expk(S, k + 1)
-        for g, sub in small.subset_of.items():
-            assert sub in big.id_of
-            if small.result.dim_of[g] >= 1:
-                fs = small.result.faces[g]
-                fb = big.result.faces[big.id_of[sub]]
+        small = build_expk(S, k).result
+        big = build_expk(S, k + 1).result
+        small_subsets = expk_subsets(S, k)
+        big_subsets = expk_subsets(S, k + 1)
+        big_id = {sub: g for g, sub in enumerate(big_subsets)}
+        for g, sub in enumerate(small_subsets):
+            assert sub in big_id
+            if small.dim_of[g] >= 1:
+                fs = small.faces[g]
+                fb = big.faces[big_id[sub]]
                 for x, y in zip(fs, fb):
                     assert x.word == y.word
-                    assert small.subset_of[x.base] == big.subset_of[y.base]
+                    assert small_subsets[x.base] == big_subsets[y.base]
 
 
 def test_resource_cap_triggers():
@@ -304,7 +333,7 @@ def test_oracle_matches_subset_count():
     all_subsets = []
     for size in (1, 2):
         from itertools import combinations
-        all_subsets += [SubsetSimplex.of(c)
+        all_subsets += [subset_tuple(c)
                         for c in combinations(level, size)]
     summary = colimit_level_oracle(S, k, n)
     assert summary.class_count == len(all_subsets)
@@ -345,8 +374,8 @@ def test_oracle_resource_cap():
 def test_records_compare_and_hash_as_their_field_tuples():
     """Set orders, generator ids and seeded output rest on this: a
     FormalSimplex hashes and sorts as (base, word, dim), the records are
-    immutable and carry no __dict__, and SmithResult's default cleared is
-    empty."""
+    immutable and carry no __dict__, ExpkSpace holds only the complex and
+    its count, and SmithResult's default cleared is empty."""
     S = wedge(WedgeSpec((1, 2)))
     for n in range(5):
         level = enumerate_level(S, n)
@@ -356,12 +385,13 @@ def test_records_compare_and_hash_as_their_field_tuples():
             shuffled, key=lambda x: (x.base, x.word, x.dim))
     x = level[-1]
     space = build_expk(S, 2)
-    records = [(x, "word"), (SubsetSimplex.of([x]), "elements"),
-               (WedgeSpec((1,)), "sphere_dims"), (space, "result"),
+    records = [(x, "word"), (WedgeSpec((1,)), "sphere_dims"),
+               (space, "result"),
                (space_homology(space.result), "betti"),
                (colimit_level_oracle(S, 2, 1), "level_size")]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+    assert space._fields == ("result", "cells_enumerated")
     assert SmithResult(rank=0, divisors=[]).cleared == ()

@@ -211,7 +211,7 @@ def test_validate_builders_pass():
 
 def test_validate_reports_corrupted_face_table():
     S = subdivided_circle(3)
-    t = S.add_generator(2, "t")
+    t = S.add_generator(2)
     e0, e1 = S.simplex(S.by_dim[1][0]), S.simplex(S.by_dim[1][1])
     # faces violating d_0 d_1 = d_0 d_0 compatibility on purpose
     S.set_faces(t, [e0, e1, e0])

@@ -10,11 +10,11 @@ from subsetspace import verify as V
 
 def two_edge_path():
     S = SimplicialSet()
-    p0 = S.add_generator(0, "p0")
-    p1 = S.add_generator(0, "p1")
-    p2 = S.add_generator(0, "p2")
-    e0 = S.add_generator(1, "e0")
-    e1 = S.add_generator(1, "e1")
+    p0 = S.add_generator(0)
+    p1 = S.add_generator(0)
+    p2 = S.add_generator(0)
+    e0 = S.add_generator(1)
+    e1 = S.add_generator(1)
     S.set_faces(e0, [S.simplex(p1), S.simplex(p0)])
     S.set_faces(e1, [S.simplex(p2), S.simplex(p1)])
     return S, (p0, p1, p2, e0, e1)
