@@ -108,7 +108,7 @@ def test_criterion_5_oracle_equivalence():
         for n in range(k * S.dim + 1):
             if len(enumerate_level(S, n)) > 40:
                 continue
-            summary = colimit_level_oracle(S, k, n, seed=0)
+            summary = colimit_level_oracle(S, k, n)
             if not summary.ok:
                 print(f"  oracle {desc} k={k} level={n}: FAIL")
                 ok = False

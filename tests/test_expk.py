@@ -3,15 +3,16 @@ from math import comb
 
 import pytest
 
-from subsetspace import expk
+from subsetspace import cli, expk
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     SimplicialSet, apply_face,
                                     degeneracy_words, enumerate_level,
                                     validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
-from subsetspace.expk import (DEFAULT_MAX_CELLS, ResourceCapError,
-                              build_expk, colimit_level_oracle)
+from subsetspace.expk import (DEFAULT_MAX_CELLS, OracleSummary,
+                              ResourceCapError, build_expk,
+                              colimit_level_oracle)
 from subsetspace.homology import (SmithResult, homology, normalized_chains,
                                   space_homology)
 
@@ -371,6 +372,25 @@ def test_oracle_resource_cap():
         colimit_level_oracle(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
 
 
+def test_oracle_fails_on_a_broken_colimit(monkeypatch, capsys):
+    """The oracle can fail: with no tuples merged its 6 classes miss the 3
+    subsets of S^1's level 1 at k = 2, and the CLI exits 1; with every tuple
+    in one class the count and the bijection both fail."""
+    with monkeypatch.context() as patch:
+        patch.setattr(expk._DisjointSet, "union", lambda self, a, b: None)
+        summary = colimit_level_oracle(sphere(1), 2, 1)
+        assert (summary.class_count, summary.expected_classes) == (6, 3)
+        assert summary.ok is False
+        assert cli.main(["verify", "oracle", "--space", "s1", "--k", "2",
+                         "--level", "1", "--seed", "0"]) == 1
+        assert '"verdict": "fail"' in capsys.readouterr().out
+    monkeypatch.setattr(expk._DisjointSet, "find", lambda self, a: 0)
+    summary = colimit_level_oracle(sphere(1), 2, 1)
+    assert summary.class_count == 1
+    assert summary.bijection_ok is False
+    assert summary.ok is False
+
+
 def test_records_compare_and_hash_as_their_field_tuples():
     """Set orders, generator ids and seeded output rest on this: a
     FormalSimplex hashes and sorts as (base, word, dim), the records are
@@ -394,4 +414,6 @@ def test_records_compare_and_hash_as_their_field_tuples():
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert space._fields == ("result", "cells_enumerated")
+    assert OracleSummary._fields == ("level", "k", "level_size", "class_count",
+                                     "expected_classes", "bijection_ok")
     assert SmithResult(rank=0, divisors=[]).cleared == ()
