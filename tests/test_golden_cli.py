@@ -80,6 +80,17 @@ CASES = [
     # exit 3 reports whose projected count is the level's last partial sum
     _homology("circle:7", 1, "--max-cells", "6"),
     _homology("circle:300000", 1),
+    # verify's gates, in order: a wedge descriptor for theorem1/tuffley
+    # (before any cap test), no --file for invariance (before loading it),
+    # --level for the oracle (before parsing); then each check's own refusal
+    _verify("tuffley", "wedge:1,2", 2), _verify("tuffley", "s2", 2),
+    _verify("theorem1", "wedge:1,2", 2),
+    _verify("theorem1", "circle:300000", 1),
+    ["verify", "theorem1", "--file", "@sphere2.json", "--k", "2"],
+    ["verify", "tuffley", "--file", "@circle.json", "--k", "2"],
+    ["verify", "invariance", "--file", "@broken.json", "--k", "1"],
+    _verify("oracle", "bogus", 2),
+    _verify("theorem1", "s2", 3, "--max-cells", "6"),
 ]
 
 
