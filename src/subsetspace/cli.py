@@ -57,7 +57,7 @@ def _payload(space: str, args: argparse.Namespace, h=None, verdict=None,
         "betti": h.betti if h else None,
         "torsion": h.torsion if h else None,
         "euler": h.euler if h else None,
-        "reduced": h.reduced if h else args.reduced,
+        "reduced": h.reduced if h else False,
         "verdict": verdict,
         "elapsed_ms": 0 if args.seed is not None else elapsed_ms,
         "cells_enumerated": cells,
@@ -107,43 +107,38 @@ def cmd_verify(which: str, args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     name = (os.path.basename(args.file) if args.file
             else args.space.strip().lower())
-    h = None
-    cells = 0
+    # the gates run before the space is resolved, so before any cap test
+    if which in ("theorem1", "tuffley") and (
+            args.file or parse_wedge_spec(name) is None):
+        raise SimplicialError(f"descriptor {name!r} is not a wedge of spheres")
+    if which == "invariance" and args.file:
+        raise SimplicialError(
+            "verify invariance takes --space: its partners are curated "
+            "per descriptor")
+    if which == "oracle" and args.level is None:
+        raise SimplicialError("--level is required for the oracle check")
+    _, S = _resolve_space(args)
+    h, cells = None, 0
     if which in ("theorem1", "tuffley"):
-        # these checks build their own wedge; a --file is not one
-        spec = None if args.file else parse_wedge_spec(name)
-        if spec is None:
-            raise SimplicialError(
-                f"descriptor {name!r} is not a wedge of spheres")
         check = V.theorem1_check if which == "theorem1" else V.tuffley_check
-        res = check(spec, args.k, max_cells=args.max_cells)
+        res = check(S, args.k, max_cells=args.max_cells)
         verdict, h, cells = res.verdict, res.homology, res.cells_enumerated
     elif which == "oracle":
-        if args.level is None:
-            raise SimplicialError("--level is required for the oracle check")
-        _, S = _resolve_space(args)
         summary = colimit_level_oracle(S, args.k, args.level,
                                        max_cells=args.max_cells)
         verdict = V.PASS if summary.ok else V.FAIL
         cells = summary.class_count
     elif which == "invariance":
-        # partners are curated per descriptor; a --file is not one
-        if args.file:
-            raise SimplicialError(
-                "verify invariance takes --space: its partners are curated "
-                "per descriptor")
-        _, A = _resolve_space(args)
         partners = (["s1"] if name.startswith("circle:")
                     else _INVARIANCE_PAIRS.get(name))
         if not partners:
             raise SimplicialError(
                 f"no curated invariance partner for {name!r}")
-        res = V.invariance_check(A, [parse_space(p)[1] for p in partners],
+        res = V.invariance_check(S, [parse_space(p)[1] for p in partners],
                                  args.k, max_cells=args.max_cells)
         verdict, h, cells = res.verdict, res.homology_a, res.cells_enumerated
     else:  # lemma1; argparse admits only the five checks
         import random
-        _, S = _resolve_space(args)
         rng = random.Random(args.seed or 0)
         verdict = V.PASS
         for _ in range(50):
@@ -161,7 +156,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", default=None, help="space descriptor, e.g. "
                    "s1, s2, wedge:1,1, circle:4")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reduced", action="store_true")
     p.add_argument("--max-cells", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv", "text"],
                    default="json")
@@ -178,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ph = sub.add_parser("homology", help="homology of exp_k of a space")
     _add_common(ph)
+    ph.add_argument("--reduced", action="store_true")
     pv = sub.add_parser("verify", help="run a verification check")
     pv.add_argument("which", choices=["theorem1", "tuffley", "lemma1",
                                       "invariance", "oracle"])

@@ -8,12 +8,10 @@ by citation and not computed here.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from itertools import combinations
 
 from .simplicial import SimplicialSet, close_under_faces
-from .spaces import WedgeSpec, wedge
 from .expk import DEFAULT_MAX_CELLS, build_expk
 from .homology import (HomologyResult, homology, normalized_chains,
                        space_homology)
@@ -28,7 +26,7 @@ HYPOTHESES_NOT_MET = "hypotheses-not-met"
 # HomologyResult and cells_enumerated the count of the exp_k build
 ConnectivityClaim = namedtuple(
     "ConnectivityClaim",
-    "k m bound verdict offending_degree homology cells_enumerated")
+    "bound verdict offending_degree homology cells_enumerated")
 
 
 def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
@@ -36,38 +34,34 @@ def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
     return next((i for i in range(bound + 1) if not h.is_trivial_in(i)), None)
 
 
-def _vanishing_claim(spec: WedgeSpec, k: int, m: int,
-                     max_cells: int) -> ConnectivityClaim:
-    """Build exp_k of the wedge, compute its reduced homology and find the
-    first degree <= k + m - 2 where it is nonzero."""
+def theorem1_check(S: SimplicialSet, k: int,
+                   max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
+    """Check that exp_k of a homogeneous wedge of (m+1)-spheres has vanishing
+    reduced homology through degree k + m - 2.  S qualifies when it has one
+    vertex and its other generators share a dimension d >= 1: their faces can
+    only be the degenerate vertex, so S is a wedge of d-spheres, m = d - 1."""
+    f = S.f_vector()
+    if S.dim < 1 or f[0] != 1 or any(f[1:-1]):
+        raise ValueError("theorem1_check needs a homogeneous wedge")
+    m = S.dim - 1
     bound = k + m - 2
-    space = build_expk(wedge(spec), k, max_cells=max_cells)
+    space = build_expk(S, k, max_cells=max_cells)
     h = space_homology(space.result, reduced=True)
     offending = _first_nonzero_degree(h, bound)
-    return ConnectivityClaim(k=k, m=m, bound=bound,
+    return ConnectivityClaim(bound=bound,
                              verdict=PASS if offending is None else FAIL,
                              offending_degree=offending, homology=h,
                              cells_enumerated=space.cells_enumerated)
 
 
-def theorem1_check(spec: WedgeSpec, k: int,
-                   max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
-    """Check that exp_k of a homogeneous wedge of (m+1)-spheres has vanishing
-    reduced homology through degree k + m - 2."""
-    dims = set(spec.sphere_dims)
-    if len(dims) != 1:
-        raise ValueError("theorem1_check needs a homogeneous wedge")
-    return _vanishing_claim(spec, k, dims.pop() - 1, max_cells)
-
-
-def tuffley_check(spec: WedgeSpec, k: int,
+def tuffley_check(S: SimplicialSet, k: int,
                   max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
     """For a wedge of circles, reduced homology of exp_k must be concentrated
     in degrees k-1 and k.  exp_k of a graph has dimension at most k, so this
     is vanishing through degree k - 2: the m = 0 case of theorem1_check."""
-    if any(d != 1 for d in spec.sphere_dims):
+    if S.dim != 1:
         raise ValueError("tuffley_check needs a wedge of circles")
-    return _vanishing_claim(spec, k, 0, max_cells)
+    return theorem1_check(S, k, max_cells)
 
 
 # A simplicial set Y with a cover (a list of generator-closed sets of
@@ -131,9 +125,9 @@ def lemma1_check(inst: Lemma1Instance) -> Lemma1Verdict:
     return Lemma1Verdict(PASS, "hypotheses and conclusion hold")
 
 
-def random_lemma1_instance(Y: SimplicialSet, rng: random.Random) -> Lemma1Instance:
+def random_lemma1_instance(Y: SimplicialSet, rng) -> Lemma1Instance:
     """A random generator-closed cover of Y (2 or 3 members) with a random
-    vanishing parameter."""
+    vanishing parameter, drawn with rng's choice, random and randrange."""
     n = Y.n_generators
     r = rng.choice([2, 3])
     cover = []

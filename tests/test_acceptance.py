@@ -67,7 +67,7 @@ def test_criterion_2_theorem1_matrix():
              ((2, 2), 2, 1), ((3,), 2, 2)]
     ok = True
     for dims, k, bound in cases:
-        claim = V.theorem1_check(WedgeSpec(dims), k)
+        claim = V.theorem1_check(wedge(WedgeSpec(dims)), k)
         case_ok = claim.verdict == V.PASS
         # the listed bound can exceed k+m-2 (observed extra vanishing);
         # assert vanishing through the listed bound as stated
@@ -83,7 +83,7 @@ def test_criterion_3_tuffley_concentration():
     ok = True
     for dims in [(1,), (1, 1), (1, 1, 1)]:
         for k in (2, 3, 4):
-            res = V.tuffley_check(WedgeSpec(dims), k)
+            res = V.tuffley_check(wedge(WedgeSpec(dims)), k)
             if res.verdict != V.PASS:
                 print(f"  tuffley case {dims} k={k}: FAIL")
                 ok = False

@@ -94,6 +94,19 @@ def test_verify_lemma1(capsys):
     assert code == 0
 
 
+def test_reduced_is_a_homology_flag(capsys):
+    # verify's checks fix their own reduction, so verify has no --reduced
+    for which in ("theorem1", "tuffley", "lemma1", "invariance", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", which, "--space", "s1", "--k", "2",
+                  "--level", "1", "--reduced"])
+        assert exc.value.code == 2
+        assert "--reduced" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--space", "s1",
+                           "--k", "2", "--level", "1")
+    assert code == 0 and json.loads(out)["reduced"] is False
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "homology", "--space", "bogus",
                              "--k", "2")

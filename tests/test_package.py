@@ -34,14 +34,18 @@ def test_stdlib_only_and_public_names_resolve():
 def test_cli_import_skips_dataclasses_and_verify():
     """Start-up is most of a short CLI call.  Importing the CLI loads
     neither dataclasses nor the modules it pulls in, nor subsetspace.verify,
-    which only verify calls import, nor random, which only verify uses."""
-    code = "import subsetspace.cli, sys; print(' '.join(sys.modules))"
+    which only verify calls import, nor random, which only verify lemma1
+    uses; importing subsetspace.verify loads no random either."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "subsetspace.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "random",
              "subsetspace.verify"}
-    assert not heavy & loaded, sorted(heavy & loaded)
+    for module, allowed in (("subsetspace.cli", set()),
+                            ("subsetspace.verify", {"subsetspace.verify"})):
+        code = f"import {module}, sys; print(' '.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert module in loaded
+        unexpected = (heavy - allowed) & loaded
+        assert not unexpected, sorted(unexpected)

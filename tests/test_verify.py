@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from subsetspace.simplicial import SimplicialSet
+from subsetspace.simplicial import (SimplicialSet,
+                                    simplicial_set_from_dict)
 from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
 from subsetspace.expk import build_expk
 from subsetspace import verify as V
@@ -21,19 +22,19 @@ def two_edge_path():
 
 
 def test_theorem1_graph_k3():
-    claim = V.theorem1_check(WedgeSpec((1, 1)), 3)
+    claim = V.theorem1_check(wedge(WedgeSpec((1, 1))), 3)
     assert claim.bound == 1
     assert claim.verdict == V.PASS
 
 
 def test_theorem1_sphere_k2():
-    claim = V.theorem1_check(WedgeSpec((2,)), 2)
+    claim = V.theorem1_check(wedge(WedgeSpec((2,))), 2)
     assert claim.bound == 1
     assert claim.verdict == V.PASS
 
 
 def test_theorem1_circle_k2_moebius():
-    claim = V.theorem1_check(WedgeSpec((1,)), 2)
+    claim = V.theorem1_check(wedge(WedgeSpec((1,))), 2)
     assert claim.bound == 0
     assert claim.verdict == V.PASS
     assert claim.homology.betti[1] == 1  # informational degree above bound
@@ -41,29 +42,59 @@ def test_theorem1_circle_k2_moebius():
 
 def test_theorem1_requires_homogeneous_wedge():
     with pytest.raises(ValueError):
-        V.theorem1_check(WedgeSpec((1, 2)), 2)
+        V.theorem1_check(wedge(WedgeSpec((1, 2))), 2)
+    # one vertex with generators in dimensions 1 and 2
+    mixed = SimplicialSet()
+    v = mixed.add_generator(0)
+    e, c = mixed.add_generator(1), mixed.add_generator(2)
+    mixed.set_faces(e, [mixed.simplex(v)] * 2)
+    mixed.set_faces(c, [mixed.simplex(e)] * 3)
+    for S in (subdivided_circle(4), mixed, SimplicialSet()):
+        with pytest.raises(ValueError, match="homogeneous wedge"):
+            V.theorem1_check(S, 2)
+
+
+def test_theorem1_reads_m_off_the_space():
+    # the README's minimal 2-sphere, with JSON names of its own
+    S = simplicial_set_from_dict({"generators": [["v"], [], ["c"]],
+                                  "faces": {"c": ["s_0 v"] * 3}})
+    for k in (2, 3):
+        got = V.theorem1_check(S, k)
+        want = V.theorem1_check(wedge(WedgeSpec((2,))), k)
+        assert got.bound == want.bound == k - 1
+        assert got.verdict == want.verdict
+        assert got.homology == want.homology
+        assert got.cells_enumerated == want.cells_enumerated
+
+
+def test_tuffley_is_the_m0_case_of_theorem1():
+    S = wedge(WedgeSpec((1, 1)))
+    assert V.tuffley_check(S, 3) == V.theorem1_check(S, 3)
+    # one dimension, but not one vertex: theorem1_check refuses it
+    with pytest.raises(ValueError, match="homogeneous wedge"):
+        V.tuffley_check(subdivided_circle(4), 2)
 
 
 def test_tuffley_circle_k3():
-    res = V.tuffley_check(WedgeSpec((1,)), 3)
+    res = V.tuffley_check(wedge(WedgeSpec((1,))), 3)
     assert res.verdict == V.PASS
     assert res.homology.betti[3] == 1
     assert res.homology.is_trivial_in(2)
 
 
 def test_tuffley_figure_eight_k2():
-    assert V.tuffley_check(WedgeSpec((1, 1)), 2).verdict == V.PASS
+    assert V.tuffley_check(wedge(WedgeSpec((1, 1))), 2).verdict == V.PASS
 
 
 def test_tuffley_k1_circle():
-    res = V.tuffley_check(WedgeSpec((1,)), 1)
+    res = V.tuffley_check(wedge(WedgeSpec((1,))), 1)
     assert res.verdict == V.PASS
     assert res.homology.betti == [0, 1]
 
 
 def test_tuffley_rejects_higher_spheres():
-    with pytest.raises(ValueError):
-        V.tuffley_check(WedgeSpec((2,)), 2)
+    with pytest.raises(ValueError, match="wedge of circles"):
+        V.tuffley_check(wedge(WedgeSpec((2,))), 2)  # sphere(2)
 
 
 def test_lemma1_path_cover_passes():
@@ -108,7 +139,7 @@ def test_lemma1_randomized_implication_holds():
 
 
 def test_theorem1_two_sphere_wedge_k3_stretch():
-    claim = V.theorem1_check(WedgeSpec((2, 2)), 3)
+    claim = V.theorem1_check(wedge(WedgeSpec((2, 2))), 3)
     assert claim.verdict == V.PASS
     # exact arithmetic matters here: 2-torsion appears above the bound
     assert claim.homology.torsion[4] == [2, 2]
