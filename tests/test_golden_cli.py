@@ -91,6 +91,8 @@ CASES = [
     ["verify", "invariance", "--file", "@broken.json", "--k", "1"],
     _verify("oracle", "bogus", 2),
     _verify("theorem1", "s2", 3, "--max-cells", "6"),
+    _verify("tuffley", "circle:4", 2), _verify("theorem1", "bogus", 2),
+    ["verify", "tuffley", "--file", "@sphere2.json", "--k", "2"],
 ]
 
 
