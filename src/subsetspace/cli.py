@@ -13,7 +13,7 @@ import sys
 import time
 
 from .simplicial import SimplicialError, load_simplicial_set
-from .spaces import parse_space, parse_wedge_spec
+from .spaces import parse_space
 from .expk import (DEFAULT_MAX_CELLS, ResourceCapError, build_expk,
                    colimit_level_oracle)
 from .homology import space_homology
@@ -27,17 +27,6 @@ EXIT_CAP = 3
 _INVARIANCE_PAIRS = {
     "s1": ["circle:3", "circle:4"],
 }
-
-
-def default_max_cells() -> int:
-    env = os.environ.get("SUBSETSPACE_MAX_CELLS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SimplicialError(
-                f"bad SUBSETSPACE_MAX_CELLS value {env!r}")
-    return DEFAULT_MAX_CELLS
 
 
 def _resolve_space(args: argparse.Namespace):
@@ -105,19 +94,15 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def cmd_verify(which: str, args: argparse.Namespace) -> int:
     from . import verify as V  # here, so that homology calls skip its import
     t0 = time.monotonic()
-    name = (os.path.basename(args.file) if args.file
-            else args.space.strip().lower())
-    # the gates run before the space is resolved, so before any cap test
-    if which in ("theorem1", "tuffley") and (
-            args.file or parse_wedge_spec(name) is None):
-        raise SimplicialError(f"descriptor {name!r} is not a wedge of spheres")
+    # the gates run before the space is resolved, so before any cap test;
+    # theorem1/tuffley refuse a space of the wrong structure themselves
     if which == "invariance" and args.file:
         raise SimplicialError(
             "verify invariance takes --space: its partners are curated "
             "per descriptor")
     if which == "oracle" and args.level is None:
         raise SimplicialError("--level is required for the oracle check")
-    _, S = _resolve_space(args)
+    name, S = _resolve_space(args)
     h, cells = None, 0
     if which in ("theorem1", "tuffley"):
         check = V.theorem1_check if which == "theorem1" else V.tuffley_check
@@ -156,7 +141,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", default=None, help="space descriptor, e.g. "
                    "s1, s2, wedge:1,1, circle:4")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-cells", type=int, default=None)
+    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
     p.add_argument("--format", choices=["json", "csv", "text"],
                    default="json")
     p.add_argument("--seed", type=int, default=None)
@@ -183,15 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Validate the parsed arguments in place: resolve the cell cap, and
-    read a missing --space as '' (an empty --file falls back to it)."""
+    """Validate the parsed arguments in place, reading a missing --space
+    as '' (an empty --file falls back to it)."""
     if args.space is None and args.file is None:
         raise SimplicialError("one of --space or --file is required")
     args.space = args.space or ""
     if args.k < 1:
         raise SimplicialError("k must be >= 1")
-    if args.max_cells is None:
-        args.max_cells = default_max_cells()
     if args.max_cells < 1:
         raise SimplicialError("cell cap must be >= 1")
 

@@ -58,21 +58,6 @@ def subdivided_circle(v: int) -> SimplicialSet:
     return S
 
 
-def parse_wedge_spec(descriptor: str) -> WedgeSpec | None:
-    """The wedge of spheres a descriptor 's<m>' or 'wedge:<m1>,<m2>,...'
-    names; None for a descriptor of another kind."""
-    d = descriptor.strip().lower()
-    if d.startswith("s") and d[1:].isdecimal():
-        return WedgeSpec((int(d[1:]),))
-    if d.startswith("wedge:"):
-        try:
-            dims = tuple(int(t) for t in d[len("wedge:"):].split(","))
-        except ValueError:
-            raise SimplicialError(f"bad wedge descriptor {descriptor!r}")
-        return WedgeSpec(dims)
-    return None
-
-
 def parse_space(descriptor: str,
                 max_cells: int | None = None) -> tuple[str, SimplicialSet]:
     """Parse a CLI space descriptor: 's1', 's2', ..., 'wedge:1,1', 'circle:4'.
@@ -83,9 +68,14 @@ def parse_space(descriptor: str,
     every k: its projected count stops at the first partial sum, C(V, 1).
     """
     d = descriptor.strip().lower()
-    spec = parse_wedge_spec(descriptor)
-    if spec is not None:
-        return d, wedge(spec)
+    if d.startswith("s") and d[1:].isdecimal():
+        return d, sphere(int(d[1:]))
+    if d.startswith("wedge:"):
+        try:
+            dims = tuple(int(t) for t in d[len("wedge:"):].split(","))
+        except ValueError:
+            raise SimplicialError(f"bad wedge descriptor {descriptor!r}")
+        return d, wedge(WedgeSpec(dims))
     if d.startswith("circle:"):
         try:
             v = int(d[len("circle:"):])

@@ -120,17 +120,48 @@ def test_parse_error_exit_code(capsys):
     assert "bad wedge descriptor" in err
 
 
-def test_wedge_checks_reject_file(capsys, tmp_path):
-    # a file named like a descriptor must not stand for that wedge
+def _seeded_payload(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 0, argv
+    return json.loads(out)
+
+
+def _wedge_doc(dims):
+    """The JSON face table of the wedge of spheres of the given dimensions:
+    every face of a d-sphere's generator is s_{d-2} ... s_0 v."""
+    names = [f"g{i}" for i in range(len(dims))]
+    return {"generators": [["v"]] + [[n for n, d in zip(names, dims)
+                                      if d == level]
+                                     for level in range(1, max(dims) + 1)],
+            "faces": {n: [" ".join([f"s_{i}" for i in range(d - 2, -1, -1)]
+                                   + ["v"])] * (d + 1)
+                      for n, d in zip(names, dims)}}
+
+
+def test_a_file_stands_for_its_own_content(capsys, tmp_path):
+    # a file named like a descriptor stands for the space it holds: s2
+    # holding a one-vertex circle verifies as s1 does
     path = tmp_path / "s2"
     path.write_text(json.dumps({"generators": [["v"], ["e"]],
                                 "faces": {"e": ["v", "v"]}}))
     for which in ("theorem1", "tuffley"):
+        by_file = _seeded_payload(capsys, "verify", which, "--file",
+                                  str(path), "--k", "2")
+        by_space = _seeded_payload(capsys, "verify", which, "--space", "s1",
+                                   "--k", "2")
+        assert by_file.pop("space") == "s2"
+        by_space.pop("space")
+        assert by_file == by_space
+    # a 3-gon is a circle, but not a wedge of one-vertex spheres
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
+        "generators": [["a", "b", "c"], ["x", "y", "z"]],
+        "faces": {"x": ["b", "a"], "y": ["c", "b"], "z": ["a", "c"]}}))
+    for which in ("theorem1", "tuffley"):
         code, out, err = run_cli(capsys, "verify", which, "--file",
                                  str(path), "--k", "2")
-        assert code == 2
-        assert out == ""
-        assert "not a wedge of spheres" in err
+        assert (code, out) == (2, "")
+        assert "needs a homogeneous wedge" in err
     # invariance partners come from --space only: a file named s1 holding
     # the minimal 2-sphere is not compared with the circle's partners
     path = tmp_path / "s1"
@@ -141,6 +172,24 @@ def test_wedge_checks_reject_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_file_and_descriptor_routes_agree(capsys, tmp_path):
+    """verify theorem1/tuffley --file on a wedge's face table prints what
+    --space prints for its descriptor, apart from the space's name."""
+    for desc, dims in [("s1", (1,)), ("s2", (2,)), ("wedge:1,1", (1, 1)),
+                       ("wedge:2,2", (2, 2)), ("wedge:1,1,1", (1, 1, 1))]:
+        path = tmp_path / f"{desc.replace(':', '_')}.json"
+        path.write_text(json.dumps(_wedge_doc(dims)))
+        checks = ("theorem1", "tuffley") if max(dims) == 1 else ("theorem1",)
+        for which in checks:
+            for k in (1, 2, 3):
+                by_file = _seeded_payload(capsys, "verify", which, "--file",
+                                          str(path), "--k", str(k))
+                by_space = _seeded_payload(capsys, "verify", which,
+                                           "--space", desc, "--k", str(k))
+                by_file.pop("space"), by_space.pop("space")
+                assert by_file == by_space, (which, desc, k)
 
 
 def test_missing_space_is_parse_error(capsys):
@@ -167,8 +216,7 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
     circle:15000 with 15000 + C(15000, 2), a count whose full sum 2^15000
     has more digits than int -> str converts.  The oracle's tuple count
     2 + 4 + ... at level 1 of s1 stops the same way, at 2^18 - 2."""
-    env = {key: value for key, value in os.environ.items()
-           if key != "SUBSETSPACE_MAX_CELLS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -215,11 +263,9 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
                                        **built.value.sizing_report()}
 
 
-def test_env_var_overrides_cap(capsys, monkeypatch):
+def test_env_var_does_not_set_the_cap(capsys, monkeypatch):
+    # the cap comes only from --max-cells (test_resource_cap_exit_code)
     monkeypatch.setenv("SUBSETSPACE_MAX_CELLS", "4")
-    code, _, err = run_cli(capsys, "homology", "--space", "s1", "--k", "3")
-    assert code == 3
-    monkeypatch.setenv("SUBSETSPACE_MAX_CELLS", "100000")
     code, _, _ = run_cli(capsys, "homology", "--space", "s1", "--k", "3")
     assert code == 0
 

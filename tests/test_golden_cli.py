@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -80,9 +79,10 @@ CASES = [
     # exit 3 reports whose projected count is the level's last partial sum
     _homology("circle:7", 1, "--max-cells", "6"),
     _homology("circle:300000", 1),
-    # verify's gates, in order: a wedge descriptor for theorem1/tuffley
-    # (before any cap test), no --file for invariance (before loading it),
-    # --level for the oracle (before parsing); then each check's own refusal
+    # verify's gates, in order: no --file for invariance (before loading
+    # it), --level for the oracle (before parsing); then the space's own
+    # cap test, and each check's own refusal of a space of the wrong
+    # structure, from a descriptor or a file alike
     _verify("tuffley", "wedge:1,2", 2), _verify("tuffley", "s2", 2),
     _verify("theorem1", "wedge:1,2", 2),
     _verify("theorem1", "circle:300000", 1),
@@ -110,8 +110,7 @@ def _write_fixtures(files: dict, where: Path) -> None:
         (where / name).write_text(json.dumps(doc))
 
 
-def test_seeded_cli_output_matches_the_recording(tmp_path, monkeypatch):
-    monkeypatch.delenv("SUBSETSPACE_MAX_CELLS", raising=False)
+def test_seeded_cli_output_matches_the_recording(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     _write_fixtures(golden["files"], tmp_path)
     for case in golden["cases"]:
@@ -121,7 +120,6 @@ def test_seeded_cli_output_matches_the_recording(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     import tempfile
-    os.environ.pop("SUBSETSPACE_MAX_CELLS", None)
     with tempfile.TemporaryDirectory() as tmp:
         _write_fixtures(FILES, Path(tmp))
         cases = [{"argv": argv, **_run(argv, Path(tmp))} for argv in CASES]
