@@ -28,6 +28,7 @@ FILES = {
     "broken.json": {"generators": [["u", "v"], ["a", "b"], ["t"]],
                     "faces": {"a": ["u", "u"], "b": ["v", "v"],
                               "t": ["a", "b", "a"]}},
+    "point.json": {"generators": [["v"]]},
 }
 
 
@@ -93,6 +94,13 @@ CASES = [
     _verify("theorem1", "s2", 3, "--max-cells", "6"),
     _verify("tuffley", "circle:4", 2), _verify("theorem1", "bogus", 2),
     ["verify", "tuffley", "--file", "@sphere2.json", "--k", "2"],
+    # the oracle at a huge k on a one-level space, over the cap, above the
+    # top level of the build, and at a negative level
+    ["verify", "oracle", "--file", "@point.json", "--k", "1000000000",
+     "--level", "0"],
+    _verify("oracle", "wedge:1,1,1", 4, "--level", "4", "--max-cells", "100"),
+    _verify("oracle", "s2", 2, "--level", "400"),
+    _verify("oracle", "s1", 2, "--level", "-1"),
 ]
 
 
