@@ -5,8 +5,7 @@ from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
                          ValidationReport, apply_face, compose_degeneracy,
                          enumerate_level, load_simplicial_set, validate)
 from .spaces import WedgeSpec, sphere, subdivided_circle, wedge
-from .expk import (ExpkSpace, ResourceCapError, build_expk,
-                   colimit_level_oracle)
+from .expk import ExpkSpace, ResourceCapError, build_expk
 from .homology import (ChainComplex, ChainComplexError, HomologyResult,
                        SmithResult, homology, normalized_chains,
                        smith_normal_form, space_homology)
@@ -16,7 +15,7 @@ __all__ = [
     "apply_face", "compose_degeneracy", "enumerate_level",
     "load_simplicial_set", "validate",
     "WedgeSpec", "sphere", "subdivided_circle", "wedge",
-    "ExpkSpace", "ResourceCapError", "build_expk", "colimit_level_oracle",
+    "ExpkSpace", "ResourceCapError", "build_expk",
     "ChainComplex", "ChainComplexError", "HomologyResult", "SmithResult",
     "homology", "normalized_chains", "smith_normal_form", "space_homology",
 ]

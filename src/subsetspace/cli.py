@@ -14,8 +14,7 @@ import time
 
 from .simplicial import SimplicialError, load_simplicial_set
 from .spaces import parse_space
-from .expk import (DEFAULT_MAX_CELLS, ResourceCapError, build_expk,
-                   colimit_level_oracle)
+from .expk import DEFAULT_MAX_CELLS, ResourceCapError, build_expk
 from .homology import space_homology
 
 EXIT_OK = 0
@@ -94,14 +93,12 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def cmd_verify(which: str, args: argparse.Namespace) -> int:
     from . import verify as V  # here, so that homology calls skip its import
     t0 = time.monotonic()
-    # the gates run before the space is resolved, so before any cap test;
+    # the gate runs before the space is resolved, so before any cap test;
     # theorem1/tuffley refuse a space of the wrong structure themselves
     if which == "invariance" and args.file:
         raise SimplicialError(
             "verify invariance takes --space: its partners are curated "
             "per descriptor")
-    if which == "oracle" and args.level is None:
-        raise SimplicialError("--level is required for the oracle check")
     name, S = _resolve_space(args)
     h, cells = None, 0
     if which in ("theorem1", "tuffley"):
@@ -109,10 +106,8 @@ def cmd_verify(which: str, args: argparse.Namespace) -> int:
         res = check(S, args.k, max_cells=args.max_cells)
         verdict, h, cells = res.verdict, res.homology, res.cells_enumerated
     elif which == "oracle":
-        summary = colimit_level_oracle(S, args.k, args.level,
-                                       max_cells=args.max_cells)
-        verdict = V.PASS if summary.ok else V.FAIL
-        cells = summary.class_count
+        verdict, cells = V.level_count_check(S, args.k, args.level,
+                                             max_cells=args.max_cells)
     elif which == "invariance":
         partners = (["s1"] if name.startswith("circle:")
                     else _INVARIANCE_PAIRS.get(name))
@@ -163,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "invariance", "oracle"])
     _add_common(pv)
     pv.add_argument("--level", type=int, default=None,
-                    help="level for the colimit oracle")
+                    help="level for the oracle's count (default: every "
+                    "level)")
     return parser
 
 

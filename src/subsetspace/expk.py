@@ -7,15 +7,11 @@ the complements of its elements' words cover [n]: a pruned depth-first
 search finds these subsets.  A face's Eilenberg-Zilber normal form is s_C of
 a core, C the AND of its elements' words: since d_c s_c = id, each element
 drops C by following d_c through the level face tables, highest c first.
-Oracle: the colimit of cartesian products of at most k factors under
-diagonal insertions and factor permutations, whose classes must biject with
-the subsets.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
 from math import comb
 
 from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
@@ -58,7 +54,7 @@ def projected_cells(m: int, k: int, cap: int) -> int:
     return total
 
 
-def _level_size(S: SimplicialSet, n: int) -> int:
+def level_size(S: SimplicialSet, n: int) -> int:
     """Number of simplices of S in dimension n: a generator of dimension d
     contributes one simplex per normal-form word of length n - d."""
     if n < 0:
@@ -131,7 +127,7 @@ def build_expk(S: SimplicialSet, k: int,
         return FormalSimplex(gen_of[at, tuple(sorted(elems))], C, n)
 
     for n in range(k * S.dim + 1):
-        m = _level_size(S, n)
+        m = level_size(S, n)
         projected = projected_cells(m, k, max_cells)
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
@@ -153,79 +149,3 @@ def build_expk(S: SimplicialSet, k: int,
         below_masks = masks
     return ExpkSpace(result=result, cells_enumerated=cells)
 
-
-class OracleSummary(namedtuple(
-        "OracleSummary", "level k level_size class_count expected_classes "
-        "bijection_ok")):
-    """The colimit oracle's counts (ints) and checks (bools) at one level."""
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.class_count == self.expected_classes and self.bijection_ok
-
-
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def colimit_level_oracle(S: SimplicialSet, k: int, n: int,
-                         max_cells: int = DEFAULT_MAX_CELLS) -> OracleSummary:
-    """Build the level-n colimit of tuples of length <= k under diagonal
-    insertions and factor permutations, and compare its classes with the
-    nonempty subsets of size <= k of S_n.  S is read only through the
-    level size m = |S_n|."""
-    if k < 1:
-        raise SimplicialError("k must be >= 1")
-    m = _level_size(S, n)
-    total = 0
-    for j in range(1, k + 1):  # k may be huge: stop once over the cap
-        total += m ** j
-        if total > max_cells:
-            raise ResourceCapError(n, m, total, max_cells)
-
-    tuples = [t for j in range(1, k + 1) for t in product(range(m), repeat=j)]
-    index = {t: a for a, t in enumerate(tuples)}
-
-    ds = _DisjointSet(len(tuples))
-    for t in tuples:
-        j = len(t)
-        # adjacent transpositions generate all permutations of the factors
-        for p in range(j - 1):
-            swapped = t[:p] + (t[p + 1], t[p]) + t[p + 2:]
-            ds.union(index[t], index[swapped])
-        # diagonal insertions: duplicate one coordinate
-        if j < k:
-            for p in range(j):
-                dup = t[:p] + (t[p],) + t[p:]
-                ds.union(index[t], index[dup])
-
-    classes: dict[int, list[tuple[int, ...]]] = {}
-    for t in tuples:
-        classes.setdefault(ds.find(index[t]), []).append(t)
-    expected = sum(comb(m, j) for j in range(1, k + 1))
-
-    # bijection witness: every class must consist exactly of the tuples whose
-    # coordinate set is one fixed subset of size <= k
-    sets = [{frozenset(t) for t in members} for members in classes.values()]
-    bijection_ok = (all(len(s) == 1 for s in sets)
-                    and len(set().union(*sets)) == len(classes)
-                    and all(1 <= len(t) <= k for s in sets for t in s))
-
-    return OracleSummary(level=n, k=k, level_size=m,
-                         class_count=len(classes), expected_classes=expected,
-                         bijection_ok=bijection_ok)

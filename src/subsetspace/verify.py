@@ -1,4 +1,5 @@
-"""Executable checks of the connectivity statements on concrete spaces.
+"""Executable checks of the connectivity statements on concrete spaces,
+and of the built exp_k S against its level counts.
 
 Connectivity is verified homologically: a space passes when its reduced
 integer homology vanishes through the claimed bound.  Simple connectivity,
@@ -10,9 +11,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from math import comb
 
 from .simplicial import SimplicialSet, close_under_faces
-from .expk import DEFAULT_MAX_CELLS, build_expk
+from .expk import DEFAULT_MAX_CELLS, build_expk, level_size
 from .homology import (HomologyResult, homology, normalized_chains,
                        space_homology)
 
@@ -162,3 +164,22 @@ def invariance_check(A: SimplicialSet, partners: list[SimplicialSet], k: int,
         verdict=PASS if all(ha.groups_equal(hb) for hb in hs) else FAIL,
         homology_a=ha, homology_partners=hs,
         cells_enumerated=space.cells_enumerated)
+
+
+def level_count_check(S: SimplicialSet, k: int, level: int | None = None,
+                      max_cells: int = DEFAULT_MAX_CELLS) -> tuple[str, int]:
+    """(verdict, cells_enumerated) of the built exp_k S against its level
+    counts.  By the Eilenberg-Zilber lemma every simplex is s_W y for exactly
+    one non-degenerate y, so level n of the build has sum_j f_j C(n, j)
+    simplices; it must have one per nonempty subset of size <= k of S_n.
+    Without a level every n <= k * dim S is checked: by Moebius inversion
+    these fix every f_j, so every higher level agrees too."""
+    space = build_expk(S, k, max_cells=max_cells)
+
+    def subsets(m: int) -> int:  # min(k, m): k may be huge
+        return sum(comb(m, i) for i in range(1, min(k, m) + 1))
+
+    levels = range(k * S.dim + 1) if level is None else [level]
+    ok = all(level_size(space.result, n) == subsets(level_size(S, n))
+             for n in levels)
+    return PASS if ok else FAIL, space.cells_enumerated

@@ -16,7 +16,7 @@ from subsetspace.simplicial import (FormalSimplex, apply_face,
                                     validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
-from subsetspace.expk import build_expk, colimit_level_oracle
+from subsetspace.expk import build_expk
 from subsetspace.homology import normalized_chains, homology, smith_normal_form, space_homology
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
@@ -104,14 +104,10 @@ def test_criterion_4_triangulation_invariance():
 def test_criterion_5_oracle_equivalence():
     ok = True
     for desc, k in MATRIX_CASES:
-        _, S = parse_space(desc)
-        for n in range(k * S.dim + 1):
-            if len(enumerate_level(S, n)) > 40:
-                continue
-            summary = colimit_level_oracle(S, k, n)
-            if not summary.ok:
-                print(f"  oracle {desc} k={k} level={n}: FAIL")
-                ok = False
+        verdict, _ = V.level_count_check(parse_space(desc)[1], k)
+        if verdict != V.PASS:
+            print(f"  level-count oracle {desc} k={k}: FAIL")
+            ok = False
     report("5 oracle-equivalence", ok)
 
 

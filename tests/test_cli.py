@@ -67,7 +67,9 @@ def test_verify_oracle(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
-    assert payload["cells_enumerated"] == 3
+    # the count of the exp_k build, as for the other checks
+    assert payload["cells_enumerated"] == homology_cells(capsys, "s1",
+                                                         2) == 10
 
 
 def test_verify_tuffley(capsys):
@@ -214,8 +216,8 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
     partial sum over the cap, so k = 10^9 is refused at once: at level 17
     of s1 with C(18, 1) + ... + C(18, 6) = 230,963, and at level 0 of
     circle:15000 with 15000 + C(15000, 2), a count whose full sum 2^15000
-    has more digits than int -> str converts.  The oracle's tuple count
-    2 + 4 + ... at level 1 of s1 stops the same way, at 2^18 - 2."""
+    has more digits than int -> str converts.  verify oracle builds exp_k S
+    first, so it is refused where homology is."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
@@ -224,8 +226,8 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
             (["homology", "--space", "s1"], 17, 18, 230_963),
             (["homology", "--space", "circle:15000"], 0, 15_000,
              112_507_500),
-            (["verify", "oracle", "--space", "s1", "--level", "1"], 1, 2,
-             2 ** 18 - 2)]:
+            (["verify", "oracle", "--space", "s1", "--level", "1"], 17, 18,
+             230_963)]:
         proc = subprocess.run(
             [sys.executable, "-m", "subsetspace.cli", *args,
              "--k", "1000000000"],
@@ -235,6 +237,21 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
         assert json.loads(proc.stderr) == {
             "error": "resource-cap", "level": level, "level_size": level_size,
             "projected_cells": projected, "cap": 200_000}
+
+
+def test_oracle_on_a_vertex_file_at_a_huge_k_is_quick(capsys, tmp_path):
+    """exp_k of a vertex-only file is its one level at every k, and the
+    oracle's subset count at a level of m simplices stops at min(k, m), so
+    k = 10^9 passes at once."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"generators": [["v"]]}))
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--file", str(path),
+                           "--k", "1000000000")
+    assert time.perf_counter() - started < 0.5
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["cells_enumerated"]) == ("pass", 1)
 
 
 def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
@@ -407,7 +424,7 @@ def test_file_fuzz_never_tracebacks(capsys, tmp_path):
     rng = random.Random(4242)
     path = tmp_path / "fuzz.json"
     commands = [["homology"], ["verify", "lemma1"],
-                ["verify", "oracle", "--level", "1"]]
+                ["verify", "oracle", "--level", "1"], ["verify", "oracle"]]
     for _ in range(300):
         doc = rng.choice(_FUZZ_SEEDS)
         for _ in range(rng.randint(1, 2)):

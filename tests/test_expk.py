@@ -1,18 +1,15 @@
 import random
-from math import comb
 
 import pytest
 
-from subsetspace import cli, expk
+from subsetspace import expk
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     SimplicialSet, apply_face,
                                     degeneracy_words, enumerate_level,
                                     validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
-from subsetspace.expk import (DEFAULT_MAX_CELLS, OracleSummary,
-                              ResourceCapError, build_expk,
-                              colimit_level_oracle)
+from subsetspace.expk import ResourceCapError, build_expk
 from subsetspace.homology import (SmithResult, homology, normalized_chains,
                                   space_homology)
 
@@ -308,89 +305,6 @@ def test_resource_cap_triggers():
     assert report["projected_cells"] > 4
 
 
-def test_oracle_circle_level1():
-    summary = colimit_level_oracle(circle(), 2, 1)
-    assert summary.level_size == 2
-    assert summary.class_count == 3
-    assert summary.ok
-
-
-def test_oracle_class_count_formula():
-    for S, k, n in [(circle(), 2, 2), (sphere(2), 3, 2),
-                    (wedge(WedgeSpec((1, 1))), 2, 1),
-                    (subdivided_circle(3), 2, 1)]:
-        m = len(enumerate_level(S, n))
-        summary = colimit_level_oracle(S, k, n)
-        assert summary.class_count == sum(comb(m, j) for j in range(1, k + 1))
-        assert summary.ok
-
-
-def test_oracle_matches_subset_count():
-    # classes (degenerate subsets included) vs the enumerated subsets of the
-    # level, compared through the D-set test
-    S = circle()
-    k, n = 2, 2
-    level = enumerate_level(S, n)
-    all_subsets = []
-    for size in (1, 2):
-        from itertools import combinations
-        all_subsets += [subset_tuple(c)
-                        for c in combinations(level, size)]
-    summary = colimit_level_oracle(S, k, n)
-    assert summary.class_count == len(all_subsets)
-
-
-def test_oracle_checks_cap_before_enumerating(monkeypatch):
-    """The oracle sizes the level by its closed count and refuses it before
-    materialising it."""
-    calls = []
-    real = expk.enumerate_level
-
-    def recorder(S, n):
-        calls.append(n)
-        return real(S, n)
-
-    monkeypatch.setattr(expk, "enumerate_level", recorder)
-    with pytest.raises(ResourceCapError) as exc:
-        colimit_level_oracle(sphere(2), 2, 400)
-    assert calls == []
-    m = 1 + comb(400, 2)
-    assert exc.value.sizing_report() == {
-        "level": 400, "level_size": m, "projected_cells": m + m * m,
-        "cap": DEFAULT_MAX_CELLS}
-    with pytest.raises(SimplicialError, match="dimension must be >= 0"):
-        colimit_level_oracle(sphere(2), 2, -1)
-    for S in [circle(), sphere(2), wedge(WedgeSpec((1, 2))),
-              subdivided_circle(3)]:
-        for n in range(5):
-            assert (colimit_level_oracle(S, 1, n).level_size
-                    == len(real(S, n)))
-
-
-def test_oracle_resource_cap():
-    with pytest.raises(ResourceCapError):
-        colimit_level_oracle(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
-
-
-def test_oracle_fails_on_a_broken_colimit(monkeypatch, capsys):
-    """The oracle can fail: with no tuples merged its 6 classes miss the 3
-    subsets of S^1's level 1 at k = 2, and the CLI exits 1; with every tuple
-    in one class the count and the bijection both fail."""
-    with monkeypatch.context() as patch:
-        patch.setattr(expk._DisjointSet, "union", lambda self, a, b: None)
-        summary = colimit_level_oracle(sphere(1), 2, 1)
-        assert (summary.class_count, summary.expected_classes) == (6, 3)
-        assert summary.ok is False
-        assert cli.main(["verify", "oracle", "--space", "s1", "--k", "2",
-                         "--level", "1", "--seed", "0"]) == 1
-        assert '"verdict": "fail"' in capsys.readouterr().out
-    monkeypatch.setattr(expk._DisjointSet, "find", lambda self, a: 0)
-    summary = colimit_level_oracle(sphere(1), 2, 1)
-    assert summary.class_count == 1
-    assert summary.bijection_ok is False
-    assert summary.ok is False
-
-
 def test_records_compare_and_hash_as_their_field_tuples():
     """Set orders, generator ids and seeded output rest on this: a
     FormalSimplex hashes and sorts as (base, word, dim), the records are
@@ -407,13 +321,10 @@ def test_records_compare_and_hash_as_their_field_tuples():
     space = build_expk(S, 2)
     records = [(x, "word"), (WedgeSpec((1,)), "sphere_dims"),
                (space, "result"),
-               (space_homology(space.result), "betti"),
-               (colimit_level_oracle(S, 2, 1), "level_size")]
+               (space_homology(space.result), "betti")]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert space._fields == ("result", "cells_enumerated")
-    assert OracleSummary._fields == ("level", "k", "level_size", "class_count",
-                                     "expected_classes", "bijection_ok")
     assert SmithResult(rank=0, divisors=[]).cleared == ()
