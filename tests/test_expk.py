@@ -1,15 +1,18 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from subsetspace import expk
+from subsetspace import verify as V
 from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     SimplicialSet, apply_face,
                                     degeneracy_words, enumerate_level,
                                     validate)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
-from subsetspace.expk import ResourceCapError, build_expk
+from subsetspace.expk import ResourceCapError, build_expk, level_size
 from subsetspace.homology import (SmithResult, homology, normalized_chains,
                                   space_homology)
 
@@ -303,6 +306,74 @@ def test_resource_cap_triggers():
     report = exc.value.sizing_report()
     assert report["cap"] == 4
     assert report["projected_cells"] > 4
+
+
+def test_oracle_circle_level1():
+    """Level 1 of exp_2 S^1 holds the 3 nonempty subsets of the 2 simplices
+    of S^1_1, and the check passes there with the build's cell count."""
+    S = circle()
+    assert level_size(S, 1) == 2
+    assert level_size(build_expk(S, 2).result, 1) == 3
+    assert V.level_count_check(S, 2, 1) == (V.PASS, 10)
+
+
+def test_oracle_class_count_formula():
+    for S, k, n in [(circle(), 2, 2), (sphere(2), 3, 2),
+                    (wedge(WedgeSpec((1, 1))), 2, 1),
+                    (subdivided_circle(3), 2, 1)]:
+        m = len(enumerate_level(S, n))
+        space = build_expk(S, k)
+        assert (level_size(space.result, n)
+                == sum(comb(m, j) for j in range(1, k + 1)))
+        assert V.level_count_check(S, k, n) == (V.PASS,
+                                                space.cells_enumerated)
+
+
+def test_oracle_matches_subset_count():
+    """The build's level size is the itertools count of the subsets of size
+    <= k of the enumerated level, and level_size(S, n) is |S_n|."""
+    for S, k, n in [(circle(), 2, 1), (circle(), 2, 2), (sphere(2), 3, 2),
+                    (wedge(WedgeSpec((1, 1))), 2, 1),
+                    (subdivided_circle(3), 2, 1)]:
+        level = enumerate_level(S, n)
+        subsets = sum(1 for size in range(1, k + 1)
+                      for _ in combinations(level, size))
+        assert level_size(build_expk(S, k).result, n) == subsets
+    for S in [circle(), sphere(2), wedge(WedgeSpec((1, 2))),
+              subdivided_circle(3)]:
+        for n in range(5):
+            assert level_size(S, n) == len(enumerate_level(S, n))
+
+
+def test_oracle_checks_cap_before_enumerating(monkeypatch):
+    """The check sizes each level of the build before enumerating it, and a
+    level above the build's top dimension is checked, not refused: its
+    simplices are all degenerate, and their count still holds."""
+    calls = []
+    real = expk.enumerate_level
+
+    def recorder(S, n):
+        calls.append(n)
+        return real(S, n)
+
+    monkeypatch.setattr(expk, "enumerate_level", recorder)
+    with pytest.raises(ResourceCapError):
+        V.level_count_check(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
+    assert calls == [0, 1, 2]
+    assert V.level_count_check(sphere(2), 2, 400) == (V.PASS, 43)
+    with pytest.raises(SimplicialError, match="dimension must be >= 0"):
+        V.level_count_check(sphere(2), 2, -1)
+
+
+def test_oracle_resource_cap():
+    """The check refuses exactly where build_expk does, with its report."""
+    S = wedge(WedgeSpec((1, 1, 1)))
+    with pytest.raises(ResourceCapError) as built:
+        build_expk(S, 4, max_cells=100)
+    with pytest.raises(ResourceCapError) as checked:
+        V.level_count_check(S, 4, 4, max_cells=100)
+    assert checked.value.sizing_report() == built.value.sizing_report() == {
+        "level": 3, "level_size": 10, "projected_cells": 175, "cap": 100}
 
 
 def test_records_compare_and_hash_as_their_field_tuples():

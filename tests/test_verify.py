@@ -1,13 +1,12 @@
 import random
-from itertools import combinations
 
 import pytest
 
-from subsetspace.simplicial import (SimplicialError, SimplicialSet,
-                                    enumerate_level, simplicial_set_from_dict)
+from subsetspace.simplicial import (SimplicialSet,
+                                    simplicial_set_from_dict)
 from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
-from subsetspace.expk import ResourceCapError, build_expk, level_size
-from subsetspace import cli, expk
+from subsetspace.expk import build_expk
+from subsetspace import cli
 from subsetspace import verify as V
 
 
@@ -161,55 +160,6 @@ def test_invariance_identity():
 def test_invariance_detects_different_types():
     assert V.invariance_check(sphere(1), [wedge(WedgeSpec((1, 1)))],
                               2).verdict == V.FAIL
-
-
-def test_level_count_matches_the_subsets_of_each_level():
-    """Level n of the built exp_k S has one simplex per nonempty subset of
-    size <= k of S_n, counted here by itertools over the enumerated level,
-    and the check passes there; level_size(S, n) is |S_n|."""
-    for S, k, n in [(sphere(1), 2, 1), (sphere(1), 2, 2), (sphere(2), 3, 2),
-                    (wedge(WedgeSpec((1, 1))), 2, 1),
-                    (subdivided_circle(3), 2, 1)]:
-        space = build_expk(S, k)
-        level = enumerate_level(S, n)
-        subsets = sum(1 for size in range(1, k + 1)
-                      for _ in combinations(level, size))
-        assert level_size(space.result, n) == subsets
-        assert V.level_count_check(S, k, n) == (V.PASS,
-                                                space.cells_enumerated)
-    for S in [sphere(1), sphere(2), wedge(WedgeSpec((1, 2))),
-              subdivided_circle(3)]:
-        for n in range(5):
-            assert level_size(S, n) == len(enumerate_level(S, n))
-
-
-def test_level_count_check_is_capped_as_the_build(monkeypatch):
-    """The check refuses exactly where build_expk does, with its sizing
-    report, each level sized before it is enumerated."""
-    S = wedge(WedgeSpec((1, 1, 1)))
-    with pytest.raises(ResourceCapError) as built:
-        build_expk(S, 4, max_cells=100)
-    calls = []
-    real = expk.enumerate_level
-
-    def recorder(S, n):
-        calls.append(n)
-        return real(S, n)
-
-    monkeypatch.setattr(expk, "enumerate_level", recorder)
-    with pytest.raises(ResourceCapError) as checked:
-        V.level_count_check(S, 4, 4, max_cells=100)
-    assert checked.value.sizing_report() == built.value.sizing_report() == {
-        "level": 3, "level_size": 10, "projected_cells": 175, "cap": 100}
-    assert calls == [0, 1, 2]
-
-
-def test_level_count_check_takes_every_level_from_zero():
-    """A level above the build's top dimension is checked, not refused: its
-    simplices are all degenerate, and their count still holds."""
-    assert V.level_count_check(sphere(2), 2, 400) == (V.PASS, 43)
-    with pytest.raises(SimplicialError, match="dimension must be >= 0"):
-        V.level_count_check(sphere(2), 2, -1)
 
 
 def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
