@@ -100,6 +100,13 @@ CASES = [
     _verify("oracle", "wedge:1,1,1", 4, "--level", "4", "--max-cells", "100"),
     _verify("oracle", "s2", 2, "--level", "400"),
     _verify("oracle", "s1", 2, "--level", "-1"),
+    # invariance on files and on descriptors beyond s1 and circle:V, under
+    # the partner's cap and under the default cap at a high dimension
+    ["verify", "invariance", "--file", "@sphere2.json", "--k", "2"],
+    ["verify", "invariance", "--file", "@circle.json", "--k", "3", *CSV],
+    _verify("invariance", "wedge:1,2", 2, *TEXT),
+    _verify("invariance", "s2", 3, "--max-cells", "1000"),
+    _verify("invariance", "s20", 1),
 ]
 
 
