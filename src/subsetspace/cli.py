@@ -13,7 +13,7 @@ import sys
 import time
 
 from .simplicial import SimplicialError, load_simplicial_set
-from .spaces import parse_space
+from .spaces import edgewise_subdivision, parse_space
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, build_expk
 from .homology import space_homology
 
@@ -21,12 +21,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
-
-# curated homotopy-equivalent partners for the invariance check
-_INVARIANCE_PAIRS = {
-    "s1": ["circle:3", "circle:4"],
-}
-
 
 def _resolve_space(args: argparse.Namespace):
     """The named space; a descriptor over the cap at level 0 of exp_k is
@@ -93,12 +87,6 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def cmd_verify(which: str, args: argparse.Namespace) -> int:
     from . import verify as V  # here, so that homology calls skip its import
     t0 = time.monotonic()
-    # the gate runs before the space is resolved, so before any cap test;
-    # theorem1/tuffley refuse a space of the wrong structure themselves
-    if which == "invariance" and args.file:
-        raise SimplicialError(
-            "verify invariance takes --space: its partners are curated "
-            "per descriptor")
     name, S = _resolve_space(args)
     h, cells = None, 0
     if which in ("theorem1", "tuffley"):
@@ -109,12 +97,8 @@ def cmd_verify(which: str, args: argparse.Namespace) -> int:
         verdict, cells = V.level_count_check(S, args.k, args.level,
                                              max_cells=args.max_cells)
     elif which == "invariance":
-        partners = (["s1"] if name.startswith("circle:")
-                    else _INVARIANCE_PAIRS.get(name))
-        if not partners:
-            raise SimplicialError(
-                f"no curated invariance partner for {name!r}")
-        res = V.invariance_check(S, [parse_space(p)[1] for p in partners],
+        # esd S is made before either exp_k build, so its cap test runs first
+        res = V.invariance_check(S, edgewise_subdivision(S, args.max_cells),
                                  args.k, max_cells=args.max_cells)
         verdict, h, cells = res.verdict, res.homology_a, res.cells_enumerated
     else:  # lemma1; argparse admits only the five checks

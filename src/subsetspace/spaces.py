@@ -1,13 +1,15 @@
 """Builders for the spaces quantified over in the verification suite:
-minimal spheres, wedges of spheres, and subdivided circles for
-triangulation-invariance tests."""
+minimal spheres, wedges of spheres, subdivided circles, and Segal's edgewise
+subdivision of any finite simplicial set for triangulation-invariance
+tests."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .simplicial import FormalSimplex, SimplicialSet, SimplicialError
-from .expk import ResourceCapError
+from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
+                         apply_face, enumerate_level)
+from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
 
 
 class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
@@ -56,6 +58,52 @@ def subdivided_circle(v: int) -> SimplicialSet:
         e = S.add_generator(1)
         S.set_faces(e, [S.simplex(verts[(i + 1) % v]), S.simplex(verts[i])])
     return S
+
+
+def edgewise_subdivision(S: SimplicialSet,
+                         max_cells: int = DEFAULT_MAX_CELLS) -> SimplicialSet:
+    """Segal's edgewise subdivision esd S: (esd S)_n = S_{2n+1}, with
+    d_i = d_i d_{2n+1-i} and s_i = s_i s_{2n+1-i}, and |esd S| = |S|.
+    exp_k is levelwise, so exp_k esd S = esd exp_k S for every k.
+
+    s_c s_{2n-1-c} = s_{2n-c} s_c, so x in S_{2n+1} is an esd s_c exactly
+    when bits c and 2n - c of its word are set, c < n: those c are its esd
+    word, and the x with none are the generators.  Then s_W g has at most
+    n + 1 bits, and 2n + 1 - dim g of them, so n <= dim S.  A face drops its
+    esd word C by following d_c, highest c first, as build_expk's face()
+    does.  Level n has level_size(S, 2n + 1) simplices, and every level is
+    tested against ``max_cells`` before any is built.
+    """
+    for n in range(S.dim + 1):
+        m = level_size(S, 2 * n + 1)
+        if m > max_cells:
+            raise ResourceCapError(n, m, m, max_cells)
+    E = SimplicialSet()
+    id_of: dict[FormalSimplex, int] = {}
+
+    def esd_word(x: FormalSimplex, n: int) -> int:
+        return sum(1 << c for c in range(n)
+                   if x.word >> c & 1 and x.word >> (2 * n - c) & 1)
+
+    def d(x: FormalSimplex, i: int, n: int) -> FormalSimplex:
+        return apply_face(apply_face(x, 2 * n + 1 - i, S), i, S)
+
+    def face(x: FormalSimplex, i: int, n: int) -> FormalSimplex:
+        y, at = d(x, i, n), n - 1
+        C = rest = esd_word(y, at)
+        while rest:  # strip the highest esd index first
+            c = rest.bit_length() - 1
+            y, at = d(y, c, at), at - 1
+            rest ^= 1 << c
+        return FormalSimplex(id_of[y], C, n - 1)
+
+    for n in range(S.dim + 1):
+        for x in enumerate_level(S, 2 * n + 1):
+            if not esd_word(x, n):
+                g = id_of[x] = E.add_generator(n)
+                if n:
+                    E.set_faces(g, [face(x, i, n) for i in range(n + 1)])
+    return E
 
 
 def parse_space(descriptor: str,

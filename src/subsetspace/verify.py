@@ -143,27 +143,22 @@ def random_lemma1_instance(Y: SimplicialSet, rng) -> Lemma1Instance:
     return Lemma1Instance(Y=Y, cover=cover, j=rng.choice([0, 1, 2]))
 
 
-# verdict is PASS or FAIL; homology_a is A's HomologyResult and
-# homology_partners the partners', in order; cells_enumerated is the exp_k A
-# build's
-InvarianceVerdict = namedtuple(
-    "InvarianceVerdict",
-    "verdict homology_a homology_partners cells_enumerated")
+# verdict is PASS or FAIL; homology_a is A's HomologyResult;
+# cells_enumerated is the exp_k A build's
+InvarianceVerdict = namedtuple("InvarianceVerdict",
+                               "verdict homology_a cells_enumerated")
 
 
-def invariance_check(A: SimplicialSet, partners: list[SimplicialSet], k: int,
+def invariance_check(A: SimplicialSet, B: SimplicialSet, k: int,
                      max_cells: int = DEFAULT_MAX_CELLS) -> InvarianceVerdict:
-    """Homology tables of exp_k of models of one homotopy type must agree
-    degree-wise in betti and torsion: A's is computed once and compared with
-    each partner's."""
+    """Homology tables of exp_k of two models of one homotopy type must
+    agree degree-wise in betti and torsion."""
     space = build_expk(A, k, max_cells=max_cells)
     ha = space_homology(space.result)
-    hs = [space_homology(build_expk(B, k, max_cells=max_cells).result)
-          for B in partners]
-    return InvarianceVerdict(
-        verdict=PASS if all(ha.groups_equal(hb) for hb in hs) else FAIL,
-        homology_a=ha, homology_partners=hs,
-        cells_enumerated=space.cells_enumerated)
+    hb = space_homology(build_expk(B, k, max_cells=max_cells).result)
+    return InvarianceVerdict(verdict=PASS if ha.groups_equal(hb) else FAIL,
+                             homology_a=ha,
+                             cells_enumerated=space.cells_enumerated)
 
 
 def level_count_check(S: SimplicialSet, k: int, level: int | None = None,

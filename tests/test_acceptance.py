@@ -14,8 +14,8 @@ import pytest
 from subsetspace.simplicial import (FormalSimplex, apply_face,
                                     close_under_faces, enumerate_level,
                                     validate)
-from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
-                                subdivided_circle, wedge)
+from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
+                                parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import build_expk
 from subsetspace.homology import normalized_chains, homology, smith_normal_form, space_homology
 from subsetspace import verify as V
@@ -94,10 +94,17 @@ def test_criterion_4_triangulation_invariance():
     ok = True
     for k in (2, 3):
         for v in (3, 4):
-            res = V.invariance_check(sphere(1), [subdivided_circle(v)], k)
+            res = V.invariance_check(sphere(1), subdivided_circle(v), k)
             if res.verdict != V.PASS:
                 print(f"  invariance s1 vs circle:{v} k={k}: FAIL")
                 ok = False
+    # every space against its edgewise subdivision: exp_k esd S = esd exp_k S
+    for desc, k in MATRIX_CASES:
+        S = parse_space(desc)[1]
+        res = V.invariance_check(S, edgewise_subdivision(S), k)
+        if res.verdict != V.PASS:
+            print(f"  invariance {desc} vs its esd k={k}: FAIL")
+            ok = False
     report("4 triangulation-invariance", ok)
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from subsetspace import cli
 from subsetspace.cli import main
 from subsetspace.expk import ResourceCapError, build_expk
-from subsetspace.spaces import subdivided_circle
+from subsetspace.spaces import WedgeSpec, subdivided_circle, wedge
 
 
 def run_cli(capsys, *argv):
@@ -85,9 +86,32 @@ def test_verify_invariance(capsys):
     code, out, _ = run_cli(capsys, "verify", "invariance", "--space", "s1",
                            "--k", "2")
     assert code == 0
-    # the count of the exp_k A build, not of the partners'
+    # the count of the exp_k S build, not of its subdivision's
     assert json.loads(out)["cells_enumerated"] == homology_cells(capsys,
                                                                  "s1", 2)
+
+
+def test_verify_invariance_can_fail(monkeypatch, capsys):
+    # a partner of another homotopy type than the space's
+    monkeypatch.setattr(cli, "edgewise_subdivision",
+                        lambda S, max_cells: wedge(WedgeSpec((1, 1))))
+    code, out, _ = run_cli(capsys, "verify", "invariance", "--space", "s1",
+                           "--k", "2")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "fail"
+
+
+def test_verify_invariance_refuses_an_over_cap_subdivision_quickly(capsys):
+    # every level of esd s20 is tested before any is built: level 13 alone
+    # has 888,031 simplices
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "invariance", "--space",
+                             "s20", "--k", "1")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "resource-cap", "level": 13,
+                               "level_size": 888_031,
+                               "projected_cells": 888_031, "cap": 200_000}
 
 
 def test_verify_lemma1(capsys):
@@ -164,16 +188,18 @@ def test_a_file_stands_for_its_own_content(capsys, tmp_path):
                                  str(path), "--k", "2")
         assert (code, out) == (2, "")
         assert "needs a homogeneous wedge" in err
-    # invariance partners come from --space only: a file named s1 holding
-    # the minimal 2-sphere is not compared with the circle's partners
+    # invariance derives its partner from the content: a file named s1
+    # holding the minimal 2-sphere verifies as s2 does
     path = tmp_path / "s1"
     path.write_text(json.dumps({"generators": [["v"], [], ["c"]],
                                 "faces": {"c": ["s_0 v"] * 3}}))
-    code, out, err = run_cli(capsys, "verify", "invariance", "--file",
-                             str(path), "--k", "2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    by_file = _seeded_payload(capsys, "verify", "invariance", "--file",
+                              str(path), "--k", "2")
+    by_space = _seeded_payload(capsys, "verify", "invariance", "--space",
+                               "s2", "--k", "2")
+    assert by_file.pop("space") == "s1"
+    by_space.pop("space")
+    assert by_file == by_space
 
 
 def test_file_and_descriptor_routes_agree(capsys, tmp_path):
@@ -424,7 +450,8 @@ def test_file_fuzz_never_tracebacks(capsys, tmp_path):
     rng = random.Random(4242)
     path = tmp_path / "fuzz.json"
     commands = [["homology"], ["verify", "lemma1"],
-                ["verify", "oracle", "--level", "1"], ["verify", "oracle"]]
+                ["verify", "oracle", "--level", "1"], ["verify", "oracle"],
+                ["verify", "invariance"]]
     for _ in range(300):
         doc = rng.choice(_FUZZ_SEEDS)
         for _ in range(rng.randint(1, 2)):

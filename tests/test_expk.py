@@ -10,8 +10,8 @@ from subsetspace.simplicial import (FormalSimplex, SimplicialError,
                                     SimplicialSet, apply_face,
                                     degeneracy_words, enumerate_level,
                                     validate)
-from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
-                                subdivided_circle, wedge)
+from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
+                                parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import ResourceCapError, build_expk, level_size
 from subsetspace.homology import (SmithResult, homology, normalized_chains,
                                   space_homology)
@@ -203,6 +203,16 @@ def test_pruned_search_matches_unpruned():
         checked += 1
         found += bool(expected)
     assert 50 < found < checked
+
+
+def test_edgewise_subdivision_invariance_on_random_delta_sets():
+    """exp_2 of each k = 2 draw and of its edgewise subdivision have the
+    same homology, torsion included: exp_2 esd S = esd exp_2 S."""
+    for S, k in _delta_set_draws(random.Random(909)):
+        if k == 2:
+            E = edgewise_subdivision(S)
+            assert validate(E)
+            assert V.invariance_check(S, E, k).verdict == V.PASS
 
 
 def test_oracle_subsets_give_the_generator_ids():

@@ -80,9 +80,9 @@ CASES = [
     # exit 3 reports whose projected count is the level's last partial sum
     _homology("circle:7", 1, "--max-cells", "6"),
     _homology("circle:300000", 1),
-    # verify's gate: no --file for invariance (before loading it); then the
-    # space's own cap test, and each check's own refusal of a space of the
-    # wrong structure, from a descriptor or a file alike
+    # the space's own cap test, each check's own refusal of a space of the
+    # wrong structure, and the refusal of a file that breaks the simplicial
+    # identities, from a descriptor or a file alike and for every check
     _verify("tuffley", "wedge:1,2", 2), _verify("tuffley", "s2", 2),
     _verify("theorem1", "wedge:1,2", 2),
     _verify("theorem1", "circle:300000", 1),

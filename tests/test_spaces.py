@@ -1,11 +1,12 @@
 import pytest
 
 from subsetspace.simplicial import FormalSimplex, SimplicialError, validate
-from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
-                                subdivided_circle, wedge)
+from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
+                                parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.homology import space_homology
 
 from oracles import find_isomorphism, word_mask
+from test_acceptance import MATRIX_CASES
 
 
 def test_sphere_one():
@@ -91,3 +92,23 @@ def test_parse_space_rejects_garbage():
     for desc in ["nope", "wedge:", "circle:x", "s", "s\u00b2"]:
         with pytest.raises(SimplicialError):
             parse_space(desc)
+
+
+def test_edgewise_subdivision_keeps_the_homology():
+    for desc in sorted({desc for desc, _ in MATRIX_CASES}):
+        S = parse_space(desc)[1]
+        E = edgewise_subdivision(S)
+        assert validate(E), desc
+        h, he = space_homology(S), space_homology(E)
+        assert he.groups_equal(h), desc
+        assert he.euler == h.euler, desc
+
+
+def test_edgewise_subdivision_f_vectors():
+    # (esd S)_n = S_{2n+1}, less the simplices in the image of an esd s_c
+    for desc, fvec in [("s2", [1, 3, 4]), ("s3", [1, 1, 8, 8]),
+                       ("wedge:1,2", [2, 5, 4])]:
+        assert edgewise_subdivision(parse_space(desc)[1]).f_vector() == fvec
+    for v in (3, 4, 5):
+        assert edgewise_subdivision(subdivided_circle(v)).f_vector() == [
+            2 * v, 2 * v]

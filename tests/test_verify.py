@@ -148,17 +148,17 @@ def test_theorem1_two_sphere_wedge_k3_stretch():
 
 def test_invariance_curated_pairs():
     for v in (3, 4):
-        res = V.invariance_check(sphere(1), [subdivided_circle(v)], 2)
+        res = V.invariance_check(sphere(1), subdivided_circle(v), 2)
         assert res.verdict == V.PASS
 
 
 def test_invariance_identity():
     S = wedge(WedgeSpec((1, 1)))
-    assert V.invariance_check(S, [S], 2).verdict == V.PASS
+    assert V.invariance_check(S, S, 2).verdict == V.PASS
 
 
 def test_invariance_detects_different_types():
-    assert V.invariance_check(sphere(1), [wedge(WedgeSpec((1, 1)))],
+    assert V.invariance_check(sphere(1), wedge(WedgeSpec((1, 1))),
                               2).verdict == V.FAIL
 
 
