@@ -7,6 +7,7 @@ the complements of its elements' words cover [n]: a pruned depth-first
 search finds these subsets.  A face's Eilenberg-Zilber normal form is s_C of
 a core, C the AND of its elements' words: since d_c s_c = id, each element
 drops C by following d_c through the level face tables, highest c first.
+Each distinct face of a level is normalised once, in a per-level memo.
 """
 
 from __future__ import annotations
@@ -104,7 +105,10 @@ def build_expk(S: SimplicialSet, k: int,
     If x = s_c y then d_c x = y, so each element follows d_c through the
     face tables for every c in C, highest first (removing the highest index
     shifts none below it), and lands on its core in level n - 1 - |C|,
-    where that core is registered already."""
+    where that core is registered already.  A face is fixed by its elements,
+    so a dict per level, keyed by their frozenset, normalises each distinct
+    face once and gives equal faces one FormalSimplex; level n reads only
+    level n - 1's keys, so each level starts a fresh dict."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
@@ -114,7 +118,7 @@ def build_expk(S: SimplicialSet, k: int,
     below_masks: list[int] = []
     cells = 0
 
-    def face(n: int, elems: set[int]) -> FormalSimplex:
+    def face(n: int, elems: frozenset[int]) -> FormalSimplex:
         C = (1 << n) - 1
         for a in elems:
             C &= below_masks[a]
@@ -138,13 +142,15 @@ def build_expk(S: SimplicialSet, k: int,
                  for x in level] if n else []
         faces.append(table)
         full = (1 << n) - 1
+        memo: dict[frozenset[int], FormalSimplex] = {}
         for idxs in _nondegenerate_subsets([full ^ w for w in masks], full,
                                            k, S.dim):
             g = result.add_generator(n)
             gen_of[n, idxs] = g
             if n:
-                result.set_faces(g, [face(n - 1, set(f))
-                                     for f in zip(*(table[a] for a in idxs))])
+                fs = [memo.get(e) or memo.setdefault(e, face(n - 1, e))
+                      for e in map(frozenset, zip(*(table[a] for a in idxs)))]
+                result.set_faces(g, fs)
         below = {x: a for a, x in enumerate(level)}
         below_masks = masks
     return ExpkSpace(result=result, cells_enumerated=cells)

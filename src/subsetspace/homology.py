@@ -116,10 +116,14 @@ def normalized_chains(S: SimplicialSet,
     boundaries = [SparseIntMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):
         M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
-        for c, g in enumerate(bases[n]):
-            for i, f in enumerate(S.faces[g]):
-                if not f.is_degenerate:
-                    M.add(index[n - 1][f.base], c, -1 if i % 2 else 1)
+        row_of = index[n - 1]
+        for g, col in zip(bases[n], M.cols):  # SparseIntMatrix.add, inlined
+            for i, (base, word, _) in enumerate(S.faces[g]):
+                if not word:
+                    r = row_of[base]
+                    v = col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
+                    if not v:
+                        del col[r]
         boundaries.append(M)
     return ChainComplex(bases=bases, boundaries=boundaries)
 

@@ -64,10 +64,6 @@ class FormalSimplex(namedtuple("FormalSimplex", "base word dim")):
     """
     __slots__ = ()
 
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
-
     def degenerate(self, j: int) -> "FormalSimplex":
         """s_j applied to this simplex, in normal form."""
         if not 0 <= j <= self.dim:
@@ -112,20 +108,21 @@ class SimplicialSet:
         return g
 
     def set_faces(self, g: int, faces: list[FormalSimplex]) -> None:
-        n = self.dim_of[g]
+        dim_of = self.dim_of
+        n = dim_of[g]
         if n == 0:
             raise SimplicialError("vertices have no faces")
         if len(faces) != n + 1:
             raise SimplicialError(
                 f"generator {g} of dimension {n} needs {n + 1} faces")
-        for f in faces:
-            if not 0 <= f.base < len(self.dim_of):
-                raise SimplicialError(f"face base {f.base} does not exist")
-            if not word_is_valid(f.word, self.dim_of[f.base]):
+        for base, word, dim in faces:
+            if not 0 <= base < len(dim_of):
+                raise SimplicialError(f"face base {base} does not exist")
+            p = word.bit_count()  # word_is_valid, inlined
+            if word < 0 or word.bit_length() > dim_of[base] + p:
                 raise SimplicialError(
-                    f"face word {f.word:#b} not in normal form")
-            if (f.dim != n - 1
-                    or self.dim_of[f.base] + f.word.bit_count() != n - 1):
+                    f"face word {word:#b} not in normal form")
+            if dim != n - 1 or dim_of[base] + p != n - 1:
                 raise SimplicialError("face dimension mismatch")
         self.faces[g] = list(faces)
 

@@ -114,17 +114,19 @@ def parse_space(descriptor: str,
     With max_cells, a 'circle:V' whose V vertices alone exceed it is refused
     unbuilt, with the level-0 ResourceCapError that build_expk raises for
     every k: its projected count stops at the first partial sum, C(V, 1).
+    So is a sphere summand of dimension m whose m + 1 faces exceed it, with
+    a level-m report that gives m + 1 as its size and projected count.
     """
     d = descriptor.strip().lower()
     if d.startswith("s") and d[1:].isdecimal():
-        return d, sphere(int(d[1:]))
-    if d.startswith("wedge:"):
+        spec = WedgeSpec((int(d[1:]),))
+    elif d.startswith("wedge:"):
         try:
             dims = tuple(int(t) for t in d[len("wedge:"):].split(","))
         except ValueError:
             raise SimplicialError(f"bad wedge descriptor {descriptor!r}")
-        return d, wedge(WedgeSpec(dims))
-    if d.startswith("circle:"):
+        spec = WedgeSpec(dims)
+    elif d.startswith("circle:"):
         try:
             v = int(d[len("circle:"):])
         except ValueError:
@@ -132,4 +134,9 @@ def parse_space(descriptor: str,
         if max_cells is not None and v > max_cells:
             raise ResourceCapError(0, v, v, max_cells)
         return d, subdivided_circle(v)
-    raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")
+    else:
+        raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")
+    for m in spec.sphere_dims:
+        if max_cells is not None and m + 1 > max_cells:
+            raise ResourceCapError(m, m + 1, m + 1, max_cells)
+    return d, wedge(spec)

@@ -306,6 +306,31 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
                                        **built.value.sizing_report()}
 
 
+def test_sphere_summand_over_the_cap_is_refused_before_it_is_built(capsys):
+    """An m-sphere summand whose m + 1 faces exceed the cap is refused
+    unbuilt with a level-m sizing report; s99999999999 used to end in a
+    MemoryError traceback while its faces were built."""
+    m = 99_999_999_999
+    for argv in (["homology", "--space", f"s{m}"],
+                 ["verify", "theorem1", "--space", f"wedge:1,{m}"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--k", "1")
+        assert time.perf_counter() - started < 0.5, argv
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err) == {
+            "error": "resource-cap", "level": m, "level_size": m + 1,
+            "projected_cells": m + 1, "cap": 200_000}
+    code, out, err = run_cli(capsys, "homology", "--space", "wedge:1,2",
+                             "--k", "1", "--max-cells", "2")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "resource-cap", "level": 2,
+                               "level_size": 3, "projected_cells": 3,
+                               "cap": 2}
+    code, out, _ = run_cli(capsys, "homology", "--space", "s2", "--k", "1",
+                           "--max-cells", "3")
+    assert code == 0 and json.loads(out)["f_vector"] == [1, 0, 1]
+
+
 def test_env_var_does_not_set_the_cap(capsys, monkeypatch):
     # the cap comes only from --max-cells (test_resource_cap_exit_code)
     monkeypatch.setenv("SUBSETSPACE_MAX_CELLS", "4")

@@ -237,6 +237,21 @@ def test_f_vector_closed_form_s3k3():
             == subset_space_f_vector(S.dim_of, 3))
 
 
+def test_equal_faces_within_a_level_are_one_object():
+    """build_expk normalises each distinct face of a level once, so the
+    face tables of one level share one object per distinct face."""
+    R = build_expk(sphere(3), 3).result
+    calls = distinct = 0
+    for gens in R.by_dim[1:]:
+        first: dict[FormalSimplex, FormalSimplex] = {}
+        for g in gens:
+            for f in R.faces[g]:
+                assert first.setdefault(f, f) is f
+        calls += sum(len(R.faces[g]) for g in gens)
+        distinct += len(first)
+    assert (calls, distinct) == (22_288, 3_382)
+
+
 def test_build_exp2_circle_generators():
     S = circle()
     R = build_expk(S, 2).result

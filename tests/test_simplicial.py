@@ -204,6 +204,45 @@ def test_enumerate_level_matches_degeneracy_closure():
             assert len(words) == len(images)  # words act faithfully
 
 
+def test_set_faces_refusals_keep_their_messages_and_order():
+    """Each rule refuses with its own message, checked face by face in the
+    order: base exists, word in normal form, dimension matches; a face
+    that breaks two rules reports the first, and nothing is stored."""
+    S = SimplicialSet()
+    v = S.add_generator(0)
+    e = S.add_generator(1)
+    t = S.add_generator(2)
+    ok = FormalSimplex(v, 1, 1)  # s_0 v
+    cases = [
+        (e, [FormalSimplex(5, 0, 0), S.simplex(v)],
+         "face base 5 does not exist"),
+        (e, [FormalSimplex(-1, 0, 0)] * 2, "face base -1 does not exist"),
+        (t, [ok, FormalSimplex(v, 0b10, 1), ok],
+         "face word 0b10 not in normal form"),
+        (t, [ok, ok, FormalSimplex(v, -1, 1)],
+         "face word -0b1 not in normal form"),
+        (t, [ok, ok, FormalSimplex(v, 0, 1)], "face dimension mismatch"),
+        (e, [FormalSimplex(v, 1, 0), S.simplex(v)], "face dimension mismatch"),
+        (t, [ok, FormalSimplex(v, 1, 2), ok], "face dimension mismatch"),
+        # two rules broken: the earlier rule, or the earlier face, wins
+        (t, [ok, FormalSimplex(9, 0b10, 1), ok], "face base 9 does not exist"),
+        (t, [ok, FormalSimplex(v, 0b100, 0), ok],
+         "face word 0b100 not in normal form"),
+        (t, [FormalSimplex(v, 0, 1), FormalSimplex(9, 0, 1), ok],
+         "face dimension mismatch"),
+        (v, [], "vertices have no faces"),
+        (t, [FormalSimplex(9, 0, 1)],
+         "generator 2 of dimension 2 needs 3 faces"),
+    ]
+    for g, faces, message in cases:
+        with pytest.raises(SimplicialError) as refused:
+            S.set_faces(g, faces)
+        assert str(refused.value) == message
+    assert S.faces == [None, None, None]
+    S.set_faces(t, [ok] * 3)
+    assert S.faces[t] == [ok] * 3
+
+
 def test_validate_builders_pass():
     for space in [sphere(1), sphere(2), sphere(3), subdivided_circle(4)]:
         assert validate(space).ok
