@@ -135,35 +135,95 @@ def smith_normal_form(M: SparseIntMatrix,
     and column operations with exact arithmetic; the input is not mutated.
     The entries of the columns in skip are read as zero.
 
-    One elimination loop runs on a sparse row/column store.  Every nonzero
-    entry waits in a heap keyed (|v|, Markowitz cost (len(row) - 1) *
-    (len(col) - 1), row, column), pushed again whenever it appears or its
-    |v| shrinks; a stale popped key is dropped or pushed back at its current
-    key, so the pivot is an entry of least magnitude, then of least fill-in.
+    The +-1 pivots come first, on a sparse row/column store.  Each clears
+    its column by row operations, and its row is then deleted (column
+    operations would touch no other row).  A worklist holds each +-1 alone
+    in its row or column, whose pivot only deletes entries, and takes first
+    any +-1 that a pivot leaves alone.  Otherwise the shortest column, from
+    a heap of column lengths re-keyed when stale, pivots on its +-1 in the
+    shortest row; a column without a +-1 is passed over.
 
-    A pivot step clears the pivot column by floor-division row operations;
-    a remainder sends the pivot back on the heap behind it.  Once the column
-    is clear and the pivot divides its row, the row is deleted and |pivot|
-    recorded (column operations would touch no other row); otherwise the
-    row is reduced modulo the pivot, which goes back on the heap.  Pairwise
-    gcd/lcm exchanges turn the recorded pivots above 1 into the divisor
-    chain d_1 | d_2 | ..., which is unique, so the pivot order is free.
+    What is left runs a heap loop.  Every nonzero entry waits in a heap
+    keyed (|v|, Markowitz cost (len(row) - 1) * (len(col) - 1), row,
+    column), pushed again whenever it appears or its |v| shrinks; a stale
+    popped key is dropped or pushed back at its current key, so the pivot is
+    an entry of least magnitude, then of least fill-in.  A pivot step clears
+    the pivot column by floor-division row operations; a remainder sends the
+    pivot back on the heap behind it.  Once the column is clear and the
+    pivot divides its row, the row is deleted and |pivot| recorded;
+    otherwise the row is reduced modulo the pivot, which goes back on the
+    heap.  Pairwise gcd/lcm exchanges turn the recorded pivots above 1 into
+    the divisor chain d_1 | d_2 | ...; it is unique, so pivot order is free.
 
     cleared lists the rows deleted as +-1 pivots before the first pivot step
-    with |pv| != 1 (the heap pops every +-1 entry before any larger one).
+    with |pv| != 1.
     """
-    items = [e for e in M.entries() if e[1] not in skip]
-
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for r, c, v in items:
-        rows.setdefault(r, {})[c] = v
-        col_rows.setdefault(c, set()).add(r)
+    for c, col in enumerate(M.cols):
+        if col and c not in skip:
+            col_rows[c] = set(col)
+            for r, v in col.items():
+                rows.setdefault(r, {})[c] = v
+
+    cleared: list[int] = []
+    work = [(r, *row) for r, row in rows.items() if len(row) == 1]
+    work += [(*col, c) for c, col in col_rows.items() if len(col) == 1]
+    sweep = [(len(col), c) for c, col in col_rows.items()]
+    heapq.heapify(sweep)
+    while work or sweep:
+        if work:
+            pr, pc = work.pop()
+            prow = rows.get(pr)
+            if not (prow and prow.get(pc) in (1, -1)
+                    and (len(prow) == 1 or len(col_rows[pc]) == 1)):
+                continue
+        else:
+            n, pc = heapq.heappop(sweep)
+            col = col_rows.get(pc)
+            if not col or len(col) != n:
+                if col:
+                    heapq.heappush(sweep, (len(col), pc))
+                continue
+            units = [(len(rows[r]), r) for r in col if rows[r][pc] in (1, -1)]
+            if not units:
+                continue
+            pr = min(units)[1]
+        # row_r -= q * row_pr; rows and columns left with one entry join work
+        prow = rows.pop(pr)
+        pv = prow.pop(pc)
+        pcol = col_rows.pop(pc)
+        pcol.remove(pr)
+        for r in pcol:
+            row = rows[r]
+            q = row.pop(pc) * pv
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -q * v
+                    col_rows[c].add(r)
+                elif old != q * v:
+                    row[c] = old - q * v
+                else:
+                    del row[c]
+                    col_rows[c].remove(r)
+            if not row:
+                del rows[r]
+            elif len(row) == 1:
+                work.append((r, *row))
+        for c in prow:
+            col = col_rows[c]
+            col.remove(pr)
+            if not col:
+                del col_rows[c]
+            elif len(col) == 1:
+                work.append((*col, c))
+        cleared.append(pr)
 
     def key(r: int, c: int, v: int) -> tuple[int, int, int, int]:
         return abs(v), (len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c
 
-    heap = [key(r, c, v) for r, c, v in items]
+    heap = [key(r, c, v) for r, row in rows.items() for c, v in row.items()]
     heapq.heapify(heap)
 
     def set_entry(r: int, row: dict[int, int], c: int, old: int,
@@ -183,8 +243,7 @@ def smith_normal_form(M: SparseIntMatrix,
             if not col:
                 del col_rows[c]
 
-    pivots: list[int] = []
-    cleared: list[int] = []
+    pivots = [1] * len(cleared)
     unit_phase = True
     while heap:
         _, _, pr, pc = top = heapq.heappop(heap)
@@ -241,8 +300,9 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
     twist", 2011): the SNFs run from d_top down, and the SNF of d_n skips
     the columns that are cleared rows of d_{n+1}.  Until its first non-unit
     pivot, the SNF's row operations change only the pivot row's basis
-    vector, so cleared row u stands for b_u = e_u + sum q e_r (r alive then)
-    = +-d_{n+1} of a column, and d_n(b_u) = 0.  The b_u are unit-triangular
+    vector (a +-1 alone in its column needs none), so cleared row u stands
+    for b_u = e_u + sum q e_r (r alive then) = +-d_{n+1} of a column, and
+    d_n(b_u) = 0.  The b_u are unit-triangular
     in pivot order, so with the uncleared e_r they form a Z-basis, in which
     d_n has the cleared columns empty: rank, divisors and image are kept.
     """

@@ -3,6 +3,8 @@ import random
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetspace.simplicial import FormalSimplex, SimplicialError
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
@@ -17,6 +19,7 @@ from oracles import (from_dense, homology_reference, minors_gcd,
                      random_model_complex, rank_over_q,
                      smith_normal_form_reference, sp2_sphere_reduced_homology,
                      to_dense)
+from test_acceptance import MATRIX_CASES
 
 
 def test_snf_single_entry():
@@ -125,6 +128,91 @@ def test_snf_reports_unit_phase_rows():
     # no +-1 entry: the unit phase is empty, though a 1 appears later
     res = smith_normal_form(from_dense([[2], [3]]))
     assert (res.rank, res.divisors, res.cleared) == (1, [1], [])
+
+
+def test_snf_unit_pivots_of_every_kind_are_cleared():
+    """A block-diagonal matrix with a +-1 alone in its row (block A, whose
+    columns all hold 2 or more entries), +-1s alone in their columns (B), a
+    +-1 block with no entry alone in its row or column (C, for the sweep)
+    and a block with no +-1 (D).  Each +-1 block has full row rank and is
+    unimodular, so every one of its rows is cleared whatever the pivot
+    order; D's 1 appears only after a pivot of 2, so its row is not."""
+    blocks = [
+        [[1, 0, 0], [1, 1, 1], [1, 1, 2]],  # A: rows 0-2
+        [[1, 1, 0], [0, 1, 1]],             # B: rows 3-4
+        [[1, 1, 0], [0, 1, 1], [1, 1, 1]],  # C: rows 5-7
+        [[2], [3]],                         # D: rows 8-9
+    ]
+    ncols = sum(len(b[0]) for b in blocks)
+    dense, offset = [], 0
+    for b in blocks:
+        for row in b:
+            dense.append([0] * offset + row
+                         + [0] * (ncols - offset - len(row)))
+        offset += len(b[0])
+    res = smith_normal_form(from_dense(dense))
+    ref = smith_normal_form_reference(dense)
+    assert (res.rank, res.divisors) == (ref.rank, ref.divisors) == (9, [1] * 9)
+    assert sorted(res.cleared) == list(range(8))
+
+
+def _zero_columns(M, cols):
+    Z = SparseIntMatrix(M.nrows, M.ncols)
+    Z.cols = [{} if c in cols else dict(col) for c, col in enumerate(M.cols)]
+    return Z
+
+
+def _clearing_replay(C):
+    """(M, skip, SNF of M with skip) for each boundary, d_top first, with
+    the skip sets that homology() hands smith_normal_form."""
+    skip = set()
+    for M in reversed(C.boundaries):
+        res = smith_normal_form(M, skip)
+        yield M, skip, res
+        skip = set(res.cleared)
+
+
+@pytest.mark.parametrize("desc,k", MATRIX_CASES)
+def test_cleared_columns_keep_each_boundarys_snf(desc, k):
+    """The clearing theorem, matrix by matrix: zeroing the columns of d_n
+    that are cleared rows of d_{n+1} keeps the reference SNF of d_n."""
+    C = normalized_chains(build_expk(parse_space(desc)[1], k).result)
+    for M, skip, res in _clearing_replay(C):
+        full = smith_normal_form_reference(M)
+        cleared = smith_normal_form_reference(_zero_columns(M, skip))
+        assert (cleared.rank, cleared.divisors) == (full.rank, full.divisors)
+        assert (res.rank, res.divisors) == (full.rank, full.divisors)
+
+
+def test_every_pivot_of_exp4_circle5_is_cleared():
+    """Every pivot on the boundaries of exp_4 circle:5 is +-1, so each row
+    deleted is cleared; a unit phase that ended early would lose some."""
+    C = normalized_chains(build_expk(parse_space("circle:5")[1], 4).result)
+    ranks = []
+    for _, _, res in _clearing_replay(C):
+        assert len(res.cleared) == res.rank
+        ranks.append(res.rank)
+    assert sum(ranks) > 1000
+
+
+@st.composite
+def _matrix_and_skip(draw):
+    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3))
+    dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          min_size=nrows, max_size=nrows))
+    return dense, draw(st.sets(st.integers(0, ncols - 1)))
+
+
+@given(_matrix_and_skip())
+@settings(max_examples=200, derandomize=True)
+def test_snf_with_skip_matches_reference_on_zeroed_columns(case):
+    dense, skip = case
+    M = from_dense(dense)
+    res = smith_normal_form(M, skip)
+    ref = smith_normal_form_reference(_zero_columns(M, skip))
+    assert (res.rank, res.divisors) == (ref.rank, ref.divisors)
+    assert to_dense(M) == dense
 
 
 def test_homology_hands_smith_normal_form_the_boundaries(monkeypatch):
