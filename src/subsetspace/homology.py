@@ -128,6 +128,13 @@ def normalized_chains(S: SimplicialSet,
     return ChainComplex(bases=bases, boundaries=boundaries)
 
 
+def _least(rows: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
+           c: int) -> tuple[int, int]:
+    """A pivot of least |v| in column c, in its shortest row."""
+    return min(col_rows[c], key=lambda r: (abs(rows[r][c]),
+                                           len(rows[r]))), c
+
+
 def smith_normal_form(M: SparseIntMatrix,
                       skip: frozenset[int] | set[int] = frozenset()
                       ) -> SmithResult:
@@ -135,25 +142,22 @@ def smith_normal_form(M: SparseIntMatrix,
     and column operations with exact arithmetic; the input is not mutated.
     The entries of the columns in skip are read as zero.
 
-    The +-1 pivots come first, on a sparse row/column store.  Each clears
-    its column by row operations, and its row is then deleted (column
-    operations would touch no other row).  A worklist holds each +-1 alone
-    in its row or column, whose pivot only deletes entries, and takes first
-    any +-1 that a pivot leaves alone.  Otherwise the shortest column, from
-    a heap of column lengths re-keyed when stale, pivots on its +-1 in the
-    shortest row; a column without a +-1 is passed over.
+    One pivot loop on a sparse row/column store.  It takes first a +-1
+    alone in its row or column (from a worklist; its pivot only deletes
+    entries), else the shortest column of a sweep heap keyed (late, length,
+    column) and re-keyed when stale: its +-1 in the shortest row or, if it
+    has none, its least |v| once it comes back with late = 1, behind every
+    column not yet found without a +-1.
 
-    What is left runs a heap loop.  Every nonzero entry waits in a heap
-    keyed (|v|, Markowitz cost (len(row) - 1) * (len(col) - 1), row,
-    column), pushed again whenever it appears or its |v| shrinks; a stale
-    popped key is dropped or pushed back at its current key, so the pivot is
-    an entry of least magnitude, then of least fill-in.  A pivot step clears
-    the pivot column by floor-division row operations; a remainder sends the
-    pivot back on the heap behind it.  Once the column is clear and the
-    pivot divides its row, the row is deleted and |pivot| recorded;
-    otherwise the row is reduced modulo the pivot, which goes back on the
-    heap.  Pairwise gcd/lcm exchanges turn the recorded pivots above 1 into
-    the divisor chain d_1 | d_2 | ...; it is unique, so pivot order is free.
+    A pivot step clears its column by floor-division row operations; a
+    remainder left in the column is the next pivot.  Once the column is
+    clear, a pivot that divides its row deletes the row (column operations
+    would touch no other row) and is recorded.  Otherwise the row is
+    reduced modulo it, the column goes back on the sweep, and the next pivot
+    is in the column of the row's least entry.  |pivot| falls at every step
+    that deletes no row, so the loop ends.  Pairwise gcd/lcm exchanges turn
+    the recorded pivots above 1 into the divisor chain d_1 | d_2 | ...; it
+    is unique, so pivot order is free.
 
     cleared lists the rows deleted as +-1 pivots before the first pivot step
     with |pv| != 1.
@@ -166,37 +170,51 @@ def smith_normal_form(M: SparseIntMatrix,
             for r, v in col.items():
                 rows.setdefault(r, {})[c] = v
 
-    cleared: list[int] = []
+    done: list[int] = []  # the rows deleted, in order
+    chain: list[int] = []
+    n_cleared = nxt = None
     work = [(r, *row) for r, row in rows.items() if len(row) == 1]
     work += [(*col, c) for c, col in col_rows.items() if len(col) == 1]
-    sweep = [(len(col), c) for c, col in col_rows.items()]
+    sweep = [(0, len(col), c) for c, col in col_rows.items()]
     heapq.heapify(sweep)
-    while work or sweep:
-        if work:
+    while nxt or work or sweep:
+        if nxt:
+            (pr, pc), nxt = nxt, None
+        elif work:
             pr, pc = work.pop()
             prow = rows.get(pr)
             if not (prow and prow.get(pc) in (1, -1)
                     and (len(prow) == 1 or len(col_rows[pc]) == 1)):
                 continue
         else:
-            n, pc = heapq.heappop(sweep)
+            late, n, pc = heapq.heappop(sweep)
             col = col_rows.get(pc)
             if not col or len(col) != n:
                 if col:
-                    heapq.heappush(sweep, (len(col), pc))
+                    heapq.heappush(sweep, (late, len(col), pc))
                 continue
             units = [(len(rows[r]), r) for r in col if rows[r][pc] in (1, -1)]
-            if not units:
+            if units:
+                pr = min(units)[1]
+            elif late:
+                pr, pc = _least(rows, col_rows, pc)
+            else:
+                heapq.heappush(sweep, (1, n, pc))
                 continue
-            pr = min(units)[1]
         # row_r -= q * row_pr; rows and columns left with one entry join work
         prow = rows.pop(pr)
         pv = prow.pop(pc)
         pcol = col_rows.pop(pc)
         pcol.remove(pr)
+        unit = pv in (1, -1)
+        if not unit:
+            kept = {}  # row: the remainder it keeps in column pc
+            for r in pcol:
+                if rows[r][pc] % pv:
+                    kept[r] = rows[r][pc] % pv
         for r in pcol:
             row = rows[r]
-            q = row.pop(pc) * pv
+            q = row.pop(pc) // pv
             for c, v in prow.items():
                 old = row.get(c)
                 if old is None:
@@ -211,6 +229,35 @@ def smith_normal_form(M: SparseIntMatrix,
                 del rows[r]
             elif len(row) == 1:
                 work.append((r, *row))
+        if not unit:
+            if n_cleared is None:
+                n_cleared = len(done)
+            for r, v in kept.items():
+                rows.setdefault(r, {})[pc] = v
+            if not kept:
+                # col_c -= (v // pv) * col_pc touches row pr alone
+                for c, v in list(prow.items()):
+                    if v % pv:
+                        prow[c] = v % pv
+                    else:
+                        del prow[c]
+                        col = col_rows[c]
+                        col.remove(pr)
+                        if not col:
+                            del col_rows[c]
+            if kept or prow:
+                # pivot next on the least remainder, else in the column of
+                # the reduced row's least entry
+                c = pc if kept else min(
+                    (abs(v), c) for c, v in prow.items())[1]
+                rows[pr] = prow
+                prow[pc] = pv
+                col_rows[pc] = {pr, *kept}
+                if not kept:
+                    heapq.heappush(sweep, (1, 1, pc))
+                nxt = _least(rows, col_rows, c)
+                continue
+            chain.append(abs(pv))
         for c in prow:
             col = col_rows[c]
             col.remove(pr)
@@ -218,76 +265,15 @@ def smith_normal_form(M: SparseIntMatrix,
                 del col_rows[c]
             elif len(col) == 1:
                 work.append((*col, c))
-        cleared.append(pr)
+        done.append(pr)
 
-    def key(r: int, c: int, v: int) -> tuple[int, int, int, int]:
-        return abs(v), (len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c
-
-    heap = [key(r, c, v) for r, row in rows.items() for c, v in row.items()]
-    heapq.heapify(heap)
-
-    def set_entry(r: int, row: dict[int, int], c: int, old: int,
-                  new: int) -> None:
-        # row is rows[r], holding old at c (0 when absent); c is a column
-        # of the pivot row, so col_rows[c] exists
-        if new:
-            if not old:
-                col_rows[c].add(r)
-            row[c] = new
-            if not old or abs(new) < abs(old):
-                heapq.heappush(heap, key(r, c, new))
-        else:
-            del row[c]
-            col = col_rows[c]
-            col.discard(r)
-            if not col:
-                del col_rows[c]
-
-    pivots = [1] * len(cleared)
-    unit_phase = True
-    while heap:
-        _, _, pr, pc = top = heapq.heappop(heap)
-        prow = rows.get(pr)
-        pv = prow.get(pc) if prow else None
-        if pv is None:
-            continue
-        now = key(pr, pc, pv)
-        if now != top:
-            heapq.heappush(heap, now)
-            continue
-        unit_phase = unit_phase and abs(pv) == 1
-        for r in col_rows[pc] - {pr}:
-            row = rows[r]
-            q = row[pc] // pv  # row_r -= q * row_pr
-            for c, v in prow.items():
-                old = row.get(c, 0)
-                set_entry(r, row, c, old, old - q * v)
-            if not row:
-                del rows[r]
-        if len(col_rows[pc]) > 1:
-            heapq.heappush(heap, key(pr, pc, pv))
-        elif all(v % pv == 0 for v in prow.values()):
-            for c, v in list(prow.items()):
-                set_entry(pr, prow, c, v, 0)
-            del rows[pr]
-            pivots.append(abs(pv))
-            if unit_phase:
-                cleared.append(pr)
-        else:
-            # col_c -= (v // pv) * col_pc touches row pr alone
-            for c, v in list(prow.items()):
-                if c != pc:
-                    set_entry(pr, prow, c, v, v % pv)
-            heapq.heappush(heap, key(pr, pc, pv))
-
-    chain = [d for d in pivots if d > 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             g = gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return SmithResult(rank=len(pivots),
-                       divisors=[1] * (len(pivots) - len(chain)) + chain,
-                       cleared=cleared)
+    rank = len(done)
+    return SmithResult(rank=rank, divisors=[1] * (rank - len(chain)) + chain,
+                       cleared=done[:n_cleared])
 
 
 def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:

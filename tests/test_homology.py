@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetspace.simplicial import FormalSimplex, SimplicialError
+from subsetspace.simplicial import SimplicialError, simplicial_set_from_dict
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import build_expk
@@ -65,6 +65,9 @@ def test_snf_known_torsion():
     assert smith_normal_form(from_dense([[4, 0], [0, 6]])).divisors == [2, 12]
     # a pivot that does not divide its row: the row is reduced modulo it
     assert smith_normal_form(from_dense([[2, 3]])).divisors == [1]
+    # ... and the next pivot, the 2 of row 1, lies in another row, so
+    # column 0 must go back on the sweep
+    assert smith_normal_form(from_dense([[6, 2], [0, 2]])).divisors == [2, 6]
 
 
 def _random_matrix(rng, max_side=5, bound=9):
@@ -89,10 +92,11 @@ def test_snf_against_minor_oracle(seed):
             assert prod(res.divisors[:r]) == abs(minors_gcd(m, r))
 
 
-def _random_sparse_matrix(rng, max_side=40):
-    """Mostly +-1 entries with some +-2/+-3, and some zero rows and
-    columns."""
-    nrows, ncols = rng.randint(0, max_side), rng.randint(0, max_side)
+def _random_sparse_matrix(rng, max_side=40, min_side=0, entries=None):
+    """Mostly +-1 entries with some +-2/+-3, or each entry drawn from
+    entries when given, and some zero rows and columns."""
+    nrows = rng.randint(min_side, max_side)
+    ncols = rng.randint(min_side, max_side)
     zero_rows = set(rng.sample(range(nrows), rng.randint(0, nrows // 4)))
     zero_cols = set(rng.sample(range(ncols), rng.randint(0, ncols // 4)))
     density = rng.uniform(0.02, 0.3)
@@ -101,6 +105,9 @@ def _random_sparse_matrix(rng, max_side=40):
         for c in range(ncols):
             if r in zero_rows or c in zero_cols or rng.random() > density:
                 continue
+            if entries:
+                M.add(r, c, rng.choice(entries))
+                continue
             v = rng.choice((2, 3)) if rng.random() < 0.1 else 1
             M.add(r, c, rng.choice((1, -1)) * v)
     return M
@@ -108,11 +115,14 @@ def _random_sparse_matrix(rng, max_side=40):
 
 def test_snf_matches_reference_on_random_sparse():
     """Rank and divisor list agree with the single-phase elimination on 400
-    random sparse matrices up to 40 x 40."""
+    random sparse matrices up to 40 x 40, and on 4 from 30 x 30 to 60 x 60
+    with no +-1 entry, whose pivots start with Euclid steps."""
     rng = random.Random(303)
+    matrices = [_random_sparse_matrix(rng) for _ in range(400)]
+    matrices += [_random_sparse_matrix(rng, 60, 30, (2, -2, 3, -3, 4))
+                 for _ in range(4)]
     torsion = 0
-    for _ in range(400):
-        M = _random_sparse_matrix(rng)
+    for M in matrices:
         res, ref = smith_normal_form(M), smith_normal_form_reference(M)
         assert (res.rank, res.divisors) == (ref.rank, ref.divisors)
         torsion += any(d > 1 for d in res.divisors)
@@ -182,6 +192,26 @@ def test_cleared_columns_keep_each_boundarys_snf(desc, k):
         cleared = smith_normal_form_reference(_zero_columns(M, skip))
         assert (cleared.rank, cleared.divisors) == (full.rank, full.divisors)
         assert (res.rank, res.divisors) == (full.rank, full.divisors)
+
+
+def _moore_space():
+    """M(Z/2, 2): one vertex v, a 2-cell c on s_0 v three times, and a
+    3-cell e with faces (c, s_1 s_0 v, c, s_1 s_0 v), so d e = 2c."""
+    return simplicial_set_from_dict({
+        "generators": [["v"], [], ["c"], ["e"]],
+        "faces": {"c": ["s_0 v"] * 3,
+                  "e": ["c", "s_1 s_0 v", "c", "s_1 s_0 v"]}})
+
+
+def test_exp2_of_moore_space_matches_reference():
+    """A base with torsion of its own: exp_2 M(Z/2, 2) has 67 generators
+    and torsion Z/2, Z/4, Z/2 in degrees 2, 4 and 5."""
+    C = normalized_chains(build_expk(_moore_space(), 2).result)
+    h = homology(C)
+    assert sum(h.f_vector) == 67
+    assert h == homology_reference(C)
+    assert h.torsion == [[], [], [2], [], [4], [2], []]
+    assert h.betti == [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_every_pivot_of_exp4_circle5_is_cleared():
