@@ -7,6 +7,7 @@ Exit codes: 0 success/pass, 1 verification failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -160,9 +161,10 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a call makes no cycles beyond its argument parser's
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         if args.command == "homology":
             return cmd_homology(args)
@@ -174,6 +176,9 @@ def main(argv=None) -> int:
     except (SimplicialError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

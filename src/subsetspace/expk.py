@@ -7,13 +7,15 @@ the complements of its elements' words cover [n]: a pruned depth-first
 search finds these subsets.  A face's Eilenberg-Zilber normal form is s_C of
 a core, C the AND of its elements' words: since d_c s_c = id, each element
 drops C by following d_c through the level face tables, highest c first.
-Each distinct face of a level is normalised once, in a per-level memo.
+Each distinct face of a level is normalised once, keyed by its elements' bits.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial, reduce
 from math import comb
+from operator import or_
 
 from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
                          apply_face, enumerate_level)
@@ -93,6 +95,7 @@ def _nondegenerate_subsets(comps: list[int], full: int, k: int,
             stack.pop()
 
     extend(0, 0)
+    del extend  # it refers to itself: break the cycle for refcounting
     return found
 
 
@@ -104,32 +107,37 @@ def build_expk(S: SimplicialSet, k: int,
     is the set of its elements' d_i; its word is the AND C of their words.
     If x = s_c y then d_c x = y, so each element follows d_c through the
     face tables for every c in C, highest first (removing the highest index
-    shifts none below it), and lands on its core in level n - 1 - |C|,
-    where that core is registered already.  A face is fixed by its elements,
-    so a dict per level, keyed by their frozenset, normalises each distinct
-    face once and gives equal faces one FormalSimplex; level n reads only
-    level n - 1's keys, so each level starts a fresh dict."""
+    shifts none below it), and lands on its core in level n - 1 - |C|.
+    A set of level indices is keyed by the OR of their bits (at k = 1, by
+    its one index), and normal[n] maps keys to normal forms: it holds
+    level n's generators, and level n + 1 adds each new degenerate face
+    once, checked once, so equal faces are one FormalSimplex."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
-    gen_of: dict[tuple[int, tuple[int, ...]], int] = {}
     faces: list[list[list[int]]] = []  # faces[n][a][i]: d_i of a, in n - 1
+    normal: list[dict[int, FormalSimplex]] = []  # normal[n][key]: its form
     below: dict[FormalSimplex, int] = {}
-    below_masks: list[int] = []
+    words: list[list[int]] = []  # words[n][a]: the word of a
     cells = 0
+    # at k = 1 a set has one index, its key: no big ints on huge levels
+    key = (lambda E: reduce(or_, map((1).__lshift__, E))) if k > 1 else min
 
-    def face(n: int, elems: frozenset[int]) -> FormalSimplex:
+    def face(n: int, elems: set[int]) -> FormalSimplex:
         C = (1 << n) - 1
         for a in elems:
-            C &= below_masks[a]
+            C &= words[n][a]
         at, rest = n, C  # the elements are in level ``at``
         while rest:  # strip the highest common index first
             c = rest.bit_length() - 1
             elems = {faces[at][a][c] for a in elems}
             at -= 1
             rest ^= 1 << c
-        return FormalSimplex(gen_of[at, tuple(sorted(elems))], C, n)
+        f = FormalSimplex(normal[at][key(elems)].base, C, n)
+        result.check_face(f, n + 1)
+        return f
 
+    join = partial(map, or_)
     for n in range(k * S.dim + 1):
         m = level_size(S, n)
         projected = projected_cells(m, k, max_cells)
@@ -137,21 +145,25 @@ def build_expk(S: SimplicialSet, k: int,
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
         level = enumerate_level(S, n)
-        masks = [x.word for x in level]
+        words.append([x.word for x in level])
         table = [[below[apply_face(x, i, S)] for i in range(n + 1)]
                  for x in level] if n else []
         faces.append(table)
+        rows = [[1 << t for t in row] for row in table] if k > 1 else table
+        memo = normal[-1] if n else {}  # level n - 1's normal forms
+        normal.append({})
         full = (1 << n) - 1
-        memo: dict[frozenset[int], FormalSimplex] = {}
-        for idxs in _nondegenerate_subsets([full ^ w for w in masks], full,
+        for idxs in _nondegenerate_subsets([full ^ w for w in words[n]], full,
                                            k, S.dim):
             g = result.add_generator(n)
-            gen_of[n, idxs] = g
-            if n:
-                fs = [memo.get(e) or memo.setdefault(e, face(n - 1, e))
-                      for e in map(frozenset, zip(*(table[a] for a in idxs)))]
-                result.set_faces(g, fs)
+            normal[n][key(idxs)] = result.simplex(g)
+            if n:  # d_i's key is the OR of the rows' i-th entries
+                keys = list(reduce(join, map(rows.__getitem__, idxs)))
+                fs = list(map(memo.get, keys))
+                if None in fs:  # a new degenerate face
+                    for i, e in enumerate(keys):
+                        fs[i] = memo.get(e) or memo.setdefault(
+                            e, face(n - 1, {table[a][i] for a in idxs}))
+                result.faces[g] = fs  # face() checked each new entry
         below = {x: a for a, x in enumerate(level)}
-        below_masks = masks
     return ExpkSpace(result=result, cells_enumerated=cells)
-

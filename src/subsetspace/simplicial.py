@@ -108,23 +108,26 @@ class SimplicialSet:
         return g
 
     def set_faces(self, g: int, faces: list[FormalSimplex]) -> None:
-        dim_of = self.dim_of
-        n = dim_of[g]
+        n = self.dim_of[g]
         if n == 0:
             raise SimplicialError("vertices have no faces")
         if len(faces) != n + 1:
             raise SimplicialError(
                 f"generator {g} of dimension {n} needs {n + 1} faces")
-        for base, word, dim in faces:
-            if not 0 <= base < len(dim_of):
-                raise SimplicialError(f"face base {base} does not exist")
-            p = word.bit_count()  # word_is_valid, inlined
-            if word < 0 or word.bit_length() > dim_of[base] + p:
-                raise SimplicialError(
-                    f"face word {word:#b} not in normal form")
-            if dim != n - 1 or dim_of[base] + p != n - 1:
-                raise SimplicialError("face dimension mismatch")
+        for f in faces:
+            self.check_face(f, n)
         self.faces[g] = list(faces)
+
+    def check_face(self, face: FormalSimplex, n: int) -> None:
+        """Refuse ``face`` of an n-simplex unless its base exists, its word
+        is in normal form, and its dimension is n - 1, tested in order."""
+        base, word, dim = face
+        if not 0 <= base < len(self.dim_of):
+            raise SimplicialError(f"face base {base} does not exist")
+        if not word_is_valid(word, self.dim_of[base]):
+            raise SimplicialError(f"face word {word:#b} not in normal form")
+        if dim != n - 1 or self.dim_of[base] + word.bit_count() != n - 1:
+            raise SimplicialError("face dimension mismatch")
 
     # -- accessors ---------------------------------------------------------
 

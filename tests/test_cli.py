@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -336,6 +337,30 @@ def test_env_var_does_not_set_the_cap(capsys, monkeypatch):
     monkeypatch.setenv("SUBSETSPACE_MAX_CELLS", "4")
     code, _, _ = run_cli(capsys, "homology", "--space", "s1", "--k", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
+                                                  collecting):
+    # main pauses the cyclic collector for the call, on every way out
+    monkeypatch.setattr(cli, "edgewise_subdivision",
+                        lambda S, max_cells: wedge(WedgeSpec((1, 1))))
+    calls = [(0, ["homology", "--space", "s1", "--k", "2"]),
+             (1, ["verify", "invariance", "--space", "s1", "--k", "2"]),
+             (2, ["homology", "--space", "bogus", "--k", "2"]),
+             (3, ["homology", "--space", "s1", "--k", "3",
+                  "--max-cells", "4"])]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for code, argv in calls:
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["homology", "--k", "two"])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_seeded_runs_are_byte_identical(capsys):

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 from math import comb
@@ -250,6 +251,45 @@ def test_equal_faces_within_a_level_are_one_object():
         calls += sum(len(R.faces[g]) for g in gens)
         distinct += len(first)
     assert (calls, distinct) == (22_288, 3_382)
+
+
+def test_build_and_homology_leave_no_reference_cycles():
+    """The premise of the collector pause in cli.main: building exp_k and
+    its homology leaves nothing for the cyclic collector."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for desc, k in MATRIX_CASES:
+            space_homology(build_expk(parse_space(desc)[1], k).result)
+            assert gc.collect() == 0, (desc, k)
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda f: f._replace(base=f.base + 10**6),
+    lambda f: f._replace(word=f.word | 1 << 40),
+    lambda f: f._replace(dim=f.dim + 1),
+], ids=["base", "word", "dim"])
+def test_a_malformed_face_is_refused_with_set_faces_message(monkeypatch,
+                                                            corrupt):
+    """build_expk checks each new face with set_faces's rule once: a
+    corrupt face ends the build with the message set_faces gives it."""
+    made, sets = [], []
+    monkeypatch.setattr(expk, "FormalSimplex", lambda *f: made.append(
+        corrupt(FormalSimplex(*f))) or made[-1])
+    monkeypatch.setattr(expk, "SimplicialSet", lambda: sets.append(
+        SimplicialSet()) or sets[-1])
+    with pytest.raises(SimplicialError) as built:
+        build_expk(sphere(2), 2)
+    R = sets[0]
+    g = R.n_generators - 1
+    with pytest.raises(SimplicialError) as direct:
+        R.set_faces(g, [made[-1]] * (R.dim_of[g] + 1))
+    assert str(built.value) == str(direct.value)
+    assert R.faces[g] is None
 
 
 def test_build_exp2_circle_generators():
