@@ -107,8 +107,8 @@ def cmd_verify(which: str, args: argparse.Namespace) -> int:
         rng = random.Random(args.seed or 0)
         verdict = V.PASS
         for _ in range(50):
-            inst = V.random_lemma1_instance(S, rng)
-            if V.lemma1_check(inst).verdict == V.FAIL:
+            res = V.lemma1_check(S, *V.random_lemma1_instance(S, rng))
+            if res.verdict == V.FAIL:
                 verdict = V.FAIL
                 break
     elapsed = int((time.monotonic() - t0) * 1000)
@@ -158,6 +158,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise SimplicialError("k must be >= 1")
     if args.max_cells < 1:
         raise SimplicialError("cell cap must be >= 1")
+    if getattr(args, "level", None) is not None and args.which != "oracle":
+        raise SimplicialError("--level applies only to verify oracle")
 
 
 def main(argv=None) -> int:

@@ -25,12 +25,6 @@ class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
         return super().__new__(cls, sphere_dims)
 
 
-def _degenerate_vertex(v: int, dim: int) -> FormalSimplex:
-    """The unique degenerate simplex over a vertex at the given dimension:
-    s_{dim-1} ... s_1 s_0 v."""
-    return FormalSimplex(v, (1 << dim) - 1, dim)
-
-
 def sphere(m: int) -> SimplicialSet:
     """Minimal m-sphere: one vertex, one m-generator, every face of the
     generator the fully degenerate vertex."""
@@ -43,7 +37,8 @@ def wedge(spec: WedgeSpec) -> SimplicialSet:
     v = S.add_generator(0)
     for m in spec.sphere_dims:
         g = S.add_generator(m)
-        S.set_faces(g, [_degenerate_vertex(v, m - 1)] * (m + 1))
+        # every face is s_{m-2} ... s_1 s_0 v, the vertex's one (m-1)-simplex
+        S.set_faces(g, [FormalSimplex(v, (1 << (m - 1)) - 1, m - 1)] * (m + 1))
     return S
 
 
@@ -106,16 +101,17 @@ def edgewise_subdivision(S: SimplicialSet,
     return E
 
 
-def parse_space(descriptor: str,
-                max_cells: int | None = None) -> tuple[str, SimplicialSet]:
+def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
+                ) -> tuple[str, SimplicialSet]:
     """Parse a CLI space descriptor: 's1', 's2', ..., 'wedge:1,1', 'circle:4'.
     Returns (canonical name, simplicial set).
 
-    With max_cells, a 'circle:V' whose V vertices alone exceed it is refused
-    unbuilt, with the level-0 ResourceCapError that build_expk raises for
-    every k: its projected count stops at the first partial sum, C(V, 1).
-    So is a sphere summand of dimension m whose m + 1 faces exceed it, with
-    a level-m report that gives m + 1 as its size and projected count.
+    max_cells defaults to build_expk's cap.  A 'circle:V' whose V vertices
+    alone exceed it is refused unbuilt, with the level-0 ResourceCapError
+    that build_expk raises for every k: its projected count stops at the
+    first partial sum, C(V, 1).  So is a sphere summand of dimension m
+    whose m + 1 faces exceed it, with a level-m report that gives m + 1 as
+    its size and projected count.
     """
     d = descriptor.strip().lower()
     if d.startswith("s") and d[1:].isdecimal():
@@ -131,12 +127,12 @@ def parse_space(descriptor: str,
             v = int(d[len("circle:"):])
         except ValueError:
             raise SimplicialError(f"bad circle descriptor {descriptor!r}")
-        if max_cells is not None and v > max_cells:
+        if v > max_cells:
             raise ResourceCapError(0, v, v, max_cells)
         return d, subdivided_circle(v)
     else:
         raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")
     for m in spec.sphere_dims:
-        if max_cells is not None and m + 1 > max_cells:
+        if m + 1 > max_cells:
             raise ResourceCapError(m, m + 1, m + 1, max_cells)
     return d, wedge(spec)

@@ -60,87 +60,79 @@ def tuffley_check(S: SimplicialSet, k: int,
                   max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
     """For a wedge of circles, reduced homology of exp_k must be concentrated
     in degrees k-1 and k.  exp_k of a graph has dimension at most k, so this
-    is vanishing through degree k - 2: the m = 0 case of theorem1_check."""
-    if S.dim != 1:
+    is vanishing through degree k - 2: the m = 0 case of theorem1_check.
+    S qualifies when it has one vertex and dimension 1."""
+    if S.dim != 1 or S.f_vector()[0] != 1:
         raise ValueError("tuffley_check needs a wedge of circles")
     return theorem1_check(S, k, max_cells)
 
 
-# A simplicial set Y with a cover (a list of generator-closed sets of
-# generator ids) and the vanishing degree parameter j
-Lemma1Instance = namedtuple("Lemma1Instance", "Y cover j")
 # verdict is PASS, FAIL or HYPOTHESES_NOT_MET; detail (a str) says why
 Lemma1Verdict = namedtuple("Lemma1Verdict", "verdict detail")
 
 
-def _first_nonzero_degree_of(Y: SimplicialSet, gens: set[int],
-                             bound: int) -> int | None:
-    """First degree <= bound where the reduced homology of the simplicial
-    subset gens of Y is nonzero, or None."""
-    h = homology(normalized_chains(Y, gens), reduced=True)
-    return _first_nonzero_degree(h, bound)
-
-
-def lemma1_check(inst: Lemma1Instance) -> Lemma1Verdict:
-    """Evaluate the cover-vanishing implication: if the total intersection is
+def lemma1_check(Y: SimplicialSet, cover: list[set[int]],
+                 j: int) -> Lemma1Verdict:
+    """Evaluate the cover-vanishing implication for a cover of Y (a list of
+    generator-closed sets of generator ids): if the total intersection is
     nonempty, every s-fold intersection (s >= 2) has vanishing reduced
     homology below degree j, and every cover member has vanishing reduced
     homology below degree j+1, then so does the whole space.
 
     Failed hypotheses yield 'hypotheses-not-met', never a failure.
     """
-    Y, cover, j = inst.Y, inst.cover, inst.j
     if not cover:
         raise ValueError("cover must be nonempty")
     for idx, U in enumerate(cover):
         if close_under_faces(Y, U) != U:
             raise ValueError(f"cover member {idx} is not generator-closed")
-    union = set().union(*cover)
-    if union != set(range(Y.n_generators)):
+    if set().union(*cover) != set(range(Y.n_generators)):
         raise ValueError("cover does not exhaust the space")
-
-    total = set.intersection(*cover)
-    if not total:
+    if not set.intersection(*cover):
         return Lemma1Verdict(HYPOTHESES_NOT_MET, "total intersection empty")
+
+    def first_nonzero(gens: set[int] | None, bound: int) -> int | None:
+        h = homology(normalized_chains(Y, gens), reduced=True)
+        return _first_nonzero_degree(h, bound)
+
+    # every s-fold intersection holds the nonempty total intersection
     for s in range(2, len(cover) + 1):
         for idxs in combinations(range(len(cover)), s):
-            inter = set.intersection(*(cover[i] for i in idxs))
-            if not inter:
-                return Lemma1Verdict(
-                    HYPOTHESES_NOT_MET,
-                    f"intersection {idxs} empty")
-            i = _first_nonzero_degree_of(Y, inter, j - 1)
+            inter = set.intersection(*(cover[c] for c in idxs))
+            i = first_nonzero(inter, j - 1)
             if i is not None:
                 return Lemma1Verdict(
                     HYPOTHESES_NOT_MET,
                     f"intersection {idxs} has homology in degree {i}")
     for idx, U in enumerate(cover):
-        i = _first_nonzero_degree_of(Y, U, j)
+        i = first_nonzero(U, j)
         if i is not None:
             return Lemma1Verdict(
                 HYPOTHESES_NOT_MET,
                 f"cover member {idx} has homology in degree {i}")
 
-    i = _first_nonzero_degree_of(Y, union, j)
+    i = first_nonzero(None, j)  # the cover's union is all of Y
     if i is not None:
         return Lemma1Verdict(FAIL, f"conclusion violated in degree {i}")
     return Lemma1Verdict(PASS, "hypotheses and conclusion hold")
 
 
-def random_lemma1_instance(Y: SimplicialSet, rng) -> Lemma1Instance:
-    """A random generator-closed cover of Y (2 or 3 members) with a random
-    vanishing parameter, drawn with rng's choice, random and randrange."""
+def random_lemma1_instance(Y: SimplicialSet,
+                           rng) -> tuple[list[set[int]], int]:
+    """(cover, j): a random generator-closed cover of Y (2 or 3 members) and
+    a random vanishing parameter, drawn with rng's choice, random and
+    randrange."""
     n = Y.n_generators
     r = rng.choice([2, 3])
     cover = []
     for _ in range(r):
         seed = {g for g in range(n) if rng.random() < 0.6}
         cover.append(close_under_faces(Y, seed))
-    missing = set(range(n)) - set.union(*cover) if cover else set()
+    missing = set(range(n)) - set.union(*cover)
     if missing:
         i = rng.randrange(r)
         cover[i] = close_under_faces(Y, cover[i] | missing)
-    return Lemma1Instance(Y=Y, cover=cover, j=rng.choice([0, 1, 2]))
+    return cover, rng.choice([0, 1, 2])
 
 
 # verdict is PASS or FAIL; homology_a is A's HomologyResult;

@@ -217,18 +217,15 @@ def test_criterion_7_lemma1_implication_suite():
 
     # hand-built: path passes, circle cover fails hypotheses
     S = subdivided_circle(3)
-    path_cover = V.Lemma1Instance(
-        Y=S, cover=[close_under_faces(S, {3}),
-                    close_under_faces(S, {4, 5})], j=1)
+    circle_cover = [close_under_faces(S, {3}), close_under_faces(S, {4, 5})]
     # that cover intersects in two points; build the genuine path instead
     from test_verify import two_edge_path
     P, (p0, p1, p2, e0, e1) = two_edge_path()
-    res = V.lemma1_check(V.Lemma1Instance(
-        Y=P, cover=[{p0, p1, e0}, {p1, p2, e1}], j=1))
+    res = V.lemma1_check(P, [{p0, p1, e0}, {p1, p2, e1}], 1)
     if res.verdict != V.PASS:
         print("  hand-built path example: FAIL")
         ok = False
-    res = V.lemma1_check(path_cover)
+    res = V.lemma1_check(S, circle_cover, 1)
     if res.verdict != V.HYPOTHESES_NOT_MET:
         print("  hand-built circle example: FAIL")
         ok = False
@@ -243,8 +240,7 @@ def test_criterion_7_lemma1_implication_suite():
     met = 0
     for _ in range(200):
         Y = rng.choice(spaces)
-        inst = V.random_lemma1_instance(Y, rng)
-        verdict = V.lemma1_check(inst).verdict
+        verdict = V.lemma1_check(Y, *V.random_lemma1_instance(Y, rng)).verdict
         if verdict == V.FAIL:
             print("  randomized cover violated the implication")
             ok = False

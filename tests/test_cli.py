@@ -12,7 +12,8 @@ import pytest
 from subsetspace import cli
 from subsetspace.cli import main
 from subsetspace.expk import ResourceCapError, build_expk
-from subsetspace.spaces import WedgeSpec, subdivided_circle, wedge
+from subsetspace.spaces import (WedgeSpec, parse_space, subdivided_circle,
+                                wedge)
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,16 @@ def test_parse_error_exit_code(capsys):
     assert "bad wedge descriptor" in err
 
 
+def test_level_is_refused_outside_the_oracle(capsys):
+    # only the oracle counts a level; the other checks would ignore it
+    for which in ("theorem1", "tuffley", "lemma1", "invariance"):
+        for level in ("5", "-3"):
+            code, out, err = run_cli(capsys, "verify", which, "--space",
+                                     "s1", "--k", "2", "--level", level)
+            assert (code, out, err) == (
+                2, "", "error: --level applies only to verify oracle\n")
+
+
 def _seeded_payload(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv, "--seed", "0")
     assert code == 0, argv
@@ -184,11 +195,12 @@ def test_a_file_stands_for_its_own_content(capsys, tmp_path):
     path.write_text(json.dumps({
         "generators": [["a", "b", "c"], ["x", "y", "z"]],
         "faces": {"x": ["b", "a"], "y": ["c", "b"], "z": ["a", "c"]}}))
-    for which in ("theorem1", "tuffley"):
+    refusals = {"theorem1": "theorem1_check needs a homogeneous wedge",
+                "tuffley": "tuffley_check needs a wedge of circles"}
+    for which, refusal in refusals.items():
         code, out, err = run_cli(capsys, "verify", which, "--file",
                                  str(path), "--k", "2")
-        assert (code, out) == (2, "")
-        assert "needs a homogeneous wedge" in err
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
     # invariance derives its partner from the content: a file named s1
     # holding the minimal 2-sphere verifies as s2 does
     path = tmp_path / "s1"
@@ -285,7 +297,10 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
     """A circle:V whose V vertices alone exceed the cap gets build_expk's
     level-0 sizing report without being built, from every subcommand that
     takes --space; circle:300000 used to spend about 3 s in the parser
-    first, and verify lemma1 minutes in its covers."""
+    first, and verify lemma1 minutes in its covers.  parse_space itself
+    applies the same default cap."""
+    report = {"level": 0, "level_size": 300_000, "projected_cells": 300_000,
+              "cap": 200_000}
     for argv in (["homology"], ["verify", "oracle", "--level", "0"],
                  ["verify", "lemma1"]):
         started = time.perf_counter()
@@ -293,9 +308,10 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
                                  "--k", "1")
         assert time.perf_counter() - started < 0.5, argv
         assert (code, out) == (3, ""), argv
-        assert json.loads(err) == {
-            "error": "resource-cap", "level": 0, "level_size": 300_000,
-            "projected_cells": 300_000, "cap": 200_000}
+        assert json.loads(err) == {"error": "resource-cap", **report}
+    with pytest.raises(ResourceCapError) as parsed:
+        parse_space("circle:300000")
+    assert parsed.value.sizing_report() == report
     for k in (1, 2, 3):
         with pytest.raises(ResourceCapError) as built:
             build_expk(subdivided_circle(7), k, max_cells=6)

@@ -71,8 +71,8 @@ def test_theorem1_reads_m_off_the_space():
 def test_tuffley_is_the_m0_case_of_theorem1():
     S = wedge(WedgeSpec((1, 1)))
     assert V.tuffley_check(S, 3) == V.theorem1_check(S, 3)
-    # one dimension, but not one vertex: theorem1_check refuses it
-    with pytest.raises(ValueError, match="homogeneous wedge"):
+    # one dimension, but not one vertex: tuffley_check refuses it itself
+    with pytest.raises(ValueError, match="tuffley_check needs a wedge of"):
         V.tuffley_check(subdivided_circle(4), 2)
 
 
@@ -100,8 +100,8 @@ def test_tuffley_rejects_higher_spheres():
 
 def test_lemma1_path_cover_passes():
     S, (p0, p1, p2, e0, e1) = two_edge_path()
-    inst = V.Lemma1Instance(Y=S, cover=[{p0, p1, e0}, {p1, p2, e1}], j=1)
-    assert V.lemma1_check(inst).verdict == V.PASS
+    res = V.lemma1_check(S, [{p0, p1, e0}, {p1, p2, e1}], 1)
+    assert res.verdict == V.PASS
 
 
 def test_lemma1_circle_cover_hypotheses_not_met():
@@ -109,23 +109,20 @@ def test_lemma1_circle_cover_hypotheses_not_met():
     # two arcs whose intersection is two points
     arc1 = {0, 1, 3}          # p0, p1, e0
     arc2 = {1, 2, 0, 4, 5}    # p1, p2, p0, e1, e2
-    inst = V.Lemma1Instance(Y=S, cover=[arc1, arc2], j=1)
-    res = V.lemma1_check(inst)
+    res = V.lemma1_check(S, [arc1, arc2], 1)
     assert res.verdict == V.HYPOTHESES_NOT_MET
 
 
 def test_lemma1_rejects_non_closed_cover():
     S, (p0, p1, p2, e0, e1) = two_edge_path()
     with pytest.raises(ValueError):
-        V.lemma1_check(V.Lemma1Instance(
-            Y=S, cover=[{e0, p0}, {p1, p2, e1, p0}], j=0))
+        V.lemma1_check(S, [{e0, p0}, {p1, p2, e1, p0}], 0)
 
 
 def test_lemma1_rejects_incomplete_cover():
     S, (p0, p1, p2, e0, e1) = two_edge_path()
     with pytest.raises(ValueError):
-        V.lemma1_check(V.Lemma1Instance(
-            Y=S, cover=[{p0, p1, e0}], j=0))
+        V.lemma1_check(S, [{p0, p1, e0}], 0)
 
 
 def test_lemma1_randomized_implication_holds():
@@ -135,8 +132,8 @@ def test_lemma1_randomized_implication_holds():
               build_expk(wedge(WedgeSpec((1, 1))), 2).result]
     for _ in range(60):
         Y = rng.choice(spaces)
-        inst = V.random_lemma1_instance(Y, rng)
-        assert V.lemma1_check(inst).verdict != V.FAIL
+        res = V.lemma1_check(Y, *V.random_lemma1_instance(Y, rng))
+        assert res.verdict != V.FAIL
 
 
 def test_theorem1_two_sphere_wedge_k3_stretch():
