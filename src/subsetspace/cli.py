@@ -23,42 +23,16 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
-def _resolve_space(args: argparse.Namespace):
-    """The named space; a descriptor over the cap at level 0 of exp_k is
-    refused before it is built (see parse_space)."""
-    if args.file:
-        return os.path.basename(args.file), load_simplicial_set(args.file)
-    return parse_space(args.space, args.max_cells)
-
-
-def _payload(space: str, args: argparse.Namespace, h=None, verdict=None,
-             cells: int = 0, elapsed_ms: int = 0) -> dict:
-    return {
-        "space": space,
-        "k": args.k,
-        "f_vector": h.f_vector if h else None,
-        "betti": h.betti if h else None,
-        "torsion": h.torsion if h else None,
-        "euler": h.euler if h else None,
-        "reduced": h.reduced if h else False,
-        "verdict": verdict,
-        "elapsed_ms": 0 if args.seed is not None else elapsed_ms,
-        "cells_enumerated": cells,
-    }
-
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
-        betti = payload["betti"] or []
-        fvec = payload["f_vector"] or []
-        tors = payload["torsion"] or []
         print("degree,f,betti,torsion")
-        for n in range(max(len(betti), len(fvec))):
-            t = ";".join(str(d) for d in (tors[n] if n < len(tors) else []))
-            print(f"{n},{fvec[n] if n < len(fvec) else 0},"
-                  f"{betti[n] if n < len(betti) else 0},{t}")
+        rows = zip(payload["f_vector"] or [], payload["betti"] or [],
+                   payload["torsion"] or [])
+        for n, (f, b, tors) in enumerate(rows):
+            print(f"{n},{f},{b},{';'.join(str(d) for d in tors)}")
         if payload["verdict"] is not None:
             print(f"verdict,,{payload['verdict']},")
     else:
@@ -74,47 +48,27 @@ def _emit(payload: dict, fmt: str) -> None:
               f"cells: {payload['cells_enumerated']}")
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
-    name, S = _resolve_space(args)
-    t0 = time.monotonic()
-    space = build_expk(S, args.k, max_cells=args.max_cells)
-    h = space_homology(space.result, reduced=args.reduced)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    _emit(_payload(name, args, h=h, cells=space.cells_enumerated,
-                   elapsed_ms=elapsed), args.format)
-    return EXIT_OK
-
-
-def cmd_verify(which: str, args: argparse.Namespace) -> int:
+def cmd_verify(which: str, args: argparse.Namespace, S) -> tuple:
+    """(verdict, homology or None, cells_enumerated) of check `which` on S."""
     from . import verify as V  # here, so that homology calls skip its import
-    t0 = time.monotonic()
-    name, S = _resolve_space(args)
-    h, cells = None, 0
     if which in ("theorem1", "tuffley"):
         check = V.theorem1_check if which == "theorem1" else V.tuffley_check
         res = check(S, args.k, max_cells=args.max_cells)
-        verdict, h, cells = res.verdict, res.homology, res.cells_enumerated
-    elif which == "oracle":
+        return res.verdict, res.homology, res.cells_enumerated
+    if which == "oracle":
         verdict, cells = V.level_count_check(S, args.k, args.level,
                                              max_cells=args.max_cells)
-    elif which == "invariance":
+        return verdict, None, cells
+    if which == "invariance":
         # esd S is made before either exp_k build, so its cap test runs first
         res = V.invariance_check(S, edgewise_subdivision(S, args.max_cells),
                                  args.k, max_cells=args.max_cells)
-        verdict, h, cells = res.verdict, res.homology_a, res.cells_enumerated
-    else:  # lemma1; argparse admits only the five checks
-        import random
-        rng = random.Random(args.seed or 0)
-        verdict = V.PASS
-        for _ in range(50):
-            res = V.lemma1_check(S, *V.random_lemma1_instance(S, rng))
-            if res.verdict == V.FAIL:
-                verdict = V.FAIL
-                break
-    elapsed = int((time.monotonic() - t0) * 1000)
-    _emit(_payload(name, args, h=h, verdict=verdict, cells=cells,
-                   elapsed_ms=elapsed), args.format)
-    return EXIT_OK if verdict == V.PASS else EXIT_FAIL
+        return res.verdict, res.homology_a, res.cells_enumerated
+    import random  # lemma1; argparse admits only the five checks
+    rng = random.Random(args.seed or 0)
+    failed = any(V.lemma1_check(S, *V.random_lemma1_instance(S, rng)).verdict
+                 == V.FAIL for _ in range(50))
+    return V.FAIL if failed else V.PASS, None, 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -149,11 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Validate the parsed arguments in place, reading a missing --space
-    as '' (an empty --file falls back to it)."""
     if args.space is None and args.file is None:
         raise SimplicialError("one of --space or --file is required")
-    args.space = args.space or ""
+    if args.space is not None and args.file is not None:
+        raise SimplicialError("give --space or --file, not both")
     if args.k < 1:
         raise SimplicialError("k must be >= 1")
     if args.max_cells < 1:
@@ -168,9 +121,29 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_args(args)
+        if args.file is None:  # parse_space refuses an over-cap descriptor
+            name, S = parse_space(args.space, args.max_cells)
+        else:
+            name = os.path.basename(args.file)
+            S = load_simplicial_set(args.file)
+        t0 = time.monotonic()
         if args.command == "homology":
-            return cmd_homology(args)
-        return cmd_verify(args.which, args)
+            space = build_expk(S, args.k, max_cells=args.max_cells)
+            h = space_homology(space.result, reduced=args.reduced)
+            verdict, cells = None, space.cells_enumerated
+        else:
+            verdict, h, cells = cmd_verify(args.which, args, S)
+        elapsed = int((time.monotonic() - t0) * 1000)
+        _emit({"space": name, "k": args.k,
+               "f_vector": h.f_vector if h else None,
+               "betti": h.betti if h else None,
+               "torsion": h.torsion if h else None,
+               "euler": h.euler if h else None,
+               "reduced": h.reduced if h else False,
+               "verdict": verdict,
+               "elapsed_ms": 0 if args.seed is not None else elapsed,
+               "cells_enumerated": cells}, args.format)
+        return EXIT_OK if verdict in (None, "pass") else EXIT_FAIL
     except ResourceCapError as exc:
         print(json.dumps({"error": "resource-cap",
                           **exc.sizing_report()}), file=sys.stderr)

@@ -110,8 +110,7 @@ def normalized_chains(S: SimplicialSet,
         if close_under_faces(S, gens) != gens:
             raise SimplicialError("generator set is not closed under faces")
         top = max((S.dim_of[g] for g in gens), default=0)
-        bases = [[g for g in S.by_dim[n] if g in gens] if n <= S.dim else []
-                 for n in range(top + 1)]
+        bases = [[g for g in S.by_dim[n] if g in gens] for n in range(top + 1)]
     index = [{g: i for i, g in enumerate(b)} for b in bases]
     boundaries = [SparseIntMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):

@@ -5,11 +5,14 @@ tests."""
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
                          apply_face, enumerate_level)
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
+
+_COUNT = re.compile("0|[1-9][0-9]*")  # ASCII, unsigned, no leading zero
 
 
 class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
@@ -114,22 +117,22 @@ def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
     its size and projected count.
     """
     d = descriptor.strip().lower()
-    if d.startswith("s") and d[1:].isdecimal():
+    if d[:1] == "s" and _COUNT.fullmatch(d[1:]):
         spec = WedgeSpec((int(d[1:]),))
-    elif d.startswith("wedge:"):
-        try:
-            dims = tuple(int(t) for t in d[len("wedge:"):].split(","))
+    elif d.startswith(("wedge:", "circle:")):
+        kind, _, body = d.partition(":")
+        tokens = body.split(",") if kind == "wedge" else [body]
+        try:  # int refuses counts over sys.get_int_max_str_digits() digits
+            counts = [int(t) for t in tokens if _COUNT.fullmatch(t)]
         except ValueError:
-            raise SimplicialError(f"bad wedge descriptor {descriptor!r}")
-        spec = WedgeSpec(dims)
-    elif d.startswith("circle:"):
-        try:
-            v = int(d[len("circle:"):])
-        except ValueError:
-            raise SimplicialError(f"bad circle descriptor {descriptor!r}")
-        if v > max_cells:
-            raise ResourceCapError(0, v, v, max_cells)
-        return d, subdivided_circle(v)
+            counts = []
+        if len(counts) != len(tokens):
+            raise SimplicialError(f"bad {kind} descriptor {descriptor!r}")
+        if kind == "circle":
+            if counts[0] > max_cells:
+                raise ResourceCapError(0, counts[0], counts[0], max_cells)
+            return d, subdivided_circle(counts[0])
+        spec = WedgeSpec(tuple(counts))
     else:
         raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")
     for m in spec.sphere_dims:

@@ -23,12 +23,10 @@ FAIL = "fail"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
 
 
-# verdict is PASS or FAIL; bound is k + m - 2; offending_degree is the first
-# degree <= bound of nonzero reduced homology, or None; homology is the
+# verdict is PASS or FAIL; bound is k + m - 2; homology is the
 # HomologyResult and cells_enumerated the count of the exp_k build
-ConnectivityClaim = namedtuple(
-    "ConnectivityClaim",
-    "bound verdict offending_degree homology cells_enumerated")
+ConnectivityClaim = namedtuple("ConnectivityClaim",
+                               "bound verdict homology cells_enumerated")
 
 
 def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
@@ -49,10 +47,8 @@ def theorem1_check(S: SimplicialSet, k: int,
     bound = k + m - 2
     space = build_expk(S, k, max_cells=max_cells)
     h = space_homology(space.result, reduced=True)
-    offending = _first_nonzero_degree(h, bound)
-    return ConnectivityClaim(bound=bound,
-                             verdict=PASS if offending is None else FAIL,
-                             offending_degree=offending, homology=h,
+    verdict = PASS if _first_nonzero_degree(h, bound) is None else FAIL
+    return ConnectivityClaim(bound=bound, verdict=verdict, homology=h,
                              cells_enumerated=space.cells_enumerated)
 
 

@@ -242,6 +242,38 @@ def test_missing_space_is_parse_error(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _readme_block(after: str, fence: str) -> str:
+    """The first code block opened by ``fence`` after the line ``after``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rest = text[text.index(after + "\n"):]
+    start = rest.index(fence + "\n") + len(fence) + 1
+    return rest[start:rest.index("```", start)]
+
+
+def test_the_readmes_cli_block_runs(capsys, tmp_path, monkeypatch):
+    """Every line of the README's CLI block, seeded, with its JSON example
+    as my_space.json, exits 0 with output in its --format; --space and
+    --file together are refused."""
+    doc = _readme_block("### Custom simplicial sets (`--file`)", "```json")
+    (tmp_path / "my_space.json").write_text(doc)
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("## CLI", "```").splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "subsetspace"
+        code, out, err = run_cli(capsys, *argv, "--seed", "0")
+        assert code == 0 and err == "", line
+        if "text" in argv:
+            assert out.startswith("space: ") and "elapsed:  0 ms" in out
+        else:
+            assert json.loads(out)["elapsed_ms"] == 0, line
+    code, out, err = run_cli(capsys, "homology", "--space", "s1", "--file",
+                             "my_space.json", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_resource_cap_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "homology", "--space", "s1", "--k", "3",
                              "--max-cells", "4")

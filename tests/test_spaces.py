@@ -89,7 +89,10 @@ def test_parse_space_descriptors():
 
 
 def test_parse_space_rejects_garbage():
-    for desc in ["nope", "wedge:", "circle:x", "s", "s\u00b2"]:
+    # a count is 0 or [1-9][0-9]* in ASCII: no sign, '_', space, leading
+    # zero or other decimal digit ('\u0663' is ARABIC-INDIC DIGIT THREE)
+    for desc in ["nope", "wedge:", "circle:x", "s", "s\u00b2", "circle:+3",
+                 "circle:1_0", "wedge:+1,2", "wedge: 1,2", "s\u0663", "s01"]:
         with pytest.raises(SimplicialError):
             parse_space(desc)
 

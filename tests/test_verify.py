@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -180,3 +181,28 @@ def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     assert cli.main(["verify", "oracle", "--space", "s1", "--k", "2",
                      "--seed", "0"]) == 1
     assert '"verdict": "fail"' in capsys.readouterr().out
+
+
+def test_lemma1_fails_when_only_the_whole_space_has_homology(monkeypatch,
+                                                            capsys):
+    """Negative control: with an extra reduced H_0 on the whole space alone,
+    a cover whose hypotheses hold violates the conclusion, and the CLI's
+    loop reports it with exit 1."""
+    chains, homology = V.normalized_chains, V.homology
+
+    def tagged_chains(Y, gens=None):
+        return chains(Y, gens), gens is None
+
+    def bumped_homology(tagged, reduced=False):
+        C, whole = tagged
+        h = homology(C, reduced=reduced)
+        return h._replace(betti=[h.betti[0] + whole, *h.betti[1:]])
+
+    monkeypatch.setattr(V, "normalized_chains", tagged_chains)
+    monkeypatch.setattr(V, "homology", bumped_homology)
+    S = wedge(WedgeSpec((1, 1)))  # generators v, a, b
+    res = V.lemma1_check(S, [{0, 1}, {0, 2}], 0)
+    assert res == (V.FAIL, "conclusion violated in degree 0")
+    assert cli.main(["verify", "lemma1", "--space", "wedge:1,1", "--k", "2",
+                     "--seed", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
