@@ -26,14 +26,6 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
 
-    def add(self, r: int, c: int, v: int) -> None:
-        col = self.cols[c]
-        new = col.get(r, 0) + v
-        if new:
-            col[r] = new
-        elif r in col:
-            del col[r]
-
     def entries(self):
         for c, col in enumerate(self.cols):
             for r, v in col.items():
@@ -116,7 +108,7 @@ def normalized_chains(S: SimplicialSet,
     for n in range(1, len(bases)):
         M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
         row_of = index[n - 1]
-        for g, col in zip(bases[n], M.cols):  # SparseIntMatrix.add, inlined
+        for g, col in zip(bases[n], M.cols):
             for i, (base, word, _) in enumerate(S.faces[g]):
                 if not word:
                     r = row_of[base]

@@ -16,6 +16,8 @@ import re
 from collections import namedtuple
 from itertools import combinations
 
+COUNT = re.compile("0|[1-9][0-9]*")  # ASCII, unsigned, no leading zero
+
 
 class SimplicialError(Exception):
     """Malformed simplicial data: bad word, bad face table, bad index."""
@@ -236,10 +238,8 @@ def validate(S: SimplicialSet) -> ValidationReport:
 # Format: {"generators": [["v"], ["e"]], "faces": {"e": ["v", "v"]}}
 # where "generators" lists names per dimension (index 0 = vertices) and each
 # face expression is "s_{i1} ... s_{ip} name" with i1 > ... > ip (the empty
-# prefix is allowed).  Words not in normal form are rejected; the others
-# become bitmasks.
-
-_DEGEN_TOKEN = re.compile(r"^s_(\d+)$")
+# prefix is allowed), each index a COUNT.  Words not in normal form are
+# rejected; the others become bitmasks.
 
 
 def parse_face_expression(expr: str, name_to_id: dict[str, int],
@@ -250,12 +250,10 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
     name = tokens[-1]
     if name not in name_to_id:
         raise SimplicialError(f"unknown generator name {name!r}")
-    word = []
     for tok in tokens[:-1]:
-        m = _DEGEN_TOKEN.match(tok)
-        if not m:
+        if tok[:2] != "s_" or not COUNT.fullmatch(tok, 2):
             raise SimplicialError(f"bad token {tok!r} in face expression")
-        word.append(int(m.group(1)))
+    word = [int(tok[2:]) for tok in tokens[:-1]]
     base = name_to_id[name]
     # before the mask: it merges s_1 s_1 into s_2, and 1 << 10**12 is huge
     p = len(word)
@@ -285,13 +283,12 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
             "'faces' must map generator names to lists of face expressions")
     S = SimplicialSet()
     name_to_id: dict[str, int] = {}
-    names: list[str] = []  # names[g] is generator g's
     for dim, dim_names in enumerate(gen_lists):
         for name in dim_names:
             if name in name_to_id:
                 raise SimplicialError(f"duplicate generator name {name!r}")
             name_to_id[name] = S.add_generator(dim)
-            names.append(name)
+    names = list(name_to_id)  # ids are dense, in insertion order
     if not name_to_id:
         raise SimplicialError("'generators' names no generator")
     for name, exprs in face_map.items():

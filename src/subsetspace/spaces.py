@@ -5,14 +5,11 @@ tests."""
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
-from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
+from .simplicial import (COUNT, FormalSimplex, SimplicialSet, SimplicialError,
                          apply_face, enumerate_level)
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
-
-_COUNT = re.compile("0|[1-9][0-9]*")  # ASCII, unsigned, no leading zero
 
 
 class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
@@ -117,13 +114,13 @@ def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
     its size and projected count.
     """
     d = descriptor.strip().lower()
-    if d[:1] == "s" and _COUNT.fullmatch(d[1:]):
+    if d[:1] == "s" and COUNT.fullmatch(d, 1):
         spec = WedgeSpec((int(d[1:]),))
     elif d.startswith(("wedge:", "circle:")):
         kind, _, body = d.partition(":")
         tokens = body.split(",") if kind == "wedge" else [body]
         try:  # int refuses counts over sys.get_int_max_str_digits() digits
-            counts = [int(t) for t in tokens if _COUNT.fullmatch(t)]
+            counts = [int(t) for t in tokens if COUNT.fullmatch(t)]
         except ValueError:
             counts = []
         if len(counts) != len(tokens):

@@ -92,20 +92,15 @@ def lemma1_check(Y: SimplicialSet, cover: list[set[int]],
         return _first_nonzero_degree(h, bound)
 
     # every s-fold intersection holds the nonempty total intersection
-    for s in range(2, len(cover) + 1):
-        for idxs in combinations(range(len(cover)), s):
-            inter = set.intersection(*(cover[c] for c in idxs))
-            i = first_nonzero(inter, j - 1)
-            if i is not None:
-                return Lemma1Verdict(
-                    HYPOTHESES_NOT_MET,
-                    f"intersection {idxs} has homology in degree {i}")
-    for idx, U in enumerate(cover):
-        i = first_nonzero(U, j)
+    r = len(cover)
+    pieces = [(f"intersection {idxs}", idxs, j - 1)
+              for s in range(2, r + 1) for idxs in combinations(range(r), s)]
+    pieces += [(f"cover member {idx}", (idx,), j) for idx in range(r)]
+    for label, idxs, bound in pieces:
+        i = first_nonzero(set.intersection(*(cover[c] for c in idxs)), bound)
         if i is not None:
-            return Lemma1Verdict(
-                HYPOTHESES_NOT_MET,
-                f"cover member {idx} has homology in degree {i}")
+            return Lemma1Verdict(HYPOTHESES_NOT_MET,
+                                 f"{label} has homology in degree {i}")
 
     i = first_nonzero(None, j)  # the cover's union is all of Y
     if i is not None:

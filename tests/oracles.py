@@ -475,7 +475,8 @@ def random_model_complex(rng: random.Random):
         M = SparseIntMatrix(len(cells[n - 1]) if n else 0, len(cells[n]))
         for r, row in enumerate(d[n]):
             for c, v in enumerate(row):
-                M.add(r, c, v)
+                if v:
+                    M.cols[c][r] = v
         boundaries.append(M)
     C = ChainComplex(bases=[list(range(len(b))) for b in cells],
                      boundaries=boundaries)
@@ -559,5 +560,6 @@ def from_dense(rows: list[list[int]]) -> SparseIntMatrix:
     M = SparseIntMatrix(nrows, ncols)
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
-            M.add(r, c, v)
+            if v:
+                M.cols[c][r] = v
     return M

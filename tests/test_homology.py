@@ -106,10 +106,10 @@ def _random_sparse_matrix(rng, max_side=40, min_side=0, entries=None):
             if r in zero_rows or c in zero_cols or rng.random() > density:
                 continue
             if entries:
-                M.add(r, c, rng.choice(entries))
+                M.cols[c][r] = rng.choice(entries)
                 continue
             v = rng.choice((2, 3)) if rng.random() < 0.1 else 1
-            M.add(r, c, rng.choice((1, -1)) * v)
+            M.cols[c][r] = rng.choice((1, -1)) * v
     return M
 
 
@@ -408,10 +408,10 @@ def test_direct_sum_is_degreewise_sum():
         MA, MB = mat(A, n), mat(B, n)
         M = SparseIntMatrix(len(bases[n - 1]) if n else 0, len(bases[n]))
         for r, c, v in MA.entries():
-            M.add(r, c, v)
+            M.cols[c][r] = v
         off_r, off_c = MA.nrows, MA.ncols
         for r, c, v in MB.entries():
-            M.add(r + off_r, c + off_c, v)
+            M.cols[c + off_c][r + off_r] = v
         boundaries.append(M)
     h = homology(ChainComplex(bases=bases, boundaries=boundaries))
     ha = homology(A)

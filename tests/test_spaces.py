@@ -1,6 +1,7 @@
 import pytest
 
-from subsetspace.simplicial import FormalSimplex, SimplicialError, validate
+from subsetspace.simplicial import (FormalSimplex, SimplicialError,
+                                    simplicial_set_from_dict, validate)
 from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.homology import space_homology
@@ -95,6 +96,22 @@ def test_parse_space_rejects_garbage():
                  "circle:1_0", "wedge:+1,2", "wedge: 1,2", "s\u0663", "s01"]:
         with pytest.raises(SimplicialError):
             parse_space(desc)
+
+
+@pytest.mark.parametrize("count", ["00", "01", "\u0663", "0\u0660", "+1",
+                                   "1_0", " 1"])
+def test_both_readers_refuse_a_malformed_count(count):
+    """Descriptor counts and face-expression indices share one grammar, so
+    every count it refuses is refused by both readers ('\u0663' is an
+    ARABIC-INDIC DIGIT THREE and '\u0660' its zero)."""
+    for desc in (f"s{count}", f"circle:{count}"):
+        with pytest.raises(SimplicialError):
+            parse_space(desc)
+    with pytest.raises(SimplicialError, match="bad token"):
+        simplicial_set_from_dict({
+            "generators": [["v"], [], ["c"]],
+            "faces": {"c": [f"s_{count} v", "s_0 v", "s_0 v"]},
+        })
 
 
 def test_edgewise_subdivision_keeps_the_homology():
