@@ -48,27 +48,25 @@ def _emit(payload: dict, fmt: str) -> None:
               f"cells: {payload['cells_enumerated']}")
 
 
-def cmd_verify(which: str, args: argparse.Namespace, S) -> tuple:
-    """(verdict, homology or None, cells_enumerated) of check `which` on S."""
+def cmd_verify(which: str, args: argparse.Namespace, S):
+    """The record of check `which` on S: its verdict, homology (or None)
+    and cells_enumerated."""
     from . import verify as V  # here, so that homology calls skip its import
     if which in ("theorem1", "tuffley"):
         check = V.theorem1_check if which == "theorem1" else V.tuffley_check
-        res = check(S, args.k, max_cells=args.max_cells)
-        return res.verdict, res.homology, res.cells_enumerated
+        return check(S, args.k, max_cells=args.max_cells)
     if which == "oracle":
-        verdict, cells = V.level_count_check(S, args.k, args.level,
-                                             max_cells=args.max_cells)
-        return verdict, None, cells
+        return V.level_count_check(S, args.k, args.level,
+                                   max_cells=args.max_cells)
     if which == "invariance":
         # esd S is made before either exp_k build, so its cap test runs first
-        res = V.invariance_check(S, edgewise_subdivision(S, args.max_cells),
-                                 args.k, max_cells=args.max_cells)
-        return res.verdict, res.homology_a, res.cells_enumerated
+        return V.invariance_check(S, edgewise_subdivision(S, args.max_cells),
+                                  args.k, max_cells=args.max_cells)
     import random  # lemma1; argparse admits only the five checks
     rng = random.Random(args.seed or 0)
     failed = any(V.lemma1_check(S, *V.random_lemma1_instance(S, rng)).verdict
                  == V.FAIL for _ in range(50))
-    return V.FAIL if failed else V.PASS, None, 0
+    return V.Outcome(V.FAIL if failed else V.PASS, None, 0)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -132,7 +130,8 @@ def main(argv=None) -> int:
             h = space_homology(space.result, reduced=args.reduced)
             verdict, cells = None, space.cells_enumerated
         else:
-            verdict, h, cells = cmd_verify(args.which, args, S)
+            res = cmd_verify(args.which, args, S)
+            verdict, h, cells = res.verdict, res.homology, res.cells_enumerated
         elapsed = int((time.monotonic() - t0) * 1000)
         _emit({"space": name, "k": args.k,
                "f_vector": h.f_vector if h else None,
@@ -145,8 +144,8 @@ def main(argv=None) -> int:
                "cells_enumerated": cells}, args.format)
         return EXIT_OK if verdict in (None, "pass") else EXIT_FAIL
     except ResourceCapError as exc:
-        print(json.dumps({"error": "resource-cap",
-                          **exc.sizing_report()}), file=sys.stderr)
+        print(json.dumps({"error": "resource-cap", **exc.report}),
+              file=sys.stderr)
         return EXIT_CAP
     except (SimplicialError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,20 +24,15 @@ DEFAULT_MAX_CELLS = 200_000
 
 
 class ResourceCapError(Exception):
-    """A per-level enumeration exceeded the configured cell cap."""
+    """A per-level enumeration exceeded the configured cell cap; ``report``
+    is the sizing report that the CLI prints."""
 
     def __init__(self, level: int, level_size: int, projected: int, cap: int):
-        self.level = level
-        self.level_size = level_size
-        self.projected = projected
-        self.cap = cap
+        self.report = {"level": level, "level_size": level_size,
+                       "projected_cells": projected, "cap": cap}
         super().__init__(
             f"level {level}: projected {projected} cells from {level_size} "
             f"simplices exceeds cap {cap}")
-
-    def sizing_report(self) -> dict:
-        return {"level": self.level, "level_size": self.level_size,
-                "projected_cells": self.projected, "cap": self.cap}
 
 
 # result is the SimplicialSet exp_k S; cells_enumerated sums the

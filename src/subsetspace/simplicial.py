@@ -23,6 +23,15 @@ class SimplicialError(Exception):
     """Malformed simplicial data: bad word, bad face table, bad index."""
 
 
+def read_count(token: str) -> int | None:
+    """The int a COUNT spells, or None for any other token and for a count
+    over int's limit of sys.get_int_max_str_digits() digits."""
+    try:
+        return int(token) if COUNT.fullmatch(token) else None
+    except ValueError:
+        return None
+
+
 def word_is_valid(word: int, base_dim: int) -> bool:
     """True if ``word`` is a normal-form degeneracy word applicable to a base
     of dimension ``base_dim``.  The word is the bitmask of its indices
@@ -250,10 +259,12 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
     name = tokens[-1]
     if name not in name_to_id:
         raise SimplicialError(f"unknown generator name {name!r}")
+    word = []
     for tok in tokens[:-1]:
-        if tok[:2] != "s_" or not COUNT.fullmatch(tok, 2):
+        i = read_count(tok[2:]) if tok[:2] == "s_" else None
+        if i is None:
             raise SimplicialError(f"bad token {tok!r} in face expression")
-    word = [int(tok[2:]) for tok in tokens[:-1]]
+        word.append(i)
     base = name_to_id[name]
     # before the mask: it merges s_1 s_1 into s_2, and 1 << 10**12 is huge
     p = len(word)

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .simplicial import (COUNT, FormalSimplex, SimplicialSet, SimplicialError,
-                         apply_face, enumerate_level)
+from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
+                         apply_face, enumerate_level, read_count)
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
 
 
@@ -114,16 +114,13 @@ def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
     its size and projected count.
     """
     d = descriptor.strip().lower()
-    if d[:1] == "s" and COUNT.fullmatch(d, 1):
-        spec = WedgeSpec((int(d[1:]),))
+    if d[:1] == "s" and (m := read_count(d[1:])) is not None:
+        spec = WedgeSpec((m,))
     elif d.startswith(("wedge:", "circle:")):
         kind, _, body = d.partition(":")
         tokens = body.split(",") if kind == "wedge" else [body]
-        try:  # int refuses counts over sys.get_int_max_str_digits() digits
-            counts = [int(t) for t in tokens if COUNT.fullmatch(t)]
-        except ValueError:
-            counts = []
-        if len(counts) != len(tokens):
+        counts = [read_count(t) for t in tokens]
+        if None in counts:
             raise SimplicialError(f"bad {kind} descriptor {descriptor!r}")
         if kind == "circle":
             if counts[0] > max_cells:

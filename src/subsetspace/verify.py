@@ -23,6 +23,10 @@ FAIL = "fail"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
 
 
+# verdict is PASS or FAIL; homology is a HomologyResult or None;
+# cells_enumerated is the count of the check's exp_k build, 0 without one
+Outcome = namedtuple("Outcome", "verdict homology cells_enumerated")
+
 # verdict is PASS or FAIL; bound is k + m - 2; homology is the
 # HomologyResult and cells_enumerated the count of the exp_k build
 ConnectivityClaim = namedtuple("ConnectivityClaim",
@@ -126,27 +130,20 @@ def random_lemma1_instance(Y: SimplicialSet,
     return cover, rng.choice([0, 1, 2])
 
 
-# verdict is PASS or FAIL; homology_a is A's HomologyResult;
-# cells_enumerated is the exp_k A build's
-InvarianceVerdict = namedtuple("InvarianceVerdict",
-                               "verdict homology_a cells_enumerated")
-
-
 def invariance_check(A: SimplicialSet, B: SimplicialSet, k: int,
-                     max_cells: int = DEFAULT_MAX_CELLS) -> InvarianceVerdict:
+                     max_cells: int = DEFAULT_MAX_CELLS) -> Outcome:
     """Homology tables of exp_k of two models of one homotopy type must
-    agree degree-wise in betti and torsion."""
+    agree degree-wise in betti and torsion.  The Outcome holds A's."""
     space = build_expk(A, k, max_cells=max_cells)
     ha = space_homology(space.result)
     hb = space_homology(build_expk(B, k, max_cells=max_cells).result)
-    return InvarianceVerdict(verdict=PASS if ha.groups_equal(hb) else FAIL,
-                             homology_a=ha,
-                             cells_enumerated=space.cells_enumerated)
+    return Outcome(PASS if ha.groups_equal(hb) else FAIL, ha,
+                   space.cells_enumerated)
 
 
 def level_count_check(S: SimplicialSet, k: int, level: int | None = None,
-                      max_cells: int = DEFAULT_MAX_CELLS) -> tuple[str, int]:
-    """(verdict, cells_enumerated) of the built exp_k S against its level
+                      max_cells: int = DEFAULT_MAX_CELLS) -> Outcome:
+    """Outcome (homology None) of the built exp_k S against its level
     counts.  By the Eilenberg-Zilber lemma every simplex is s_W y for exactly
     one non-degenerate y, so level n of the build has sum_j f_j C(n, j)
     simplices; it must have one per nonempty subset of size <= k of S_n.
@@ -160,4 +157,4 @@ def level_count_check(S: SimplicialSet, k: int, level: int | None = None,
     levels = range(k * S.dim + 1) if level is None else [level]
     ok = all(level_size(space.result, n) == subsets(level_size(S, n))
              for n in levels)
-    return PASS if ok else FAIL, space.cells_enumerated
+    return Outcome(PASS if ok else FAIL, None, space.cells_enumerated)

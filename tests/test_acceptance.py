@@ -111,7 +111,7 @@ def test_criterion_4_triangulation_invariance():
 def test_criterion_5_oracle_equivalence():
     ok = True
     for desc, k in MATRIX_CASES:
-        verdict, _ = V.level_count_check(parse_space(desc)[1], k)
+        verdict, _, _ = V.level_count_check(parse_space(desc)[1], k)
         if verdict != V.PASS:
             print(f"  level-count oracle {desc} k={k}: FAIL")
             ok = False

@@ -3,20 +3,30 @@
 The benchmark counts a call whose answer ``perfbench/check.py`` rejects as a
 failed operation.  This runs one iteration of each workload through
 ``cli.main`` in process and applies the same check, loading both perfbench
-modules by path.
+modules by path.  It also runs the benchmark's entry point as a child
+process, and pins the names of ``src/`` that ``perfbench/tracer.py`` reads.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
+import inspect
 import io
+import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from subsetspace.cli import main
+from subsetspace.cli import cmd_verify, main
+from subsetspace.homology import SparseIntMatrix
+from subsetspace.simplicial import SimplicialSet
+from subsetspace.spaces import parse_space
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name: str):
@@ -38,3 +48,35 @@ def test_every_workload_call_passes_the_benchmark_check(tmp_path):
                 rc = main(list(call.argv))
             assert check.check(call, rc, out.getvalue(), table) is None, \
                 call.argv
+
+
+def test_the_cli_module_entry_point_prints_the_recorded_output():
+    """perfbench/run.py starts every call as ``python -m subsetspace.cli``,
+    which runs cli.py's ``sys.exit(main())``."""
+    argv = ["homology", "--space", "s1", "--k", "2"]
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    case = next(c for c in golden["cases"] if c["argv"] == argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subsetspace.cli", *argv, "--seed", "0"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, case["stdout"])
+
+
+def test_the_names_the_tracer_reads_are_there():
+    """The tracer names a cmd_verify span verify.<which> from its first
+    argument, and reads n_generators of a build and nnz() of a matrix."""
+    assert next(iter(inspect.signature(cmd_verify).parameters)) == "which"
+    args = argparse.Namespace(k=2, level=None, seed=0, max_cells=200_000)
+    for which, space, cells in [("theorem1", "s2", 43), ("tuffley", "s1", 10),
+                                ("lemma1", "s1", 0), ("invariance", "s1", 10),
+                                ("oracle", "s1", 10)]:
+        record = cmd_verify(which, args, parse_space(space)[1])
+        assert record.verdict == "pass", which
+        assert (record.homology is None) == (which in ("lemma1", "oracle"))
+        assert record.cells_enumerated == cells, which
+    assert isinstance(SimplicialSet.n_generators, property)
+    assert callable(SparseIntMatrix.nnz)

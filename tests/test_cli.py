@@ -343,7 +343,7 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
         assert json.loads(err) == {"error": "resource-cap", **report}
     with pytest.raises(ResourceCapError) as parsed:
         parse_space("circle:300000")
-    assert parsed.value.sizing_report() == report
+    assert parsed.value.report == report
     for k in (1, 2, 3):
         with pytest.raises(ResourceCapError) as built:
             build_expk(subdivided_circle(7), k, max_cells=6)
@@ -352,7 +352,7 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
                                      "--k", str(k), "--max-cells", "6")
             assert (code, out) == (3, "")
             assert json.loads(err) == {"error": "resource-cap",
-                                       **built.value.sizing_report()}
+                                       **built.value.report}
 
 
 def test_sphere_summand_over_the_cap_is_refused_before_it_is_built(capsys):

@@ -387,7 +387,7 @@ def test_monotone_inclusion():
 def test_resource_cap_triggers():
     with pytest.raises(ResourceCapError) as exc:
         build_expk(circle(), 3, max_cells=4)
-    report = exc.value.sizing_report()
+    report = exc.value.report
     assert report["cap"] == 4
     assert report["projected_cells"] > 4
 
@@ -398,7 +398,7 @@ def test_oracle_circle_level1():
     S = circle()
     assert level_size(S, 1) == 2
     assert level_size(build_expk(S, 2).result, 1) == 3
-    assert V.level_count_check(S, 2, 1) == (V.PASS, 10)
+    assert V.level_count_check(S, 2, 1) == (V.PASS, None, 10)
 
 
 def test_oracle_class_count_formula():
@@ -409,7 +409,7 @@ def test_oracle_class_count_formula():
         space = build_expk(S, k)
         assert (level_size(space.result, n)
                 == sum(comb(m, j) for j in range(1, k + 1)))
-        assert V.level_count_check(S, k, n) == (V.PASS,
+        assert V.level_count_check(S, k, n) == (V.PASS, None,
                                                 space.cells_enumerated)
 
 
@@ -444,7 +444,7 @@ def test_oracle_checks_cap_before_enumerating(monkeypatch):
     with pytest.raises(ResourceCapError):
         V.level_count_check(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
     assert calls == [0, 1, 2]
-    assert V.level_count_check(sphere(2), 2, 400) == (V.PASS, 43)
+    assert V.level_count_check(sphere(2), 2, 400) == (V.PASS, None, 43)
     with pytest.raises(SimplicialError, match="dimension must be >= 0"):
         V.level_count_check(sphere(2), 2, -1)
 
@@ -456,7 +456,7 @@ def test_oracle_resource_cap():
         build_expk(S, 4, max_cells=100)
     with pytest.raises(ResourceCapError) as checked:
         V.level_count_check(S, 4, 4, max_cells=100)
-    assert checked.value.sizing_report() == built.value.sizing_report() == {
+    assert checked.value.report == built.value.report == {
         "level": 3, "level_size": 10, "projected_cells": 175, "cap": 100}
 
 
@@ -483,3 +483,29 @@ def test_records_compare_and_hash_as_their_field_tuples():
             setattr(record, field, None)
     assert space._fields == ("result", "cells_enumerated")
     assert SmithResult(rank=0, divisors=[]).cleared == ()
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda S: build_expk(S, 0), "k must be >= 1"),
+    (lambda S: V.lemma1_check(S, [], 1), "cover must be nonempty"),
+    (lambda S: S.add_generator(-1), "generator dimension must be >= 0"),
+    (lambda S: apply_face(S.simplex(S.add_generator(1)), 0, S),
+     "generator 2 has no face table"),
+    (lambda S: enumerate_level(S, -1), "dimension must be >= 0"),
+    (lambda S: S.add_generator(1) and validate(S), (False, (2, 0, 0))),
+    (lambda S: S.faces.__setitem__(0, S.faces[1]) or validate(S),
+     (False, (0, 0, 0))),
+    (lambda S: parse_space("wedge:1," + "9" * 5000), "bad wedge descriptor"),
+    (lambda S: parse_space("circle:" + "9" * 5000), "bad circle descriptor"),
+], ids=["k-0", "empty-cover", "negative-dim", "no-face-table", "level--1",
+        "edge-without-faces", "vertex-with-faces", "wedge-over-int-limit",
+        "circle-over-int-limit"])
+def test_each_guard_refuses_its_input(call, refusal):
+    """Each refusal on the circle S = sphere(1) (vertex 0, edge 1): a guard
+    that raises gives its message, and validate its first violation."""
+    S = sphere(1)
+    if isinstance(refusal, str):
+        with pytest.raises((SimplicialError, ValueError), match=refusal):
+            call(S)
+    else:
+        assert call(S) == refusal

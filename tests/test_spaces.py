@@ -99,13 +99,17 @@ def test_parse_space_rejects_garbage():
 
 
 @pytest.mark.parametrize("count", ["00", "01", "\u0663", "0\u0660", "+1",
-                                   "1_0", " 1"])
+                                   "1_0", " 1",
+                                   pytest.param("9" * 5000, id="5000-digits")])
 def test_both_readers_refuse_a_malformed_count(count):
-    """Descriptor counts and face-expression indices share one grammar, so
+    """Descriptor counts and face-expression indices share one reader, so
     every count it refuses is refused by both readers ('\u0663' is an
-    ARABIC-INDIC DIGIT THREE and '\u0660' its zero)."""
-    for desc in (f"s{count}", f"circle:{count}"):
-        with pytest.raises(SimplicialError):
+    ARABIC-INDIC DIGIT THREE and '\u0660' its zero).  A count over int's
+    4,300-digit limit is refused like any other, not with int's own
+    ValueError."""
+    for desc, refusal in ((f"s{count}", "unrecognized space descriptor"),
+                          (f"circle:{count}", "bad circle descriptor")):
+        with pytest.raises(SimplicialError, match=refusal):
             parse_space(desc)
     with pytest.raises(SimplicialError, match="bad token"):
         simplicial_set_from_dict({
