@@ -2,8 +2,8 @@
 integer homology, and connectivity verification."""
 
 from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
-                         ValidationReport, apply_face, compose_degeneracy,
-                         enumerate_level, load_simplicial_set, validate)
+                         apply_face, compose_degeneracy, enumerate_level,
+                         load_simplicial_set, validate)
 from .spaces import WedgeSpec, sphere, subdivided_circle, wedge
 from .expk import ExpkSpace, ResourceCapError, build_expk
 from .homology import (ChainComplex, ChainComplexError, HomologyResult,
@@ -11,7 +11,7 @@ from .homology import (ChainComplex, ChainComplexError, HomologyResult,
                        smith_normal_form, space_homology)
 
 __all__ = [
-    "FormalSimplex", "SimplicialSet", "SimplicialError", "ValidationReport",
+    "FormalSimplex", "SimplicialSet", "SimplicialError",
     "apply_face", "compose_degeneracy", "enumerate_level",
     "load_simplicial_set", "validate",
     "WedgeSpec", "sphere", "subdivided_circle", "wedge",

@@ -128,7 +128,7 @@ def build_expk(S: SimplicialSet, k: int,
             elems = {faces[at][a][c] for a in elems}
             at -= 1
             rest ^= 1 << c
-        f = FormalSimplex(normal[at][key(elems)].base, C, n)
+        f = FormalSimplex(normal[at][key(elems)].base, C)
         result.check_face(f, n + 1)
         return f
 

@@ -109,7 +109,7 @@ def normalized_chains(S: SimplicialSet,
         M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
         row_of = index[n - 1]
         for g, col in zip(bases[n], M.cols):
-            for i, (base, word, _) in enumerate(S.faces[g]):
+            for i, (base, word) in enumerate(S.faces[g]):
                 if not word:
                     r = row_of[base]
                     v = col[r] = col.get(r, 0) + (-1 if i % 2 else 1)

@@ -7,6 +7,9 @@ table.  Every simplex is written uniquely as a word s_{i_1} ... s_{i_p}
 is set when s_i occurs.  d_i cancels against the word exactly when bit i or
 bit i - 1 is set, leaving the word with that bit deleted; otherwise it
 reaches the generator as d_v, v = i - #{bits below i}.
+
+A simplex is the pair (base, word): its dimension is dim_of[base] plus the
+word's length, and apply_face and check_face are where that sum is taken.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import re
 from collections import namedtuple
 from itertools import combinations
 
-COUNT = re.compile("0|[1-9][0-9]*")  # ASCII, unsigned, no leading zero
+# ASCII, unsigned, no leading zero, at most 640 digits: the least limit
+# sys.set_int_max_str_digits admits, so int() reads every COUNT
+COUNT = re.compile("0|[1-9][0-9]{0,639}")
 
 
 class SimplicialError(Exception):
@@ -24,12 +29,14 @@ class SimplicialError(Exception):
 
 
 def read_count(token: str) -> int | None:
-    """The int a COUNT spells, or None for any other token and for a count
-    over int's limit of sys.get_int_max_str_digits() digits."""
-    try:
-        return int(token) if COUNT.fullmatch(token) else None
-    except ValueError:
-        return None
+    """The int a COUNT spells, or None for any other token."""
+    return int(token) if COUNT.fullmatch(token) else None
+
+
+def quote(text: str) -> str:
+    """How a refusal quotes its input: the repr of at most 40 characters,
+    with '...' after it when ``text`` was cut."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 def word_is_valid(word: int, base_dim: int) -> bool:
@@ -67,29 +74,14 @@ def degeneracy_words(base_dim: int, length: int) -> list[int]:
                   for c in combinations(range(base_dim + length), length))
 
 
-class FormalSimplex(namedtuple("FormalSimplex", "base word dim")):
+class FormalSimplex(namedtuple("FormalSimplex", "base word")):
     """A (possibly degenerate) simplex: a degeneracy word (the bitmask of
-    its indices) applied to a non-degenerate generator; all three fields are
-    ints.  Ordering is (base id, word), the canonical total order used
-    everywhere for determinism.
+    its indices) applied to a non-degenerate generator, both ints.  Its
+    dimension is S.dim_of[base] + word.bit_count().  Ordering and hashing
+    are those of (base id, word), the canonical total order used everywhere
+    for determinism.
     """
     __slots__ = ()
-
-    def degenerate(self, j: int) -> "FormalSimplex":
-        """s_j applied to this simplex, in normal form."""
-        if not 0 <= j <= self.dim:
-            raise SimplicialError(f"degeneracy index {j} out of range")
-        return FormalSimplex(self.base, compose_degeneracy(self.word, j),
-                             self.dim + 1)
-
-
-class ValidationReport(namedtuple("ValidationReport", "ok violation",
-                                  defaults=(None,))):
-    """ok: bool; violation: (generator, i, j) of the first one, or None."""
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class SimplicialSet:
@@ -132,12 +124,12 @@ class SimplicialSet:
     def check_face(self, face: FormalSimplex, n: int) -> None:
         """Refuse ``face`` of an n-simplex unless its base exists, its word
         is in normal form, and its dimension is n - 1, tested in order."""
-        base, word, dim = face
+        base, word = face
         if not 0 <= base < len(self.dim_of):
             raise SimplicialError(f"face base {base} does not exist")
         if not word_is_valid(word, self.dim_of[base]):
             raise SimplicialError(f"face word {word:#b} not in normal form")
-        if dim != n - 1 or self.dim_of[base] + word.bit_count() != n - 1:
+        if self.dim_of[base] + word.bit_count() != n - 1:
             raise SimplicialError("face dimension mismatch")
 
     # -- accessors ---------------------------------------------------------
@@ -157,7 +149,7 @@ class SimplicialSet:
         return [len(gs) for gs in self.by_dim]
 
     def simplex(self, g: int) -> FormalSimplex:
-        return FormalSimplex(g, 0, self.dim_of[g])
+        return FormalSimplex(g, 0)
 
 
 def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
@@ -171,25 +163,26 @@ def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
     taken, v = i - popcount(W & (2^i - 1)), and the survivors (W with bit i
     deleted) are composed onto its word, lowest first.
     """
-    if x.dim < 1:
+    base, W = x
+    n = S.dim_of[base] + W.bit_count()
+    if n < 1:
         raise SimplicialError("cannot take a face of a vertex")
-    if not 0 <= i <= x.dim:
-        raise SimplicialError(f"face index {i} out of range for dim {x.dim}")
-    W = x.word
+    if not 0 <= i <= n:
+        raise SimplicialError(f"face index {i} out of range for dim {n}")
     b = i - 1 if i and (W >> (i - 1)) & 3 == 1 else i  # bit i - 1, not i
     rest = (W >> (b + 1)) << b | W & ((1 << b) - 1)  # W with bit b deleted
     if W >> b & 1:
-        return FormalSimplex(x.base, rest, x.dim - 1)
-    face_table = S.faces[x.base]
+        return FormalSimplex(base, rest)
+    face_table = S.faces[base]
     if face_table is None:
-        raise SimplicialError(f"generator {x.base} has no face table")
+        raise SimplicialError(f"generator {base} has no face table")
     f = face_table[i - (W & ((1 << i) - 1)).bit_count()]
     word = f.word
     while rest:
         low = rest & -rest
         word = compose_degeneracy(word, low.bit_length() - 1)
         rest ^= low
-    return FormalSimplex(f.base, word, x.dim - 1)
+    return FormalSimplex(f.base, word)
 
 
 def close_under_faces(S: SimplicialSet, gens: set[int]) -> set[int]:
@@ -216,20 +209,19 @@ def enumerate_level(S: SimplicialSet, n: int) -> list[FormalSimplex]:
     for g in range(S.n_generators):
         m = S.dim_of[g]
         if m <= n:
-            out.extend(FormalSimplex(g, w, n)
-                       for w in degeneracy_words(m, n - m))
+            out.extend(FormalSimplex(g, w) for w in degeneracy_words(m, n - m))
     return out
 
 
-def validate(S: SimplicialSet) -> ValidationReport:
+def validate(S: SimplicialSet) -> tuple[int, int, int] | None:
     """Check the simplicial identity d_i d_j = d_{j-1} d_i (i < j) on every
-    generator; report the first violation if any."""
+    generator: the first violation (generator, i, j), or None.  A generator
+    whose face table is missing (or, for a vertex, present) gives (g, 0, 0).
+    """
     for g in range(S.n_generators):
         n = S.dim_of[g]
-        if n < 1 and S.faces[g] is not None:
-            return ValidationReport(False, (g, 0, 0))
-        if n >= 1 and S.faces[g] is None:
-            return ValidationReport(False, (g, 0, 0))
+        if (n >= 1) != (S.faces[g] is not None):
+            return g, 0, 0
         if n < 2:
             continue
         x = S.simplex(g)
@@ -238,8 +230,8 @@ def validate(S: SimplicialSet) -> ValidationReport:
             for i in range(j):
                 if apply_face(dj, i, S) != apply_face(apply_face(x, i, S),
                                                       j - 1, S):
-                    return ValidationReport(False, (g, i, j))
-    return ValidationReport(True)
+                    return g, i, j
+    return None
 
 
 # -- JSON ingestion ---------------------------------------------------------
@@ -258,12 +250,12 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
         raise SimplicialError("empty face expression")
     name = tokens[-1]
     if name not in name_to_id:
-        raise SimplicialError(f"unknown generator name {name!r}")
+        raise SimplicialError(f"unknown generator name {quote(name)}")
     word = []
     for tok in tokens[:-1]:
         i = read_count(tok[2:]) if tok[:2] == "s_" else None
         if i is None:
-            raise SimplicialError(f"bad token {tok!r} in face expression")
+            raise SimplicialError(f"bad token {quote(tok)} in face expression")
         word.append(i)
     base = name_to_id[name]
     # before the mask: it merges s_1 s_1 into s_2, and 1 << 10**12 is huge
@@ -271,8 +263,8 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
     if (any(a <= b for a, b in zip(word, word[1:]))
             or p and word[0] >= dim_of[base] + p):
         raise SimplicialError(
-            f"word {tuple(word)} is not in normal form for {name!r}")
-    return FormalSimplex(base, sum(1 << i for i in word), dim_of[base] + p)
+            f"word {tuple(word)} is not in normal form for {quote(name)}")
+    return FormalSimplex(base, sum(1 << i for i in word))
 
 
 def _is_str_list(value) -> bool:
@@ -297,27 +289,28 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
     for dim, dim_names in enumerate(gen_lists):
         for name in dim_names:
             if name in name_to_id:
-                raise SimplicialError(f"duplicate generator name {name!r}")
+                raise SimplicialError(
+                    f"duplicate generator name {quote(name)}")
             name_to_id[name] = S.add_generator(dim)
     names = list(name_to_id)  # ids are dense, in insertion order
     if not name_to_id:
         raise SimplicialError("'generators' names no generator")
     for name, exprs in face_map.items():
         if name not in name_to_id:
-            raise SimplicialError(f"face table for unknown generator {name!r}")
+            raise SimplicialError(
+                f"face table for unknown generator {quote(name)}")
         g = name_to_id[name]
         S.set_faces(g, [parse_face_expression(e, name_to_id, S.dim_of)
                         for e in exprs])
     for g in range(S.n_generators):
         if S.dim_of[g] >= 1 and S.faces[g] is None:
             raise SimplicialError(
-                f"generator {names[g]!r} has no face table")
-    report = validate(S)
-    if not report:
-        g, i, j = report.violation
+                f"generator {quote(names[g])} has no face table")
+    if (violation := validate(S)) is not None:
+        g, i, j = violation
         raise SimplicialError(
-            f"faces of generator {names[g]!r} break d_i d_j = d_(j-1) d_i "
-            f"at (i, j) = ({i}, {j})")
+            f"faces of generator {quote(names[g])} break "
+            f"d_i d_j = d_(j-1) d_i at (i, j) = ({i}, {j})")
     return S
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
-                         apply_face, enumerate_level, read_count)
+                         apply_face, enumerate_level, quote, read_count)
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
 
 
@@ -38,7 +38,7 @@ def wedge(spec: WedgeSpec) -> SimplicialSet:
     for m in spec.sphere_dims:
         g = S.add_generator(m)
         # every face is s_{m-2} ... s_1 s_0 v, the vertex's one (m-1)-simplex
-        S.set_faces(g, [FormalSimplex(v, (1 << (m - 1)) - 1, m - 1)] * (m + 1))
+        S.set_faces(g, [FormalSimplex(v, (1 << (m - 1)) - 1)] * (m + 1))
     return S
 
 
@@ -90,7 +90,7 @@ def edgewise_subdivision(S: SimplicialSet,
             c = rest.bit_length() - 1
             y, at = d(y, c, at), at - 1
             rest ^= 1 << c
-        return FormalSimplex(id_of[y], C, n - 1)
+        return FormalSimplex(id_of[y], C)
 
     for n in range(S.dim + 1):
         for x in enumerate_level(S, 2 * n + 1):
@@ -121,14 +121,15 @@ def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
         tokens = body.split(",") if kind == "wedge" else [body]
         counts = [read_count(t) for t in tokens]
         if None in counts:
-            raise SimplicialError(f"bad {kind} descriptor {descriptor!r}")
+            raise SimplicialError(f"bad {kind} descriptor {quote(descriptor)}")
         if kind == "circle":
             if counts[0] > max_cells:
                 raise ResourceCapError(0, counts[0], counts[0], max_cells)
             return d, subdivided_circle(counts[0])
         spec = WedgeSpec(tuple(counts))
     else:
-        raise SimplicialError(f"unrecognized space descriptor {descriptor!r}")
+        raise SimplicialError(
+            f"unrecognized space descriptor {quote(descriptor)}")
     for m in spec.sphere_dims:
         if m + 1 > max_cells:
             raise ResourceCapError(m, m + 1, m + 1, max_cells)

@@ -54,6 +54,16 @@ def compose_tuple(word: tuple[int, ...], j: int) -> tuple[int, ...]:
             + tuple(i for i in word if i < j))
 
 
+def simplex_dim(S: SimplicialSet, x: FormalSimplex) -> int:
+    """The dimension of x in S: its base's plus its word's length."""
+    return S.dim_of[x.base] + x.word.bit_count()
+
+
+def degenerate(x: FormalSimplex, j: int) -> FormalSimplex:
+    """s_j x, its word composed by the tuple model."""
+    return x._replace(word=word_mask(compose_tuple(word_tuple(x.word), j)))
+
+
 def s_on_tuple(t: tuple[int, ...], j: int) -> tuple[int, ...]:
     assert 0 <= j <= len(t) - 1
     return t[:j + 1] + t[j:]
@@ -131,10 +141,11 @@ def rank_over_q(m: list[list[int]]) -> int:
 def degeneracy_set(x: FormalSimplex, S: SimplicialSet) -> frozenset[int]:
     """Indices i with x in the image of s_i, by the exact membership test
     s_i(d_i(x)) == x."""
-    if x.dim == 0:
+    n = simplex_dim(S, x)
+    if n == 0:
         return frozenset()
-    return frozenset(i for i in range(x.dim)
-                     if apply_face(x, i, S).degenerate(i) == x)
+    return frozenset(i for i in range(n)
+                     if degenerate(apply_face(x, i, S), i) == x)
 
 
 def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
@@ -149,19 +160,20 @@ def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
     return out if out is not None else frozenset()
 
 
-def subset_tuple(elements) -> tuple[FormalSimplex, ...]:
+def subset_tuple(elements, S: SimplicialSet) -> tuple[FormalSimplex, ...]:
     """A simplex of exp_k S as the sorted tuple of its distinct elements,
-    which must be nonempty and of one dimension."""
+    which must be nonempty and of one dimension in S."""
     elems = tuple(sorted(set(elements)))
     if not elems:
         raise SimplicialError("subset simplex must be nonempty")
-    if len({e.dim for e in elems}) != 1:
+    if len({simplex_dim(S, e) for e in elems}) != 1:
         raise SimplicialError("subset elements must have equal dimension")
     return elems
 
 
-def strip_degeneracies(A) -> tuple[int, tuple[FormalSimplex, ...]]:
-    """Eilenberg-Zilber normal form of a set of equal-dimension simplices:
+def strip_degeneracies(A, S: SimplicialSet
+                       ) -> tuple[int, tuple[FormalSimplex, ...]]:
+    """Eilenberg-Zilber normal form of a set of equal-dimension simplices of S:
     word . core, with core a non-degenerate subset.
 
     A simplex lies in the image of s_i exactly when i is in its normal-form
@@ -175,15 +187,14 @@ def strip_degeneracies(A) -> tuple[int, tuple[FormalSimplex, ...]]:
     common = frozenset.intersection(*(frozenset(word_tuple(a.word))
                                       for a in elems))
     if not common:
-        return 0, subset_tuple(elems)
+        return 0, subset_tuple(elems, S)
     core = [FormalSimplex(a.base,
                           word_mask(tuple(i - sum(c < i for c in common)
                                           for i in word_tuple(a.word)
-                                          if i not in common)),
-                          a.dim - len(common))
+                                          if i not in common)))
             for a in elems]
     return (word_mask(tuple(sorted(common, reverse=True))),
-            subset_tuple(core))
+            subset_tuple(core, S))
 
 
 def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
@@ -232,7 +243,7 @@ def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
     word: tuple[int, ...] = ()
     for j in reversed(stripped):
         word = compose_tuple(word, j)
-    return word_mask(word), subset_tuple(elems)
+    return word_mask(word), subset_tuple(elems, S)
 
 
 def expk_subsets(S: SimplicialSet, k: int) -> list[tuple[FormalSimplex, ...]]:
@@ -518,7 +529,7 @@ def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | Non
     used: set[int] = set()
 
     def image(x: FormalSimplex) -> FormalSimplex:
-        return FormalSimplex(mapping[x.base], x.word, x.dim)
+        return FormalSimplex(mapping[x.base], x.word)
 
     def compatible(g: int, h: int) -> bool:
         if A.dim_of[g] != B.dim_of[h]:

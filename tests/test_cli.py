@@ -22,6 +22,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_child(*argv, **env_vars):
+    """``python -m subsetspace.cli`` on this checkout's src/, in a child
+    process with ``env_vars`` added to its environment."""
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "subsetspace.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+
+
 def test_homology_moebius(capsys):
     code, out, _ = run_cli(capsys, "homology", "--space", "s1", "--k", "2",
                            "--reduced", "--seed", "0")
@@ -289,25 +300,34 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
     circle:15000 with 15000 + C(15000, 2), a count whose full sum 2^15000
     has more digits than int -> str converts.  verify oracle builds exp_k S
     first, so it is refused where homology is."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for args, level, level_size, projected in [
             (["homology", "--space", "s1"], 17, 18, 230_963),
             (["homology", "--space", "circle:15000"], 0, 15_000,
              112_507_500),
             (["verify", "oracle", "--space", "s1", "--level", "1"], 17, 18,
              230_963)]:
-        proc = subprocess.run(
-            [sys.executable, "-m", "subsetspace.cli", *args,
-             "--k", "1000000000"],
-            capture_output=True, text=True, timeout=30, env=env)
+        proc = run_cli_child(*args, "--k", "1000000000")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert json.loads(proc.stderr) == {
             "error": "resource-cap", "level": level, "level_size": level_size,
             "projected_cells": projected, "cap": 200_000}
+
+
+def test_malformed_counts_are_refused_whatever_the_int_digit_limit(capsys):
+    """A count has at most 640 digits, the least limit CPython lets
+    PYTHONINTMAXSTRDIGITS set, so a 5,000-digit count gets the same exit
+    code and message here as in a child process whose
+    PYTHONINTMAXSTRDIGITS=0 lifts the limit."""
+    for space, refusal in [("s", "unrecognized space descriptor"),
+                           ("wedge:1,", "bad wedge descriptor"),
+                           ("circle:", "bad circle descriptor")]:
+        args = ["homology", "--space", space + "9" * 5000, "--k", "1"]
+        proc = run_cli_child(*args, PYTHONINTMAXSTRDIGITS="0")
+        code, out, err = run_cli(capsys, *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {refusal} ")
 
 
 def test_oracle_on_a_vertex_file_at_a_huge_k_is_quick(capsys, tmp_path):
