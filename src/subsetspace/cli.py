@@ -155,5 +155,11 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The process entry: main(), start-up's heap frozen out of exit's GC."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -19,9 +19,9 @@ import re
 from collections import namedtuple
 from itertools import combinations
 
-# ASCII, unsigned, no leading zero, at most 640 digits: the least limit
-# sys.set_int_max_str_digits admits, so int() reads every COUNT
-COUNT = re.compile("0|[1-9][0-9]{0,639}")
+# ASCII, unsigned, no leading zero, at most 639 digits, so int() reads a
+# COUNT and str() writes its successor under CPython's least digit limit, 640
+COUNT = re.compile("0|[1-9][0-9]{0,638}")
 
 
 class SimplicialError(Exception):
@@ -262,8 +262,8 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
     p = len(word)
     if (any(a <= b for a, b in zip(word, word[1:]))
             or p and word[0] >= dim_of[base] + p):
-        raise SimplicialError(
-            f"word {tuple(word)} is not in normal form for {quote(name)}")
+        raise SimplicialError(f"word {quote(' '.join(tokens[:-1]))} is not "
+                              f"in normal form for {quote(name)}")
     return FormalSimplex(base, sum(1 << i for i in word))
 
 

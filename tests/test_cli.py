@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,8 @@ from subsetspace.cli import main
 from subsetspace.expk import ResourceCapError, build_expk
 from subsetspace.spaces import (WedgeSpec, parse_space, subdivided_circle,
                                 wedge)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -315,10 +318,10 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
 
 
 def test_malformed_counts_are_refused_whatever_the_int_digit_limit(capsys):
-    """A count has at most 640 digits, the least limit CPython lets
-    PYTHONINTMAXSTRDIGITS set, so a 5,000-digit count gets the same exit
-    code and message here as in a child process whose
-    PYTHONINTMAXSTRDIGITS=0 lifts the limit."""
+    """A count has at most 639 digits, so it and its successor convert
+    under 640, the least limit CPython lets PYTHONINTMAXSTRDIGITS set, and a
+    5,000-digit count gets the same exit code and message here as in a
+    child process whose PYTHONINTMAXSTRDIGITS=0 lifts the limit."""
     for space, refusal in [("s", "unrecognized space descriptor"),
                            ("wedge:1,", "bad wedge descriptor"),
                            ("circle:", "bad circle descriptor")]:
@@ -328,6 +331,20 @@ def test_malformed_counts_are_refused_whatever_the_int_digit_limit(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {refusal} ")
+
+
+def test_the_longest_count_is_read_alike_under_the_least_int_digit_limit(
+        capsys):
+    """Under PYTHONINTMAXSTRDIGITS=640, CPython's least limit, a child
+    process refuses a sphere summand of the longest count, 639 digits, over
+    the cap (its report's m + 1 has 640 digits), and a 640-digit count as a
+    descriptor, with the same exit code and message as here."""
+    for digits, exit_code in ((639, 3), (640, 2)):
+        args = ["homology", "--space", "s" + "9" * digits, "--k", "1"]
+        proc = run_cli_child(*args, PYTHONINTMAXSTRDIGITS="640")
+        code, out, err = run_cli(capsys, *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert (code, out) == (exit_code, "")
 
 
 def test_oracle_on_a_vertex_file_at_a_huge_k_is_quick(capsys, tmp_path):
@@ -418,17 +435,40 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
              (2, ["homology", "--space", "bogus", "--k", "2"]),
              (3, ["homology", "--space", "s1", "--k", "3",
                   "--max-cells", "4"])]
-    was = gc.isenabled()
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         (gc.enable if collecting else gc.disable)()
         for code, argv in calls:
             assert run_cli(capsys, *argv)[0] == code
             assert gc.isenabled() is collecting
+            assert gc.get_freeze_count() == frozen
         with pytest.raises(SystemExit):
             main(["homology", "--k", "two"])
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_run_freezes_start_up_and_is_the_installed_script(capsys):
+    """cli.run, the process entry, is main on sys.argv after gc.freeze(),
+    so the collection at interpreter exit skips what start-up made; main
+    itself freezes nothing (test_main_leaves_the_collector_as_it_found_it).
+    pyproject.toml installs run as the subsetspace command."""
+    argv = ["homology", "--space", "s1", "--k", "2", "--seed", "0"]
+    code = ("import gc, sys; from subsetspace import cli; "
+            f"sys.argv = ['subsetspace', *{argv!r}]; status = cli.run(); "
+            "print(status, gc.get_freeze_count() > 0)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *out, last = proc.stdout.splitlines()
+    assert last == "0 True"
+    assert run_cli(capsys, *argv)[1].splitlines() == out
+    scripts = re.search(r"^\[project\.scripts\]\n(.*)$",
+                        (ROOT / "pyproject.toml").read_text(), re.M)
+    assert scripts.group(1) == 'subsetspace = "subsetspace.cli:run"'
 
 
 def test_seeded_runs_are_byte_identical(capsys):

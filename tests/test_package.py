@@ -35,17 +35,21 @@ def test_cli_import_skips_dataclasses_and_verify():
     """Start-up is most of a short CLI call.  Importing the CLI loads
     neither dataclasses nor the modules it pulls in, nor subsetspace.verify,
     which only verify calls import, nor random, which only verify lemma1
-    uses; importing subsetspace.verify loads no random either."""
+    uses; importing subsetspace.verify loads no random either.  Neither
+    import freezes the importer's heap."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "random",
              "subsetspace.verify"}
     for module, allowed in (("subsetspace.cli", set()),
                             ("subsetspace.verify", {"subsetspace.verify"})):
-        code = f"import {module}, sys; print(' '.join(sys.modules))"
+        code = (f"import {module}, gc, sys; print(gc.get_freeze_count()); "
+                "print(' '.join(sys.modules))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        frozen, modules = proc.stdout.splitlines()
+        assert frozen == "0"  # only cli.run, the process entry, freezes
+        loaded = set(modules.split())
         assert module in loaded
         unexpected = (heavy - allowed) & loaded
         assert not unexpected, sorted(unexpected)

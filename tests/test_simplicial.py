@@ -284,14 +284,25 @@ def test_json_ingestion_rejects_non_normal_words():
         })
     # a repeated index, whose bitmask would read s_2; and an index too high
     # for the word's length
-    for bad, word in [("s_1 s_1 v", r"\(1, 1\)"),
-                      ("s_3 s_0 v", r"\(3, 0\)")]:
+    for bad, word in [("s_1 s_1 v", "'s_1 s_1'"),
+                      ("s_3 s_0 v", "'s_3 s_0'")]:
         with pytest.raises(SimplicialError,
                            match=rf"word {word} is not in normal form"):
             simplicial_set_from_dict({
                 "generators": [["v"], [], [], ["c"]],
                 "faces": {"c": [bad] + ["s_1 s_0 v"] * 3},
             })
+    # the refusal quotes at most 40 characters of a long word, so its
+    # message stays short: the quote is at most 45 characters, with its two
+    # quote marks and '...'
+    long_word = " ".join(f"s_{i}" for i in range(2000))
+    with pytest.raises(SimplicialError, match="not in normal form") as refused:
+        simplicial_set_from_dict({
+            "generators": [["v"], [], ["c"]],
+            "faces": {"c": [f"{long_word} v", "s_0 v", "s_0 v"]},
+        })
+    assert len(str(refused.value)) <= len(
+        "word  is not in normal form for 'v'") + 45
 
 
 def test_json_ingestion_rejects_missing_faces():

@@ -100,16 +100,18 @@ def test_parse_space_rejects_garbage():
 
 @pytest.mark.parametrize("count", ["00", "01", "\u0663", "0\u0660", "+1",
                                    "1_0", " 1",
+                                   pytest.param("9" * 640, id="640-digits"),
                                    pytest.param("9" * 641, id="641-digits"),
                                    pytest.param("9" * 5000, id="5000-digits")])
 def test_both_readers_refuse_a_malformed_count(count):
     """Descriptor counts and face-expression indices share one reader, so
     every count it refuses is refused by both readers ('\u0663' is an
     ARABIC-INDIC DIGIT THREE and '\u0660' its zero).  A count has at most
-    640 digits, CPython's least int -> str limit, so a longer one is refused
-    like any other, not with int's own ValueError.  A refusal quotes at
-    most 40 characters of its input, so its message stays short: the quote
-    is at most 45 characters, with its two quote marks and '...'."""
+    639 digits, so it and its successor convert under CPython's least int
+    <-> str limit, 640, and a longer one is refused like any other, not
+    with int's own ValueError.  A refusal quotes at most 40 characters of
+    its input, so its message stays short: the quote is at most 45
+    characters, with its two quote marks and '...'."""
     for desc, refusal in ((f"s{count}", "unrecognized space descriptor"),
                           (f"circle:{count}", "bad circle descriptor")):
         with pytest.raises(SimplicialError, match=refusal) as refused:
