@@ -1,8 +1,8 @@
 """Finite subset spaces of finite simplicial sets: construction, exact
 integer homology, and connectivity verification."""
 
-from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
-                         apply_face, compose_degeneracy, enumerate_level,
+from .simplicial import (SimplicialSet, SimplicialError, apply_face,
+                         compose_degeneracy, enumerate_level,
                          load_simplicial_set, validate)
 from .spaces import WedgeSpec, sphere, subdivided_circle, wedge
 from .expk import ExpkSpace, ResourceCapError, build_expk
@@ -11,7 +11,7 @@ from .homology import (ChainComplex, ChainComplexError, HomologyResult,
                        smith_normal_form, space_homology)
 
 __all__ = [
-    "FormalSimplex", "SimplicialSet", "SimplicialError",
+    "SimplicialSet", "SimplicialError",
     "apply_face", "compose_degeneracy", "enumerate_level",
     "load_simplicial_set", "validate",
     "WedgeSpec", "sphere", "subdivided_circle", "wedge",

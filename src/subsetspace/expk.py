@@ -17,8 +17,8 @@ from functools import partial, reduce
 from math import comb
 from operator import or_
 
-from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
-                         apply_face, enumerate_level)
+from .simplicial import (SimplicialSet, SimplicialError, apply_face,
+                         enumerate_level)
 
 DEFAULT_MAX_CELLS = 200_000
 
@@ -106,19 +106,19 @@ def build_expk(S: SimplicialSet, k: int,
     A set of level indices is keyed by the OR of their bits (at k = 1, by
     its one index), and normal[n] maps keys to normal forms: it holds
     level n's generators, and level n + 1 adds each new degenerate face
-    once, checked once, so equal faces are one FormalSimplex."""
+    once, checked once, so equal faces are one (base, word) tuple."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     result = SimplicialSet()
     faces: list[list[list[int]]] = []  # faces[n][a][i]: d_i of a, in n - 1
-    normal: list[dict[int, FormalSimplex]] = []  # normal[n][key]: its form
-    below: dict[FormalSimplex, int] = {}
+    normal: list[dict[int, tuple[int, int]]] = []  # normal[n][key]: its form
+    below: dict[tuple[int, int], int] = {}
     words: list[list[int]] = []  # words[n][a]: the word of a
     cells = 0
     # at k = 1 a set has one index, its key: no big ints on huge levels
     key = (lambda E: reduce(or_, map((1).__lshift__, E))) if k > 1 else min
 
-    def face(n: int, elems: set[int]) -> FormalSimplex:
+    def face(n: int, elems: set[int]) -> tuple[int, int]:
         C = (1 << n) - 1
         for a in elems:
             C &= words[n][a]
@@ -128,7 +128,7 @@ def build_expk(S: SimplicialSet, k: int,
             elems = {faces[at][a][c] for a in elems}
             at -= 1
             rest ^= 1 << c
-        f = FormalSimplex(normal[at][key(elems)].base, C)
+        f = normal[at][key(elems)][0], C
         result.check_face(f, n + 1)
         return f
 
@@ -140,7 +140,7 @@ def build_expk(S: SimplicialSet, k: int,
             raise ResourceCapError(n, m, projected, max_cells)
         cells += projected
         level = enumerate_level(S, n)
-        words.append([x.word for x in level])
+        words.append([w for _, w in level])
         table = [[below[apply_face(x, i, S)] for i in range(n + 1)]
                  for x in level] if n else []
         faces.append(table)
@@ -151,7 +151,7 @@ def build_expk(S: SimplicialSet, k: int,
         for idxs in _nondegenerate_subsets([full ^ w for w in words[n]], full,
                                            k, S.dim):
             g = result.add_generator(n)
-            normal[n][key(idxs)] = result.simplex(g)
+            normal[n][key(idxs)] = g, 0
             if n:  # d_i's key is the OR of the rows' i-th entries
                 keys = list(reduce(join, map(rows.__getitem__, idxs)))
                 fs = list(map(memo.get, keys))

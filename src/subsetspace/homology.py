@@ -97,12 +97,15 @@ def normalized_chains(S: SimplicialSet,
     subset); a set not closed under faces raises SimplicialError.
     """
     if gens is None:
-        bases = [list(S.by_dim[n]) for n in range(S.dim + 1)]
-    else:
-        if close_under_faces(S, gens) != gens:
-            raise SimplicialError("generator set is not closed under faces")
-        top = max((S.dim_of[g] for g in gens), default=0)
-        bases = [[g for g in S.by_dim[n] if g in gens] for n in range(top + 1)]
+        gens = range(S.n_generators)
+    elif close_under_faces(S, gens) != gens:
+        raise SimplicialError("generator set is not closed under faces")
+    bases: list[list[int]] = [[]]  # up to the largest dimension in gens
+    for g, n in enumerate(S.dim_of):
+        if g in gens:
+            while len(bases) <= n:
+                bases.append([])
+            bases[n].append(g)
     index = [{g: i for i, g in enumerate(b)} for b in bases]
     boundaries = [SparseIntMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):

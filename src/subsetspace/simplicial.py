@@ -8,15 +8,16 @@ is set when s_i occurs.  d_i cancels against the word exactly when bit i or
 bit i - 1 is set, leaving the word with that bit deleted; otherwise it
 reaches the generator as d_v, v = i - #{bits below i}.
 
-A simplex is the pair (base, word): its dimension is dim_of[base] plus the
-word's length, and apply_face and check_face are where that sum is taken.
+A simplex is the plain tuple (base, word) of two ints: its dimension is
+dim_of[base] plus the word's length, and apply_face and check_face are where
+that sum is taken.  It sorts and hashes as (base id, word), the canonical
+total order used everywhere for determinism.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import namedtuple
 from itertools import combinations
 
 # ASCII, unsigned, no leading zero, at most 639 digits, so int() reads a
@@ -74,28 +75,17 @@ def degeneracy_words(base_dim: int, length: int) -> list[int]:
                   for c in combinations(range(base_dim + length), length))
 
 
-class FormalSimplex(namedtuple("FormalSimplex", "base word")):
-    """A (possibly degenerate) simplex: a degeneracy word (the bitmask of
-    its indices) applied to a non-degenerate generator, both ints.  Its
-    dimension is S.dim_of[base] + word.bit_count().  Ordering and hashing
-    are those of (base id, word), the canonical total order used everywhere
-    for determinism.
-    """
-    __slots__ = ()
-
-
 class SimplicialSet:
     """A finite simplicial set: non-degenerate generators with dense integer
     identifiers, and for each generator of positive dimension a face table of
-    FormalSimplexes in normal form.
+    (base, word) simplices in normal form.
 
     Build with add_generator/set_faces, then treat as immutable.
     """
 
     def __init__(self) -> None:
         self.dim_of: list[int] = []
-        self.faces: list[list[FormalSimplex] | None] = []
-        self.by_dim: list[list[int]] = []
+        self.faces: list[list[tuple[int, int]] | None] = []
 
     # -- construction ------------------------------------------------------
 
@@ -105,23 +95,19 @@ class SimplicialSet:
         g = len(self.dim_of)
         self.dim_of.append(dim)
         self.faces.append(None)
-        while len(self.by_dim) <= dim:
-            self.by_dim.append([])
-        self.by_dim[dim].append(g)
         return g
 
-    def set_faces(self, g: int, faces: list[FormalSimplex]) -> None:
+    def set_faces(self, g: int, faces: list[tuple[int, int]]) -> None:
         n = self.dim_of[g]
         if n == 0:
             raise SimplicialError("vertices have no faces")
         if len(faces) != n + 1:
-            raise SimplicialError(
-                f"generator {g} of dimension {n} needs {n + 1} faces")
+            raise SimplicialError(f"dimension {n} needs {n + 1} faces")
         for f in faces:
             self.check_face(f, n)
         self.faces[g] = list(faces)
 
-    def check_face(self, face: FormalSimplex, n: int) -> None:
+    def check_face(self, face: tuple[int, int], n: int) -> None:
         """Refuse ``face`` of an n-simplex unless its base exists, its word
         is in normal form, and its dimension is n - 1, tested in order."""
         base, word = face
@@ -136,23 +122,18 @@ class SimplicialSet:
 
     @property
     def dim(self) -> int:
-        return len(self.by_dim) - 1
+        return max(self.dim_of, default=-1)
 
     @property
     def n_generators(self) -> int:
         return len(self.dim_of)
 
-    def generators(self, n: int) -> list[int]:
-        return self.by_dim[n] if 0 <= n <= self.dim else []
-
     def f_vector(self) -> list[int]:
-        return [len(gs) for gs in self.by_dim]
-
-    def simplex(self, g: int) -> FormalSimplex:
-        return FormalSimplex(g, 0)
+        return [self.dim_of.count(n) for n in range(self.dim + 1)]
 
 
-def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
+def apply_face(x: tuple[int, int], i: int,
+               S: SimplicialSet) -> tuple[int, int]:
     """d_i applied to x, commuted through the degeneracy word W.
 
     Identities used: d_i s_j = s_{j-1} d_i (i < j), = id (i in {j, j+1}),
@@ -172,17 +153,16 @@ def apply_face(x: FormalSimplex, i: int, S: SimplicialSet) -> FormalSimplex:
     b = i - 1 if i and (W >> (i - 1)) & 3 == 1 else i  # bit i - 1, not i
     rest = (W >> (b + 1)) << b | W & ((1 << b) - 1)  # W with bit b deleted
     if W >> b & 1:
-        return FormalSimplex(base, rest)
+        return base, rest
     face_table = S.faces[base]
     if face_table is None:
         raise SimplicialError(f"generator {base} has no face table")
-    f = face_table[i - (W & ((1 << i) - 1)).bit_count()]
-    word = f.word
+    base, word = face_table[i - (W & ((1 << i) - 1)).bit_count()]
     while rest:
         low = rest & -rest
         word = compose_degeneracy(word, low.bit_length() - 1)
         rest ^= low
-    return FormalSimplex(f.base, word)
+    return base, word
 
 
 def close_under_faces(S: SimplicialSet, gens: set[int]) -> set[int]:
@@ -193,23 +173,22 @@ def close_under_faces(S: SimplicialSet, gens: set[int]) -> set[int]:
     while stack:
         g = stack.pop()
         if S.dim_of[g] >= 1:
-            for f in S.faces[g]:
-                if f.base not in out:
-                    out.add(f.base)
-                    stack.append(f.base)
+            for base, _ in S.faces[g]:
+                if base not in out:
+                    out.add(base)
+                    stack.append(base)
     return out
 
 
-def enumerate_level(S: SimplicialSet, n: int) -> list[FormalSimplex]:
+def enumerate_level(S: SimplicialSet, n: int) -> list[tuple[int, int]]:
     """All simplices of S in dimension n, degenerate ones included, in the
     canonical (base id, word) order."""
     if n < 0:
         raise SimplicialError("dimension must be >= 0")
-    out: list[FormalSimplex] = []
-    for g in range(S.n_generators):
-        m = S.dim_of[g]
+    out: list[tuple[int, int]] = []
+    for g, m in enumerate(S.dim_of):
         if m <= n:
-            out.extend(FormalSimplex(g, w) for w in degeneracy_words(m, n - m))
+            out.extend((g, w) for w in degeneracy_words(m, n - m))
     return out
 
 
@@ -224,7 +203,7 @@ def validate(S: SimplicialSet) -> tuple[int, int, int] | None:
             return g, 0, 0
         if n < 2:
             continue
-        x = S.simplex(g)
+        x = g, 0
         for j in range(1, n + 1):
             dj = apply_face(x, j, S)
             for i in range(j):
@@ -244,7 +223,7 @@ def validate(S: SimplicialSet) -> tuple[int, int, int] | None:
 
 
 def parse_face_expression(expr: str, name_to_id: dict[str, int],
-                          dim_of: list[int]) -> FormalSimplex:
+                          dim_of: list[int]) -> tuple[int, int]:
     tokens = expr.split()
     if not tokens:
         raise SimplicialError("empty face expression")
@@ -264,7 +243,7 @@ def parse_face_expression(expr: str, name_to_id: dict[str, int],
             or p and word[0] >= dim_of[base] + p):
         raise SimplicialError(f"word {quote(' '.join(tokens[:-1]))} is not "
                               f"in normal form for {quote(name)}")
-    return FormalSimplex(base, sum(1 << i for i in word))
+    return base, sum(1 << i for i in word)
 
 
 def _is_str_list(value) -> bool:
@@ -299,16 +278,17 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
         if name not in name_to_id:
             raise SimplicialError(
                 f"face table for unknown generator {quote(name)}")
-        g = name_to_id[name]
-        S.set_faces(g, [parse_face_expression(e, name_to_id, S.dim_of)
-                        for e in exprs])
-    for g in range(S.n_generators):
-        if S.dim_of[g] >= 1 and S.faces[g] is None:
-            raise SimplicialError(
-                f"generator {quote(names[g])} has no face table")
+        fs = [parse_face_expression(e, name_to_id, S.dim_of) for e in exprs]
+        try:
+            S.set_faces(name_to_id[name], fs)
+        except SimplicialError as exc:
+            raise SimplicialError(f"generator {quote(name)}: {exc}") from None
+    # ids follow dimension order, so validate meets a generator without a
+    # face table, (g, 0, 0), before any generator whose faces reach it
     if (violation := validate(S)) is not None:
         g, i, j = violation
         raise SimplicialError(
+            f"generator {quote(names[g])} has no face table" if not j else
             f"faces of generator {quote(names[g])} break "
             f"d_i d_j = d_(j-1) d_i at (i, j) = ({i}, {j})")
     return S

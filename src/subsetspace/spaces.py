@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .simplicial import (FormalSimplex, SimplicialSet, SimplicialError,
-                         apply_face, enumerate_level, quote, read_count)
+from .simplicial import (SimplicialSet, SimplicialError, apply_face,
+                         enumerate_level, quote, read_count)
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
 
 
@@ -38,7 +38,7 @@ def wedge(spec: WedgeSpec) -> SimplicialSet:
     for m in spec.sphere_dims:
         g = S.add_generator(m)
         # every face is s_{m-2} ... s_1 s_0 v, the vertex's one (m-1)-simplex
-        S.set_faces(g, [FormalSimplex(v, (1 << (m - 1)) - 1)] * (m + 1))
+        S.set_faces(g, [(v, (1 << (m - 1)) - 1)] * (m + 1))
     return S
 
 
@@ -51,7 +51,7 @@ def subdivided_circle(v: int) -> SimplicialSet:
     verts = [S.add_generator(0) for _ in range(v)]
     for i in range(v):
         e = S.add_generator(1)
-        S.set_faces(e, [S.simplex(verts[(i + 1) % v]), S.simplex(verts[i])])
+        S.set_faces(e, [(verts[(i + 1) % v], 0), (verts[i], 0)])
     return S
 
 
@@ -74,27 +74,27 @@ def edgewise_subdivision(S: SimplicialSet,
         if m > max_cells:
             raise ResourceCapError(n, m, m, max_cells)
     E = SimplicialSet()
-    id_of: dict[FormalSimplex, int] = {}
+    id_of: dict[tuple[int, int], int] = {}
 
-    def esd_word(x: FormalSimplex, n: int) -> int:
+    def esd_word(word: int, n: int) -> int:
         return sum(1 << c for c in range(n)
-                   if x.word >> c & 1 and x.word >> (2 * n - c) & 1)
+                   if word >> c & 1 and word >> (2 * n - c) & 1)
 
-    def d(x: FormalSimplex, i: int, n: int) -> FormalSimplex:
+    def d(x: tuple[int, int], i: int, n: int) -> tuple[int, int]:
         return apply_face(apply_face(x, 2 * n + 1 - i, S), i, S)
 
-    def face(x: FormalSimplex, i: int, n: int) -> FormalSimplex:
+    def face(x: tuple[int, int], i: int, n: int) -> tuple[int, int]:
         y, at = d(x, i, n), n - 1
-        C = rest = esd_word(y, at)
+        C = rest = esd_word(y[1], at)
         while rest:  # strip the highest esd index first
             c = rest.bit_length() - 1
             y, at = d(y, c, at), at - 1
             rest ^= 1 << c
-        return FormalSimplex(id_of[y], C)
+        return id_of[y], C
 
     for n in range(S.dim + 1):
         for x in enumerate_level(S, 2 * n + 1):
-            if not esd_word(x, n):
+            if not esd_word(x[1], n):
                 g = id_of[x] = E.add_generator(n)
                 if n:
                     E.set_faces(g, [face(x, i, n) for i in range(n + 1)])

@@ -29,9 +29,8 @@ from math import comb, factorial, gcd, prod
 
 from subsetspace.homology import (ChainComplex, HomologyResult, SmithResult,
                                   SparseIntMatrix)
-from subsetspace.simplicial import (FormalSimplex, SimplicialSet,
-                                    SimplicialError, apply_face,
-                                    enumerate_level)
+from subsetspace.simplicial import (SimplicialSet, SimplicialError,
+                                    apply_face, enumerate_level)
 
 
 def word_tuple(mask: int) -> tuple[int, ...]:
@@ -54,14 +53,17 @@ def compose_tuple(word: tuple[int, ...], j: int) -> tuple[int, ...]:
             + tuple(i for i in word if i < j))
 
 
-def simplex_dim(S: SimplicialSet, x: FormalSimplex) -> int:
-    """The dimension of x in S: its base's plus its word's length."""
-    return S.dim_of[x.base] + x.word.bit_count()
+def simplex_dim(S: SimplicialSet, x: tuple[int, int]) -> int:
+    """The dimension of x = (base, word) in S: its base's plus its word's
+    length."""
+    base, word = x
+    return S.dim_of[base] + word.bit_count()
 
 
-def degenerate(x: FormalSimplex, j: int) -> FormalSimplex:
+def degenerate(x: tuple[int, int], j: int) -> tuple[int, int]:
     """s_j x, its word composed by the tuple model."""
-    return x._replace(word=word_mask(compose_tuple(word_tuple(x.word), j)))
+    base, word = x
+    return base, word_mask(compose_tuple(word_tuple(word), j))
 
 
 def s_on_tuple(t: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -138,7 +140,7 @@ def rank_over_q(m: list[list[int]]) -> int:
     return rank
 
 
-def degeneracy_set(x: FormalSimplex, S: SimplicialSet) -> frozenset[int]:
+def degeneracy_set(x: tuple[int, int], S: SimplicialSet) -> frozenset[int]:
     """Indices i with x in the image of s_i, by the exact membership test
     s_i(d_i(x)) == x."""
     n = simplex_dim(S, x)
@@ -160,7 +162,7 @@ def subset_degeneracy_set(A, S: SimplicialSet) -> frozenset[int]:
     return out if out is not None else frozenset()
 
 
-def subset_tuple(elements, S: SimplicialSet) -> tuple[FormalSimplex, ...]:
+def subset_tuple(elements, S: SimplicialSet) -> tuple[tuple[int, int], ...]:
     """A simplex of exp_k S as the sorted tuple of its distinct elements,
     which must be nonempty and of one dimension in S."""
     elems = tuple(sorted(set(elements)))
@@ -172,7 +174,7 @@ def subset_tuple(elements, S: SimplicialSet) -> tuple[FormalSimplex, ...]:
 
 
 def strip_degeneracies(A, S: SimplicialSet
-                       ) -> tuple[int, tuple[FormalSimplex, ...]]:
+                       ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Eilenberg-Zilber normal form of a set of equal-dimension simplices of S:
     word . core, with core a non-degenerate subset.
 
@@ -184,15 +186,14 @@ def strip_degeneracies(A, S: SimplicialSet
     elems = set(A)
     if not elems:
         raise SimplicialError("cannot strip an empty subset")
-    common = frozenset.intersection(*(frozenset(word_tuple(a.word))
-                                      for a in elems))
+    common = frozenset.intersection(*(frozenset(word_tuple(word))
+                                      for _, word in elems))
     if not common:
         return 0, subset_tuple(elems, S)
-    core = [FormalSimplex(a.base,
-                          word_mask(tuple(i - sum(c < i for c in common)
-                                          for i in word_tuple(a.word)
-                                          if i not in common)))
-            for a in elems]
+    core = [(base, word_mask(tuple(i - sum(c < i for c in common)
+                                   for i in word_tuple(word)
+                                   if i not in common)))
+            for base, word in elems]
     return (word_mask(tuple(sorted(common, reverse=True))),
             subset_tuple(core, S))
 
@@ -222,7 +223,7 @@ def nondegenerate_subsets_unpruned(dsets: list[frozenset[int]],
 
 
 def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
-                                 ) -> tuple[int, tuple[FormalSimplex, ...]]:
+                                 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """word . core by stripping one common degeneracy index at a time with
     d_i: the smallest first (order 'min') or a seeded random choice (order
     'random:<seed>')."""
@@ -246,7 +247,8 @@ def strip_degeneracies_iterative(A, S: SimplicialSet, order: str = "min"
     return word_mask(word), subset_tuple(elems, S)
 
 
-def expk_subsets(S: SimplicialSet, k: int) -> list[tuple[FormalSimplex, ...]]:
+def expk_subsets(S: SimplicialSet,
+                 k: int) -> list[tuple[tuple[int, int], ...]]:
     """The generators of exp_k S in the build's id order, each as its
     subset_tuple: level by level, the subsets of size <= k whose
     degeneracy sets (by the membership test) have an empty intersection,
@@ -416,6 +418,40 @@ def homology_reference(C: ChainComplex) -> HomologyResult:
         euler=sum((-1) ** n * f for n, f in enumerate(f_vector)))
 
 
+def betti_mod_p(C: ChainComplex, p: int) -> list[int]:
+    """dim H_n(C; F_p) for n = 0..top, for a prime p: the basis size less
+    the F_p ranks of d_n and d_{n+1}, by column elimination over F_p.  At
+    p = 2 a column is the int bitset of its odd rows, reduced by XOR
+    against kept columns keyed by their highest bit; at odd p it is a
+    {row: residue} dict, reduced against kept columns keyed by their least
+    row, each scaled to 1 there."""
+    ranks = []
+    for M in C.boundaries:
+        kept: dict = {}
+        for col in M.cols:
+            if p == 2:
+                v = sum(1 << r for r, x in col.items() if x % 2)
+                while v and (top := v.bit_length() - 1) in kept:
+                    v ^= kept[top]
+                if v:
+                    kept[top] = v
+                continue
+            v = {r: x % p for r, x in col.items() if x % p}
+            while v and (low := min(v)) in kept:
+                f = v[low]
+                for r, x in kept[low].items():
+                    if y := (v.get(r, 0) - f * x) % p:
+                        v[r] = y
+                    else:
+                        v.pop(r, None)
+            if v:
+                inv = pow(v[low], -1, p)
+                kept[low] = {r: x * inv % p for r, x in v.items()}
+        ranks.append(len(kept))
+    ranks.append(0)  # d_{top+1} = 0
+    return [len(b) - ranks[n] - ranks[n + 1] for n, b in enumerate(C.bases)]
+
+
 def invariant_factors(orders: list[int]) -> list[int]:
     """The group Z/a + Z/b + ... of the given orders as Z/d_1 + Z/d_2 + ...
     with 1 < d_1 | d_2 | ..., gathered from its prime-power parts."""
@@ -528,8 +564,8 @@ def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | Non
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def image(x: FormalSimplex) -> FormalSimplex:
-        return FormalSimplex(mapping[x.base], x.word)
+    def image(x: tuple[int, int]) -> tuple[int, int]:
+        return mapping[x[0]], x[1]
 
     def compatible(g: int, h: int) -> bool:
         if A.dim_of[g] != B.dim_of[h]:
@@ -543,8 +579,8 @@ def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | Non
         if pos == len(order):
             return True
         g = order[pos]
-        for h in B.generators(A.dim_of[g]):
-            if h in used:
+        for h, n in enumerate(B.dim_of):
+            if n != A.dim_of[g] or h in used:
                 continue
             mapping[g] = h
             if compatible(g, h):

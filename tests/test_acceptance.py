@@ -11,9 +11,8 @@ from math import comb, prod
 
 import pytest
 
-from subsetspace.simplicial import (FormalSimplex, apply_face,
-                                    close_under_faces, enumerate_level,
-                                    validate)
+from subsetspace.simplicial import (apply_face, close_under_faces,
+                                    enumerate_level, validate)
 from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import build_expk
@@ -140,7 +139,7 @@ def test_criterion_6_structural_properties():
             stripped = (strip_degeneracies_iterative(
                 [apply_face(a, i, S) for a in sub], S)
                 for i in range(n + 1))
-            expected = [FormalSimplex(id_of.get(core), word)
+            expected = [(id_of.get(core), word)
                         for word, core in stripped] if n else None
             if space.result.faces[g] != expected:
                 print(f"  face table of generator {g} wrong for {desc} k={k}")

@@ -537,6 +537,26 @@ def test_malformed_file_is_parse_error(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"generators": [["a", "b"], ["e"]], "faces": {"e": ["a"]}},
+     "generator 'e': dimension 1 needs 2 faces"),
+    ({"generators": [["v"], [], ["c"]],
+      "faces": {"c": ["v", "s_0 v", "s_0 v"]}},
+     "generator 'c': face dimension mismatch"),
+    ({"generators": [["v"], ["e"]], "faces": {"v": ["e"], "e": ["v", "v"]}},
+     "generator 'v': vertices have no faces"),
+], ids=["face-count", "face-dimension", "vertex-faces"])
+def test_a_refused_face_table_names_its_generator(capsys, tmp_path, data,
+                                                  message):
+    """A face table that set_faces refuses is named by its name in the
+    file, never by the generator's internal id."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "homology", "--file", str(path),
+                             "--k", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # Well-formed face tables the fuzzer mutates: a point, a circle, the minimal
 # 2-sphere, a two-vertex circle and the standard 2-simplex.
 _FUZZ_SEEDS = [

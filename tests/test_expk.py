@@ -8,10 +8,9 @@ import pytest
 
 from subsetspace import expk
 from subsetspace import verify as V
-from subsetspace.simplicial import (FormalSimplex, SimplicialError,
-                                    SimplicialSet, apply_face,
-                                    degeneracy_words, enumerate_level,
-                                    validate)
+from subsetspace.simplicial import (SimplicialError, SimplicialSet,
+                                    apply_face, degeneracy_words,
+                                    enumerate_level, validate)
 from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import ResourceCapError, build_expk, level_size
@@ -33,15 +32,15 @@ def circle():
 
 def test_strip_single_degenerate_vertex():
     S = circle()
-    word, core = strip_degeneracies([degenerate(S.simplex(0), 0)], S)
+    word, core = strip_degeneracies([degenerate((0, 0), 0)], S)
     assert word_tuple(word) == (0,)
-    assert core == subset_tuple([S.simplex(0)], S)
+    assert core == subset_tuple([(0, 0)], S)
 
 
 def test_strip_nondegenerate_pair():
     # {s_0 e, s_1 e} has D-sets {0} and {1}; empty intersection
     S = circle()
-    e = S.simplex(1)
+    e = (1, 0)
     A = [degenerate(e, 0), degenerate(e, 1)]
     word, core = strip_degeneracies(A, S)
     assert word_tuple(word) == ()
@@ -51,8 +50,8 @@ def test_strip_nondegenerate_pair():
 def test_strip_mixed_pair():
     # {s_1 s_0 v, s_1 e}: strip i=1 to reach {s_0 v, e}
     S = circle()
-    v, e = S.simplex(0), S.simplex(1)
-    A = [FormalSimplex(0, word_mask((1, 0))), degenerate(e, 1)]
+    v, e = (0, 0), (1, 0)
+    A = [(0, word_mask((1, 0))), degenerate(e, 1)]
     word, core = strip_degeneracies(A, S)
     assert word_tuple(word) == (1,)
     assert core == subset_tuple([e, degenerate(v, 0)], S)
@@ -79,8 +78,8 @@ def test_strip_rejects_empty_and_mixed_dimensions():
         strip_degeneracies([], S)
     with pytest.raises(SimplicialError):
         # common index 0, cores of dimensions 1 and 0
-        strip_degeneracies([degenerate(S.simplex(1), 0),
-                            degenerate(S.simplex(0), 0)], S)
+        strip_degeneracies([degenerate((1, 0), 0),
+                            degenerate((0, 0), 0)], S)
 
 
 def _random_face_table(rng: random.Random) -> SimplicialSet:
@@ -91,9 +90,8 @@ def _random_face_table(rng: random.Random) -> SimplicialSet:
     es = [S.add_generator(1) for _ in range(3)]
     ts = [S.add_generator(2) for _ in range(2)]
     for e in es:
-        S.set_faces(e, [S.simplex(rng.choice(vs)) for _ in range(2)])
-    edges = [S.simplex(e) for e in es] + [degenerate(S.simplex(v), 0)
-                                          for v in vs]
+        S.set_faces(e, [(rng.choice(vs), 0) for _ in range(2)])
+    edges = [(e, 0) for e in es] + [degenerate((v, 0), 0) for v in vs]
     for t in ts:
         S.set_faces(t, [rng.choice(edges) for _ in range(3)])
     return S
@@ -107,11 +105,11 @@ def _one_vertex_delta_set(rng: random.Random, loops: int,
     identities."""
     S = SimplicialSet()
     v = S.add_generator(0)
-    edges = [degenerate(S.simplex(v), 0)]
+    edges = [degenerate((v, 0), 0)]
     for _ in range(loops):
         e = S.add_generator(1)
-        S.set_faces(e, [S.simplex(v)] * 2)
-        edges.append(S.simplex(e))
+        S.set_faces(e, [(v, 0)] * 2)
+        edges.append((e, 0))
     for _ in range(triangles):
         S.set_faces(S.add_generator(2), [rng.choice(edges) for _ in range(3)])
     return S
@@ -147,8 +145,7 @@ def test_random_one_vertex_delta_sets():
             for i in range(n + 1):
                 word, core = strip_degeneracies_iterative(
                     [apply_face(a, i, S) for a in subsets[g]], S)
-                assert space.result.faces[g][i] == FormalSimplex(
-                    id_of[core], word)
+                assert space.result.faces[g][i] == (id_of[core], word)
         assert space.result.f_vector() == subset_space_f_vector(S.dim_of, k)
         C = normalized_chains(space.result)
         assert C.check_dd_zero()
@@ -176,7 +173,7 @@ def test_word_is_degeneracy_set():
     for S in spaces + broken:
         for n in range(S.dim + 3):
             for x in enumerate_level(S, n):
-                assert (frozenset(word_tuple(x.word))
+                assert (frozenset(word_tuple(x[1]))
                         == degeneracy_set(x, S)), x
                 checked += 1
     assert checked > 12_000
@@ -245,8 +242,9 @@ def test_equal_faces_within_a_level_are_one_object():
     face tables of one level share one object per distinct face."""
     R = build_expk(sphere(3), 3).result
     calls = distinct = 0
-    for gens in R.by_dim[1:]:
-        first: dict[FormalSimplex, FormalSimplex] = {}
+    for n in range(1, R.dim + 1):
+        gens = [g for g, m in enumerate(R.dim_of) if m == n]
+        first: dict[tuple[int, int], tuple[int, int]] = {}
         for g in gens:
             for f in R.faces[g]:
                 assert first.setdefault(f, f) is f
@@ -289,21 +287,24 @@ def test_k1_build_keys_a_set_by_its_one_index():
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda f: f._replace(base=f.base + 10**6),
-    lambda f: f._replace(word=f.word | 1 << 40),
-    lambda f: f._replace(word=f.word << 1 | 1),  # one s_0 too many
+    lambda f: (f[0] + 10**6, f[1]),
+    lambda f: (f[0], f[1] | 1 << 40),
+    lambda f: (f[0], f[1] << 1 | 1),  # one s_0 too many
 ], ids=["base", "word", "dim"])
 def test_a_malformed_face_is_refused_with_set_faces_message(monkeypatch,
                                                             corrupt):
     """build_expk checks each new face with set_faces's rule once: a
     corrupt face ends the build with the message set_faces gives it."""
+    S = sphere(2)
     made, sets = [], []
-    monkeypatch.setattr(expk, "FormalSimplex", lambda *f: made.append(
-        corrupt(FormalSimplex(*f))) or made[-1])
+    check = SimplicialSet.check_face
+    monkeypatch.setattr(SimplicialSet, "check_face", lambda R, f, n: check(
+        R, made.append(corrupt(f)) or made[-1], n))
     monkeypatch.setattr(expk, "SimplicialSet", lambda: sets.append(
         SimplicialSet()) or sets[-1])
     with pytest.raises(SimplicialError) as built:
-        build_expk(sphere(2), 2)
+        build_expk(S, 2)
+    monkeypatch.undo()
     R = sets[0]
     g = R.n_generators - 1
     with pytest.raises(SimplicialError) as direct:
@@ -320,7 +321,7 @@ def test_build_exp2_circle_generators():
     assert [simplex_dim(S, sub[0]) for sub in subsets] == R.dim_of
     subsets = {n: [sub for sub in subsets if simplex_dim(S, sub[0]) == n]
                for n in range(R.dim + 1)}
-    v, e = S.simplex(0), S.simplex(1)
+    v, e = (0, 0), (1, 0)
     assert subsets[0] == [subset_tuple([v], S)]
     assert set(subsets[1]) == {subset_tuple([e], S),
                                subset_tuple([e, degenerate(v, 0)], S)}
@@ -332,10 +333,10 @@ def test_build_exp2_circle_generators():
 def test_exp2_circle_rejects_degenerate_level2_pair():
     # {s_0 e, s_1 s_0 v} has common degeneracy index 0
     S = circle()
-    A = [degenerate(S.simplex(1), 0), FormalSimplex(0, word_mask((1, 0)))]
+    A = [degenerate((1, 0), 0), (0, word_mask((1, 0)))]
     assert strip_degeneracies(A, S) == (
         word_mask((0,)),
-        subset_tuple([S.simplex(1), degenerate(S.simplex(0), 0)], S))
+        subset_tuple([(1, 0), degenerate((0, 0), 0)], S))
     assert subset_tuple(A, S) not in expk_subsets(S, 2)
 
 
@@ -381,9 +382,9 @@ def test_monotone_inclusion():
             if small.dim_of[g] >= 1:
                 fs = small.faces[g]
                 fb = big.faces[big_id[sub]]
-                for x, y in zip(fs, fb):
-                    assert x.word == y.word
-                    assert small_subsets[x.base] == big_subsets[y.base]
+                for (x, wx), (y, wy) in zip(fs, fb):
+                    assert wx == wy
+                    assert small_subsets[x] == big_subsets[y]
 
 
 def test_resource_cap_triggers():
@@ -464,26 +465,25 @@ def test_oracle_resource_cap():
 
 def test_records_compare_and_hash_as_their_field_tuples():
     """Set orders, generator ids and seeded output rest on this: a
-    FormalSimplex hashes and sorts as (base, word), the records are
-    immutable and carry no __dict__, ExpkSpace holds only the complex and
-    its count, and SmithResult's default cleared is empty."""
+    simplex is the plain tuple (base, word) of two ints, so it hashes and
+    sorts as that pair; the records are immutable and carry no __dict__,
+    ExpkSpace holds only the complex and its count, and SmithResult's
+    default cleared is empty."""
     S = wedge(WedgeSpec((1, 2)))
     for n in range(5):
         level = enumerate_level(S, n)
-        assert all(hash(x) == hash((x.base, x.word)) for x in level)
+        assert all(type(x) is tuple and list(map(type, x)) == [int, int]
+                   for x in level)
         shuffled = random.Random(n).sample(level, len(level))
-        assert sorted(shuffled) == sorted(
-            shuffled, key=lambda x: (x.base, x.word))
-    x = level[-1]
+        assert sorted(shuffled) == level
     space = build_expk(S, 2)
-    records = [(x, "word"), (WedgeSpec((1,)), "sphere_dims"),
+    records = [(WedgeSpec((1,)), "sphere_dims"),
                (space, "result"),
                (space_homology(space.result), "betti")]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    assert x._fields == ("base", "word")
     assert space._fields == ("result", "cells_enumerated")
     assert SmithResult(rank=0, divisors=[]).cleared == ()
 
@@ -492,7 +492,7 @@ def test_records_compare_and_hash_as_their_field_tuples():
     (lambda S: build_expk(S, 0), "k must be >= 1"),
     (lambda S: V.lemma1_check(S, [], 1), "cover must be nonempty"),
     (lambda S: S.add_generator(-1), "generator dimension must be >= 0"),
-    (lambda S: apply_face(S.simplex(S.add_generator(1)), 0, S),
+    (lambda S: apply_face((S.add_generator(1), 0), 0, S),
      "generator 2 has no face table"),
     (lambda S: enumerate_level(S, -1), "dimension must be >= 0"),
     (lambda S: S.add_generator(1) and validate(S), (2, 0, 0)),

@@ -15,8 +15,8 @@ from subsetspace.homology import (ChainComplex, ChainComplexError,
                                   normalized_chains, smith_normal_form,
                                   space_homology)
 
-from oracles import (from_dense, homology_reference, minors_gcd,
-                     random_model_complex, rank_over_q,
+from oracles import (betti_mod_p, from_dense, homology_reference,
+                     minors_gcd, random_model_complex, rank_over_q,
                      smith_normal_form_reference, sp2_sphere_reduced_homology,
                      to_dense)
 from test_acceptance import MATRIX_CASES
@@ -425,4 +425,73 @@ def test_direct_sum_is_degreewise_sum():
 def test_normalized_chains_requires_closure():
     S = subdivided_circle(3)
     with pytest.raises(SimplicialError):
-        normalized_chains(S, {S.by_dim[1][0]})  # edge without its vertices
+        normalized_chains(S, {3})  # an edge without its vertices
+
+
+def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
+    """wedge((2, 1, 2)) has generators of dimension 0, 2, 1, 2 in id order.
+    Its chains group their bases by degree, ascending within each; it and
+    its exp_2 have the homology of wedge((1, 2, 2)); and a closed subset's
+    chains are the subcomplex's, up to the largest dimension in it."""
+    S = wedge(WedgeSpec((2, 1, 2)))
+    T = wedge(WedgeSpec((1, 2, 2)))
+    assert S.dim_of == [0, 2, 1, 2]
+    assert normalized_chains(S).bases == [[0], [2], [1, 3]]
+    for k in (1, 2):
+        assert space_homology(build_expk(S, k).result).groups_equal(
+            space_homology(build_expk(T, k).result))
+    for gens, bases, summands in [({0, 2, 3}, [[0], [2], [3]], (1, 2)),
+                                  ({0, 1, 3}, [[0], [], [1, 3]], (2, 2)),
+                                  ({0, 2}, [[0], [2]], (1,))]:
+        sub = normalized_chains(S, gens)
+        assert sub.bases == bases
+        whole = normalized_chains(wedge(WedgeSpec(summands)))
+        assert [to_dense(M) for M in sub.boundaries] == [
+            to_dense(M) for M in whole.boundaries]
+        assert homology(sub).groups_equal(homology(whole))
+
+
+def _mod_p_mismatches() -> list[tuple[str, int, int]]:
+    """The (space, k, p) of the MATRIX_CASES whose F_p homology, by
+    betti_mod_p, is not the universal-coefficient count of the reported
+    groups: dim H_n(X; F_p) = betti_n + t_p(n) + t_p(n - 1), t_p(n) the
+    number of torsion divisors of H_n that p divides.  p runs over 2, 3
+    and every prime dividing a reported divisor."""
+    bad = []
+    for desc, k in MATRIX_CASES:
+        C = normalized_chains(build_expk(parse_space(desc)[1], k).result)
+        h = homology(C)
+        primes = {2, 3} | {q for ds in h.torsion for d in ds
+                           for q in range(2, d + 1)
+                           if d % q == 0 and all(q % r for r in range(2, q))}
+        for p in sorted(primes):
+            t = [sum(d % p == 0 for d in ds) for ds in h.torsion] + [0]
+            if betti_mod_p(C, p) != [b + t[n] + t[n - 1]
+                                     for n, b in enumerate(h.betti)]:
+                bad.append((desc, k, p))
+    return bad
+
+
+def test_homology_agrees_with_an_independent_mod_p_count():
+    """The reported groups predict every F_p Betti number (p = 2, 3 and the
+    primes of the divisors), computed by an elimination that shares no code
+    with homology.py.  It checks betti and which primes divide the torsion,
+    but not the exponents: Z/2 and Z/4 have the same F_2 homology."""
+    assert _mod_p_mismatches() == []
+
+
+def test_the_mod_p_count_catches_a_dropped_divisor(monkeypatch):
+    """An SNF that loses one non-unit divisor, and the rank it adds, makes
+    the mod-p check fail: with it, H gains a Z where a Z/2 was, which the
+    F_3 count sees."""
+    # the package's ``homology`` attribute is the function, not the module
+    homology_module = importlib.import_module("subsetspace.homology")
+
+    def dropping(M, skip=frozenset()):
+        res = smith_normal_form(M, skip)
+        if res.divisors and res.divisors[-1] > 1:
+            res = res._replace(rank=res.rank - 1, divisors=res.divisors[:-1])
+        return res
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", dropping)
+    assert _mod_p_mismatches() == [("wedge:2", 3, 3), ("wedge:3", 2, 3)]

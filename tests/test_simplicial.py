@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetspace.simplicial import (FormalSimplex, SimplicialError,
-                                    SimplicialSet, apply_face,
-                                    compose_degeneracy, degeneracy_words,
-                                    enumerate_level, simplicial_set_from_dict,
-                                    validate, word_is_valid)
+from subsetspace.simplicial import (SimplicialError, SimplicialSet,
+                                    apply_face, compose_degeneracy,
+                                    degeneracy_words, enumerate_level,
+                                    simplicial_set_from_dict, validate,
+                                    word_is_valid)
 from subsetspace.spaces import sphere, subdivided_circle, wedge, WedgeSpec
 
 from oracles import (all_degenerate_tuples, compose_tuple, d_on_tuple,
@@ -71,22 +71,22 @@ def test_compose_normal_form_confluence(ops, base_dim):
 
 def test_apply_face_d0_s0_vertex():
     S = sphere(1)
-    v = S.simplex(0)
+    v = (0, 0)
     x = degenerate(v, 0)
     assert apply_face(x, 0, S) == v
 
 
 def test_apply_face_d2_s1_edge():
     S = sphere(1)
-    e = S.simplex(1)
+    e = (1, 0)
     assert apply_face(degenerate(e, 1), 2, S) == e
 
 
 def test_apply_face_through_word_to_base():
     # minimal circle: d_0(s_1 e) = s_0(d_0 e) = s_0 v
     S = sphere(1)
-    x = degenerate(S.simplex(1), 1)
-    assert apply_face(x, 0, S) == FormalSimplex(0, word_mask((0,)))
+    x = degenerate((1, 0), 1)
+    assert apply_face(x, 0, S) == (0, word_mask((0,)))
 
 
 def test_apply_face_on_a_deep_degenerate_vertex():
@@ -94,10 +94,10 @@ def test_apply_face_on_a_deep_degenerate_vertex():
     each d_i cancels one operator."""
     S = sphere(1)
     n = 300
-    x = FormalSimplex(0, word_mask(tuple(range(n - 1, -1, -1))))
+    x = (0, word_mask(tuple(range(n - 1, -1, -1))))
     for i in range(n + 1):
-        y = apply_face(x, i, S)
-        assert (y.base, word_tuple(y.word), simplex_dim(S, y)) == (
+        y = base, word = apply_face(x, i, S)
+        assert (base, word_tuple(word), simplex_dim(S, y)) == (
             0, tuple(range(n - 2, -1, -1)), n - 1)
 
 
@@ -114,25 +114,25 @@ def test_apply_face_matches_tuple_model():
         g = S.add_generator(m)
         if m:  # distinct faces, so the face index used can be read back
             sides = [S.add_generator(m - 1) for _ in range(m + 1)]
-            S.set_faces(g, [S.simplex(h) for h in sides])
+            S.set_faces(g, [(h, 0) for h in sides])
         for length in range(1, 7):
             for word in degeneracy_words(m, length):
                 t = eval_word(word, m)
                 for i in range(len(t)):
                     face = d_on_tuple(t, i)
-                    y = apply_face(FormalSimplex(g, word), i, S)
+                    y = base, w = apply_face((g, word), i, S)
                     missing = set(range(m + 1)) - set(face)
                     if missing:
                         (v,) = missing
-                        assert y.base == sides[v]
+                        assert base == sides[v]
                         assert simplex_dim(S, y) == m + length - 1
-                        assert eval_word(y.word, m - 1) == tuple(
+                        assert eval_word(w, m - 1) == tuple(
                             a - (a > v) for a in face)
                         through_base += 1
                         continue
-                    assert y.base == g
+                    assert base == g
                     assert simplex_dim(S, y) == m + length - 1
-                    assert eval_word(y.word, m) == face
+                    assert eval_word(w, m) == face
                     checked += 1
     assert checked == 2239
     assert through_base == 425
@@ -141,9 +141,9 @@ def test_apply_face_matches_tuple_model():
 def test_face_indices_out_of_range():
     S = sphere(1)
     with pytest.raises(SimplicialError):
-        apply_face(S.simplex(0), 0, S)
+        apply_face((0, 0), 0, S)
     with pytest.raises(SimplicialError):
-        apply_face(S.simplex(1), 2, S)
+        apply_face((1, 0), 2, S)
 
 
 @pytest.mark.parametrize("space", [sphere(1), sphere(2), sphere(3),
@@ -164,12 +164,10 @@ def test_simplicial_identity_on_all_levels(space):
 def test_enumerate_level_circle():
     S = sphere(1)
     lvl1 = enumerate_level(S, 1)
-    assert [(x.base, word_tuple(x.word)) for x in lvl1] == [(0, (0,)),
-                                                            (1, ())]
+    assert [(g, word_tuple(w)) for g, w in lvl1] == [(0, (0,)), (1, ())]
     lvl2 = enumerate_level(S, 2)
-    assert [(x.base, word_tuple(x.word)) for x in lvl2] == [(0, (1, 0)),
-                                                            (1, (0,)),
-                                                (1, (1,))]
+    assert [(g, word_tuple(w)) for g, w in lvl2] == [(0, (1, 0)),
+                                                     (1, (0,)), (1, (1,))]
 
 
 def test_enumerate_level_two_sphere():
@@ -212,27 +210,24 @@ def test_set_faces_refusals_keep_their_messages_and_order():
     v = S.add_generator(0)
     e = S.add_generator(1)
     t = S.add_generator(2)
-    ok = FormalSimplex(v, 1)  # s_0 v
+    ok = (v, 1)  # s_0 v
     cases = [
-        (e, [FormalSimplex(5, 0), S.simplex(v)],
-         "face base 5 does not exist"),
-        (e, [FormalSimplex(-1, 0)] * 2, "face base -1 does not exist"),
-        (t, [ok, FormalSimplex(v, 0b10), ok],
+        (e, [(5, 0), (v, 0)], "face base 5 does not exist"),
+        (e, [(-1, 0)] * 2, "face base -1 does not exist"),
+        (t, [ok, (v, 0b10), ok],
          "face word 0b10 not in normal form"),
-        (t, [ok, ok, FormalSimplex(v, -1)],
+        (t, [ok, ok, (v, -1)],
          "face word -0b1 not in normal form"),
-        (t, [ok, ok, FormalSimplex(v, 0)], "face dimension mismatch"),
-        (e, [FormalSimplex(v, 1), S.simplex(v)], "face dimension mismatch"),
-        (t, [ok, FormalSimplex(v, 0b11), ok], "face dimension mismatch"),
+        (t, [ok, ok, (v, 0)], "face dimension mismatch"),
+        (e, [(v, 1), (v, 0)], "face dimension mismatch"),
+        (t, [ok, (v, 0b11), ok], "face dimension mismatch"),
         # two rules broken: the earlier rule, or the earlier face, wins
-        (t, [ok, FormalSimplex(9, 0b10), ok], "face base 9 does not exist"),
-        (t, [ok, FormalSimplex(v, 0b100), ok],
+        (t, [ok, (9, 0b10), ok], "face base 9 does not exist"),
+        (t, [ok, (v, 0b100), ok],
          "face word 0b100 not in normal form"),
-        (t, [FormalSimplex(v, 0), FormalSimplex(9, 0), ok],
-         "face dimension mismatch"),
+        (t, [(v, 0), (9, 0), ok], "face dimension mismatch"),
         (v, [], "vertices have no faces"),
-        (t, [FormalSimplex(9, 0)],
-         "generator 2 of dimension 2 needs 3 faces"),
+        (t, [(9, 0)], "dimension 2 needs 3 faces"),
     ]
     for g, faces, message in cases:
         with pytest.raises(SimplicialError) as refused:
@@ -251,7 +246,7 @@ def test_validate_builders_pass():
 def test_validate_reports_corrupted_face_table():
     S = subdivided_circle(3)
     t = S.add_generator(2)
-    e0, e1 = S.simplex(S.by_dim[1][0]), S.simplex(S.by_dim[1][1])
+    e0, e1 = (3, 0), (4, 0)  # the first two edges, after the 3 vertices
     # faces violating d_0 d_1 = d_0 d_0 compatibility on purpose
     S.set_faces(t, [e0, e1, e0])
     violation = validate(S)

@@ -1,6 +1,6 @@
 import pytest
 
-from subsetspace.simplicial import (FormalSimplex, SimplicialError,
+from subsetspace.simplicial import (SimplicialError,
                                     simplicial_set_from_dict, validate)
 from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
@@ -13,7 +13,7 @@ from test_acceptance import MATRIX_CASES
 def test_sphere_one():
     S = sphere(1)
     assert S.f_vector() == [1, 1]
-    assert S.faces[1] == [S.simplex(0), S.simplex(0)]
+    assert S.faces[1] == [(0, 0), (0, 0)]
 
 
 def test_sphere_two_f_vector():
@@ -23,7 +23,7 @@ def test_sphere_two_f_vector():
 def test_sphere_three_faces_fully_degenerate():
     S = sphere(3)
     assert validate(S) is None
-    assert all(f == FormalSimplex(0, word_mask((1, 0)))
+    assert all(f == (0, word_mask((1, 0)))
                for f in S.faces[1])
 
 

@@ -18,8 +18,8 @@ def two_edge_path():
     p2 = S.add_generator(0)
     e0 = S.add_generator(1)
     e1 = S.add_generator(1)
-    S.set_faces(e0, [S.simplex(p1), S.simplex(p0)])
-    S.set_faces(e1, [S.simplex(p2), S.simplex(p1)])
+    S.set_faces(e0, [(p1, 0), (p0, 0)])
+    S.set_faces(e1, [(p2, 0), (p1, 0)])
     return S, (p0, p1, p2, e0, e1)
 
 
@@ -49,8 +49,8 @@ def test_theorem1_requires_homogeneous_wedge():
     mixed = SimplicialSet()
     v = mixed.add_generator(0)
     e, c = mixed.add_generator(1), mixed.add_generator(2)
-    mixed.set_faces(e, [mixed.simplex(v)] * 2)
-    mixed.set_faces(c, [mixed.simplex(e)] * 3)
+    mixed.set_faces(e, [(v, 0)] * 2)
+    mixed.set_faces(c, [(e, 0)] * 3)
     for S in (subdivided_circle(4), mixed, SimplicialSet()):
         with pytest.raises(ValueError, match="homogeneous wedge"):
             V.theorem1_check(S, 2)
@@ -167,7 +167,7 @@ def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     def broken(S, k, max_cells):
         space = build_expk(S, k, max_cells)
         X = space.result
-        X.by_dim[X.dim_of.pop()].pop()
+        X.dim_of.pop()
         X.faces.pop()
         return space
 
