@@ -267,6 +267,9 @@ def simplicial_set_from_dict(data: dict) -> SimplicialSet:
     name_to_id: dict[str, int] = {}
     for dim, dim_names in enumerate(gen_lists):
         for name in dim_names:
+            if name.split() != [name]:  # face expressions split on whitespace
+                raise SimplicialError(
+                    f"generator name {quote(name)} is not one token")
             if name in name_to_id:
                 raise SimplicialError(
                     f"duplicate generator name {quote(name)}")

@@ -545,11 +545,25 @@ def test_malformed_file_is_parse_error(capsys, tmp_path, data):
      "generator 'c': face dimension mismatch"),
     ({"generators": [["v"], ["e"]], "faces": {"v": ["e"], "e": ["v", "v"]}},
      "generator 'v': vertices have no faces"),
-], ids=["face-count", "face-dimension", "vertex-faces"])
+    ({"generators": [["v"], ["x y"], ["t"]],
+      "faces": {"x y": ["v", "v"], "t": ["x y", "x y", "x y"]}},
+     "generator name 'x y' is not one token"),
+    ({"generators": [["v"], [""], ["t"]],
+      "faces": {"": ["v", "v"], "t": ["", "", ""]}},
+     "generator name '' is not one token"),
+    ({"generators": [["v"], [" v"], ["t"]],
+      "faces": {" v": ["v", "v"], "t": [" v", " v", " v"]}},
+     "generator name ' v' is not one token"),
+    ({"generators": [["v", "x y"]]}, "generator name 'x y' is not one token"),
+], ids=["face-count", "face-dimension", "vertex-faces", "spaced-name",
+        "empty-name", "leading-space-name", "unreferenced-spaced-name"])
 def test_a_refused_face_table_names_its_generator(capsys, tmp_path, data,
                                                   message):
     """A face table that set_faces refuses is named by its name in the
-    file, never by the generator's internal id."""
+    file, never by the generator's internal id.  A face expression splits
+    on whitespace, so a name that is empty or holds whitespace could never
+    be spelled in one: it is refused where it is declared, even when no
+    face table refers to it."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "homology", "--file", str(path),

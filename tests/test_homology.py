@@ -1,4 +1,3 @@
-import importlib
 import random
 from math import gcd, prod
 
@@ -248,8 +247,7 @@ def test_snf_with_skip_matches_reference_on_zeroed_columns(case):
 def test_homology_hands_smith_normal_form_the_boundaries(monkeypatch):
     """Clearing passes the cleared columns as skip: every matrix handed to
     smith_normal_form is one of the complex's boundaries, each once."""
-    # the package's ``homology`` attribute is the function, not the module
-    homology_module = importlib.import_module("subsetspace.homology")
+    import subsetspace.homology as homology_module
     C = normalized_chains(build_expk(sphere(3), 3).result)
     calls = []
 
@@ -484,8 +482,7 @@ def test_the_mod_p_count_catches_a_dropped_divisor(monkeypatch):
     """An SNF that loses one non-unit divisor, and the rank it adds, makes
     the mod-p check fail: with it, H gains a Z where a Z/2 was, which the
     F_3 count sees."""
-    # the package's ``homology`` attribute is the function, not the module
-    homology_module = importlib.import_module("subsetspace.homology")
+    import subsetspace.homology as homology_module
 
     def dropping(M, skip=frozenset()):
         res = smith_normal_form(M, skip)

@@ -1,6 +1,7 @@
 """Package-wide guards: the library imports only the standard library, so
-``dependencies = []`` stays true, every public name resolves, and importing
-the CLI stays cheap."""
+``dependencies = []`` stays true, the package binds no name of its own, so
+each module is reached by its own name, and importing the CLI stays
+cheap."""
 
 import ast
 import os
@@ -8,12 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import subsetspace
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "subsetspace"
+# the names that subsetspace/__init__.py once re-exported from its modules
+OLD_EXPORTS = """SimplicialSet SimplicialError apply_face compose_degeneracy
+enumerate_level load_simplicial_set validate WedgeSpec sphere
+subdivided_circle wedge ExpkSpace ResourceCapError build_expk ChainComplex
+ChainComplexError HomologyResult SmithResult homology normalized_chains
+smith_normal_form space_homology __version__""".split()
 
 
-def test_stdlib_only_and_public_names_resolve():
+def test_src_imports_only_the_standard_library():
     paths = sorted(SRC.glob("*.py"))
     assert "cli.py" in {p.name for p in paths}
     for path in paths:
@@ -27,8 +32,25 @@ def test_stdlib_only_and_public_names_resolve():
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, \
                     f"{path.name} imports {module}"
-    for name in subsetspace.__all__:
-        assert getattr(subsetspace, name, None) is not None, name
+
+
+def test_the_package_binds_no_name_so_subsetspace_homology_is_the_module():
+    """``import subsetspace`` loads no submodule and binds none of the
+    names the package once re-exported.  So after ``import
+    subsetspace.homology``, that attribute is the module, not the function
+    ``homology`` it defines."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import subsetspace, sys, types; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.startswith('subsetspace.'))); "
+            f"print(' '.join(n for n in {OLD_EXPORTS!r} "
+            "if hasattr(subsetspace, n))); "
+            "import subsetspace.homology; "
+            "print(isinstance(subsetspace.homology, types.ModuleType))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "", "True"]
 
 
 def test_cli_import_skips_dataclasses_and_verify():
