@@ -15,8 +15,8 @@ import time
 
 from .simplicial import SimplicialError, load_simplicial_set
 from .spaces import edgewise_subdivision, parse_space
-from .expk import DEFAULT_MAX_CELLS, ResourceCapError, build_expk
-from .homology import space_homology
+from .expk import DEFAULT_MAX_CELLS, ResourceCapError
+from .homology import expk_homology
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -126,9 +126,8 @@ def main(argv=None) -> int:
             S = load_simplicial_set(args.file)
         t0 = time.monotonic()
         if args.command == "homology":
-            space = build_expk(S, args.k, max_cells=args.max_cells)
-            h = space_homology(space.result, reduced=args.reduced)
-            verdict, cells = None, space.cells_enumerated
+            h, cells = expk_homology(S, args.k, args.reduced, args.max_cells)
+            verdict = None
         else:
             res = cmd_verify(args.which, args, S)
             verdict, h, cells = res.verdict, res.homology, res.cells_enumerated

@@ -13,6 +13,7 @@ Each distinct face of a level is normalised once, keyed by its elements' bits.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial, reduce
 from math import comb
 from operator import or_
@@ -58,6 +59,26 @@ def level_size(S: SimplicialSet, n: int) -> int:
     if n < 0:
         raise SimplicialError("dimension must be >= 0")
     return sum(comb(n, d) for d in S.dim_of)
+
+
+def capped_levels(S: SimplicialSet, k: int, max_cells: int) -> Iterator[int]:
+    """The projected_cells of each level of exp_k S, which sum to its
+    cells_enumerated; a level over ``max_cells`` raises ResourceCapError."""
+    for n in range(k * S.dim + 1):
+        m = level_size(S, n)
+        projected = projected_cells(m, k, max_cells)
+        if projected > max_cells:
+            raise ResourceCapError(n, m, projected, max_cells)
+        yield projected
+
+
+def expk_f_vector(S: SimplicialSet, k: int) -> list[int]:
+    """The f-vector of exp_k S, by inclusion-exclusion over the t indices
+    that every word of a subset holds: f_n = sum_t (-1)^t C(n, t)
+    sum_{j <= k} C(level_size(S, n - t), j)."""
+    return [sum((-1) ** t * comb(n, t)
+                * sum(comb(level_size(S, n - t), j) for j in range(1, k + 1))
+                for t in range(n + 1)) for n in range(k * S.dim + 1)]
 
 
 def _nondegenerate_subsets(comps: list[int], full: int, k: int,
@@ -133,11 +154,7 @@ def build_expk(S: SimplicialSet, k: int,
         return f
 
     join = partial(map, or_)
-    for n in range(k * S.dim + 1):
-        m = level_size(S, n)
-        projected = projected_cells(m, k, max_cells)
-        if projected > max_cells:
-            raise ResourceCapError(n, m, projected, max_cells)
+    for n, projected in enumerate(capped_levels(S, k, max_cells)):
         cells += projected
         level = enumerate_level(S, n)
         words.append([w for _, w in level])

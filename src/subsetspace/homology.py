@@ -12,6 +12,9 @@ from collections import namedtuple
 from math import gcd
 
 from .simplicial import SimplicialSet, SimplicialError, close_under_faces
+from .expk import (DEFAULT_MAX_CELLS, build_expk, capped_levels,
+                   expk_f_vector)
+from .spaces import reduce_base
 
 
 class ChainComplexError(Exception):
@@ -304,3 +307,23 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
 
 def space_homology(S: SimplicialSet, reduced: bool = False) -> HomologyResult:
     return homology(normalized_chains(S), reduced=reduced)
+
+
+def expk_homology(S: SimplicialSet, k: int, reduced: bool = False,
+                  max_cells: int = DEFAULT_MAX_CELLS
+                  ) -> tuple[HomologyResult, int]:
+    """(homology of exp_k S, its cells_enumerated), computed on exp_k(S/K)
+    once S's levels pass the cap.  |S| -> |S/K| is a homotopy equivalence
+    (Hatcher, Algebraic Topology, Prop. 0.17), and exp_k keeps it one
+    (Handel, Houston J. Math. 26, 2000), so the groups and euler hold for
+    exp_k S.  When S/K is not S, the f-vector is exp_k S's closed form, and
+    the groups are padded with zeros to its length."""
+    cells = sum(capped_levels(S, k, max_cells))
+    R = reduce_base(S)
+    h = space_homology(build_expk(R, k, max_cells).result, reduced)
+    if R is not S:
+        f = expk_f_vector(S, k)
+        pad = range(len(f) - len(h.betti))
+        h = h._replace(f_vector=f, betti=h.betti + [0 for _ in pad],
+                       torsion=h.torsion + [[] for _ in pad])
+    return h, cells

@@ -1,11 +1,11 @@
 """Builders for the spaces quantified over in the verification suite:
 minimal spheres, wedges of spheres, subdivided circles, and Segal's edgewise
 subdivision of any finite simplicial set for triangulation-invariance
-tests."""
+tests, and the quotient of a base by a contractible subcomplex."""
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .simplicial import (SimplicialSet, SimplicialError, apply_face,
                          enumerate_level, quote, read_count)
@@ -99,6 +99,44 @@ def edgewise_subdivision(S: SimplicialSet,
                 if n:
                     E.set_faces(g, [face(x, i, n) for i in range(n + 1)])
     return E
+
+
+def reduce_base(S: SimplicialSet) -> SimplicialSet:
+    """S/K: each component's K, grown from its lowest-id vertex (the seed)
+    by elementary expansions (tau, sigma) in id order on a FIFO worklist,
+    collapsed to the seed; S itself when every component is one vertex.
+    sigma expands when all its faces but one, tau, have their base in K.
+    Each face of d_i sigma is a face of a d_j sigma, j != i, so tau is
+    non-degenerate, once among sigma's faces and with its faces in K:
+    sigma meets K in a horn, and K stays contractible.  A face based in K
+    becomes (seed, 1...1)."""
+    if all(fs[0] == fs[1] for d, fs in zip(S.dim_of, S.faces) if d == 1):
+        return S
+    cofaces: list[list[int]] = [[] for _ in S.dim_of]
+    for s, fs in enumerate(S.faces):
+        for b in {b for b, _ in fs or ()}:
+            cofaces[b].append(s)
+    seed_of: dict[int, int] = {}  # K: its generators' seeds
+    for v, d in enumerate(S.dim_of):
+        if d or v in seed_of:
+            continue
+        seed_of[v] = v
+        work = deque([v])
+        while work:
+            for s in cofaces[work.popleft()]:
+                out = [b for b, _ in S.faces[s] if b not in seed_of]
+                if len(out) == 1 and s not in seed_of:
+                    seed_of[out[0]] = seed_of[s] = v
+                    work += out[0], s
+    R = SimplicialSet()
+    new = {g: R.add_generator(d) for g, d in enumerate(S.dim_of)
+           if seed_of.get(g, g) == g}
+    for g, h in new.items():
+        if n := S.dim_of[g]:
+            R.set_faces(h, [(new[seed_of[b]], (1 << (n - 1)) - 1)
+                            if b in seed_of else (new[b], w)
+                            for b, w in S.faces[g]])
+    return R
 
 
 def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS

@@ -14,8 +14,8 @@ from itertools import combinations
 
 from .simplicial import SimplicialSet, close_under_faces
 from .expk import DEFAULT_MAX_CELLS, build_expk, level_size, projected_cells
-from .homology import (HomologyResult, homology, normalized_chains,
-                       space_homology)
+from .homology import (HomologyResult, expk_homology, homology,
+                       normalized_chains, space_homology)
 
 PASS = "pass"
 FAIL = "fail"
@@ -48,11 +48,10 @@ def theorem1_check(S: SimplicialSet, k: int,
         raise ValueError("theorem1_check needs a homogeneous wedge")
     m = S.dim - 1
     bound = k + m - 2
-    space = build_expk(S, k, max_cells=max_cells)
-    h = space_homology(space.result, reduced=True)
+    h, cells = expk_homology(S, k, reduced=True, max_cells=max_cells)
     verdict = PASS if _first_nonzero_degree(h, bound) is None else FAIL
     return ConnectivityClaim(bound=bound, verdict=verdict, homology=h,
-                             cells_enumerated=space.cells_enumerated)
+                             cells_enumerated=cells)
 
 
 def tuffley_check(S: SimplicialSet, k: int,

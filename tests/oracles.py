@@ -16,8 +16,9 @@ The Euler characteristic of exp_k X is checked against the
 configuration-space stratification, and its f-vector against a closed form
 in the generator dimensions of X.  The homology of exp_2 S^n is checked
 against the cofibre sequence S^n -> SP^2 S^n -> Sigma^{n+1} RP^{n-1}, and
-exp_1 S against S by a backtracking isomorphism search.  The dense-matrix
-helpers at the end convert to and from SparseIntMatrix.
+exp_1 S against S by a backtracking isomorphism search.  complex_to_sset
+turns a facet list into a simplicial set for triangulated test bases.  The
+dense-matrix helpers at the end convert to and from SparseIntMatrix.
 """
 
 from __future__ import annotations
@@ -592,6 +593,22 @@ def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | Non
         return False
 
     return dict(mapping) if extend(0) else None
+
+
+def complex_to_sset(facets) -> SimplicialSet:
+    """The simplicial set of the simplicial complex whose facets are the
+    given vertex lists: one generator per face of a facet, ordered by
+    dimension and then by sorted vertex tuple, and face i of a simplex drops
+    its i-th vertex."""
+    cells = sorted({c for f in facets for r in range(1, len(f) + 1)
+                    for c in combinations(sorted(f), r)},
+                   key=lambda c: (len(c), c))
+    S = SimplicialSet()
+    ids = {c: S.add_generator(len(c) - 1) for c in cells}
+    for c in cells[S.dim_of.count(0):]:
+        S.set_faces(ids[c], [(ids[c[:i] + c[i + 1:]], 0)
+                             for i in range(len(c))])
+    return S
 
 
 def to_dense(M: SparseIntMatrix) -> list[list[int]]:

@@ -317,6 +317,16 @@ def test_huge_k_is_refused_at_the_first_level_over_the_cap():
             "projected_cells": projected, "cap": 200_000}
 
 
+def test_the_cap_is_tested_on_the_base_before_it_is_reduced(capsys):
+    """circle:6 reduces to s1, whose exp_5 is small, but the cap reads
+    circle:6's levels: the refusal is the one it had before reduction."""
+    code, out, err = run_cli(capsys, "homology", "--space", "circle:6",
+                             "--k", "5")
+    assert (code, out) == (3, "")
+    assert err == ('{"error": "resource-cap", "level": 5, "level_size": 36, '
+                   '"projected_cells": 443703, "cap": 200000}\n')
+
+
 def test_malformed_counts_are_refused_whatever_the_int_digit_limit(capsys):
     """A count has at most 639 digits, so it and its successor convert
     under 640, the least limit CPython lets PYTHONINTMAXSTRDIGITS set, and a
