@@ -13,7 +13,6 @@ Each distinct face of a level is normalised once, keyed by its elements' bits.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import partial, reduce
 from math import comb
 from operator import or_
@@ -36,8 +35,8 @@ class ResourceCapError(Exception):
             f"simplices exceeds cap {cap}")
 
 
-# result is the SimplicialSet exp_k S; cells_enumerated sums the
-# projected_cells of the levels built
+# result is the SimplicialSet exp_k S, S itself at k = 1; cells_enumerated
+# sums the projected_cells of its levels
 ExpkSpace = namedtuple("ExpkSpace", "result cells_enumerated")
 
 
@@ -61,15 +60,17 @@ def level_size(S: SimplicialSet, n: int) -> int:
     return sum(comb(n, d) for d in S.dim_of)
 
 
-def capped_levels(S: SimplicialSet, k: int, max_cells: int) -> Iterator[int]:
-    """The projected_cells of each level of exp_k S, which sum to its
-    cells_enumerated; a level over ``max_cells`` raises ResourceCapError."""
+def capped_cells(S: SimplicialSet, k: int, max_cells: int) -> int:
+    """cells_enumerated of exp_k S: the sum of its levels' projected_cells.
+    The first level over ``max_cells`` raises ResourceCapError."""
+    cells = 0
     for n in range(k * S.dim + 1):
         m = level_size(S, n)
         projected = projected_cells(m, k, max_cells)
         if projected > max_cells:
             raise ResourceCapError(n, m, projected, max_cells)
-        yield projected
+        cells += projected
+    return cells
 
 
 def expk_f_vector(S: SimplicialSet, k: int) -> list[int]:
@@ -117,27 +118,27 @@ def _nondegenerate_subsets(comps: list[int], full: int, k: int,
 
 def build_expk(S: SimplicialSet, k: int,
                max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
-    """Construct exp_k S in one pass over the levels n <= k * dim(S), on
-    level indices: each level is checked against the cell cap, enumerated,
-    and given a face table of indices into level n - 1.  A subset's face d_i
-    is the set of its elements' d_i; its word is the AND C of their words.
-    If x = s_c y then d_c x = y, so each element follows d_c through the
-    face tables for every c in C, highest first (removing the highest index
-    shifts none below it), and lands on its core in level n - 1 - |C|.
-    A set of level indices is keyed by the OR of their bits (at k = 1, by
-    its one index), and normal[n] maps keys to normal forms: it holds
-    level n's generators, and level n + 1 adds each new degenerate face
-    once, checked once, so equal faces are one (base, word) tuple."""
+    """exp_k S, built once every level n <= k * dim(S) has passed the cell
+    cap; exp_1 S is S itself ({x} -> x).  Else on level indices, level by
+    level, each with a face table of indices into level n - 1.  A subset's
+    face d_i is the set of its elements' d_i; its word is the AND C of
+    their words.  If x = s_c y then d_c x = y, so each element follows d_c
+    through the face tables for every c in C, highest first (removing the
+    highest index shifts none below it), to its core in level n - 1 - |C|.
+    normal[n] maps a set's key, the OR of its indices' bits, to its normal
+    form: level n's generators, and each new degenerate face that level
+    n + 1 adds, checked once, so equal faces are one (base, word) tuple."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
+    cells = capped_cells(S, k, max_cells)
+    if k == 1:
+        return ExpkSpace(result=S, cells_enumerated=cells)
     result = SimplicialSet()
     faces: list[list[list[int]]] = []  # faces[n][a][i]: d_i of a, in n - 1
     normal: list[dict[int, tuple[int, int]]] = []  # normal[n][key]: its form
     below: dict[tuple[int, int], int] = {}
     words: list[list[int]] = []  # words[n][a]: the word of a
-    cells = 0
-    # at k = 1 a set has one index, its key: no big ints on huge levels
-    key = (lambda E: reduce(or_, map((1).__lshift__, E))) if k > 1 else min
+    key = lambda E: reduce(or_, map((1).__lshift__, E))
 
     def face(n: int, elems: set[int]) -> tuple[int, int]:
         C = (1 << n) - 1
@@ -154,14 +155,13 @@ def build_expk(S: SimplicialSet, k: int,
         return f
 
     join = partial(map, or_)
-    for n, projected in enumerate(capped_levels(S, k, max_cells)):
-        cells += projected
+    for n in range(k * S.dim + 1):
         level = enumerate_level(S, n)
         words.append([w for _, w in level])
         table = [[below[apply_face(x, i, S)] for i in range(n + 1)]
                  for x in level] if n else []
         faces.append(table)
-        rows = [[1 << t for t in row] for row in table] if k > 1 else table
+        rows = [[1 << t for t in row] for row in table]
         memo = normal[-1] if n else {}  # level n - 1's normal forms
         normal.append({})
         full = (1 << n) - 1

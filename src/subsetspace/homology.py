@@ -12,8 +12,7 @@ from collections import namedtuple
 from math import gcd
 
 from .simplicial import SimplicialSet, SimplicialError, close_under_faces
-from .expk import (DEFAULT_MAX_CELLS, build_expk, capped_levels,
-                   expk_f_vector)
+from .expk import DEFAULT_MAX_CELLS, build_expk, capped_cells, expk_f_vector
 from .spaces import reduce_base
 
 
@@ -291,9 +290,10 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
     """
     if not C.check_dd_zero():
         raise ChainComplexError("boundary squared is nonzero")
-    snfs = [SmithResult(rank=0, divisors=[])]  # of d_n at n; d_{top+1} = 0
+    snfs = [SmithResult(rank=0, divisors=[])]  # of d_n, from d_{top+1} = 0
     for M in reversed(C.boundaries):
-        snfs.insert(0, smith_normal_form(M, set(snfs[0].cleared)))
+        snfs.append(smith_normal_form(M, set(snfs[-1].cleared)))
+    snfs.reverse()  # snfs[n] is d_n's
     f_vector = C.f_vector()
     betti = [f - snfs[n].rank - snfs[n + 1].rank
              for n, f in enumerate(f_vector)]
@@ -318,7 +318,7 @@ def expk_homology(S: SimplicialSet, k: int, reduced: bool = False,
     (Handel, Houston J. Math. 26, 2000), so the groups and euler hold for
     exp_k S.  When S/K is not S, the f-vector is exp_k S's closed form, and
     the groups are padded with zeros to its length."""
-    cells = sum(capped_levels(S, k, max_cells))
+    cells = capped_cells(S, k, max_cells)
     R = reduce_base(S)
     h = space_homology(build_expk(R, k, max_cells).result, reduced)
     if R is not S:

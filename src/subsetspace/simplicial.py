@@ -103,7 +103,7 @@ class SimplicialSet:
             raise SimplicialError("vertices have no faces")
         if len(faces) != n + 1:
             raise SimplicialError(f"dimension {n} needs {n + 1} faces")
-        for f in faces:
+        for f in {id(f): f for f in faces}.values():  # each object once
             self.check_face(f, n)
         self.faces[g] = list(faces)
 

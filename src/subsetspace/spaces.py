@@ -104,14 +104,12 @@ def edgewise_subdivision(S: SimplicialSet,
 def reduce_base(S: SimplicialSet) -> SimplicialSet:
     """S/K: each component's K, grown from its lowest-id vertex (the seed)
     by elementary expansions (tau, sigma) in id order on a FIFO worklist,
-    collapsed to the seed; S itself when every component is one vertex.
+    collapsed to the seed; S itself when no expansion applies.
     sigma expands when all its faces but one, tau, have their base in K.
     Each face of d_i sigma is a face of a d_j sigma, j != i, so tau is
     non-degenerate, once among sigma's faces and with its faces in K:
     sigma meets K in a horn, and K stays contractible.  A face based in K
     becomes (seed, 1...1)."""
-    if all(fs[0] == fs[1] for d, fs in zip(S.dim_of, S.faces) if d == 1):
-        return S
     cofaces: list[list[int]] = [[] for _ in S.dim_of]
     for s, fs in enumerate(S.faces):
         for b in {b for b, _ in fs or ()}:
@@ -128,6 +126,8 @@ def reduce_base(S: SimplicialSet) -> SimplicialSet:
                 if len(out) == 1 and s not in seed_of:
                     seed_of[out[0]] = seed_of[s] = v
                     work += out[0], s
+    if all(seed_of[g] == g for g in seed_of):
+        return S
     R = SimplicialSet()
     new = {g: R.add_generator(d) for g, d in enumerate(S.dim_of)
            if seed_of.get(g, g) == g}

@@ -22,6 +22,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from subsetspace.cli import cmd_verify, main
+from subsetspace.expk import build_expk
 from subsetspace.homology import SparseIntMatrix
 from subsetspace.simplicial import SimplicialSet
 from subsetspace.spaces import parse_space
@@ -69,7 +70,8 @@ def test_the_cli_module_entry_point_prints_the_recorded_output():
 
 def test_the_names_the_tracer_reads_are_there():
     """The tracer names a cmd_verify span verify.<which> from its first
-    argument, and reads n_generators of a build and nnz() of a matrix."""
+    argument, reads cells_enumerated and result.n_generators of every
+    build_expk return (at k = 1 the base itself), and nnz() of a matrix."""
     assert next(iter(inspect.signature(cmd_verify).parameters)) == "which"
     args = argparse.Namespace(k=2, level=None, seed=0, max_cells=200_000)
     for which, space, cells in [("theorem1", "s2", 43), ("tuffley", "s1", 10),
@@ -79,6 +81,10 @@ def test_the_names_the_tracer_reads_are_there():
         assert record.verdict == "pass", which
         assert (record.homology is None) == (which in ("lemma1", "oracle"))
         assert record.cells_enumerated == cells, which
+    for k, cells, generators in [(1, 3, 2), (2, 10, 4)]:
+        space = build_expk(parse_space("s1")[1], k)
+        assert space.cells_enumerated == cells
+        assert space.result.n_generators == generators
     assert isinstance(SimplicialSet.n_generators, property)
     assert callable(SparseIntMatrix.nnz)
 

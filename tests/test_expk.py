@@ -1,6 +1,5 @@
 import gc
 import random
-import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -14,8 +13,8 @@ from subsetspace.simplicial import (SimplicialError, SimplicialSet,
 from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import ResourceCapError, build_expk, level_size
-from subsetspace.homology import (SmithResult, homology, normalized_chains,
-                                  space_homology)
+from subsetspace.homology import (SmithResult, expk_homology, homology,
+                                  normalized_chains, space_homology)
 
 from oracles import (degeneracy_set, degenerate, expk_subsets,
                      find_isomorphism, homology_reference,
@@ -268,22 +267,21 @@ def test_build_and_homology_leave_no_reference_cycles():
             gc.enable()
 
 
-def test_k1_build_keys_a_set_by_its_one_index():
-    """At k = 1 a set of level indices is keyed by its one index, not by
-    the OR of its bits: those keys are V-bit ints on the V-edge level of a
-    V-gon, so the build's peak would grow faster than linearly in V.
-    Measured peaks: 1.21 and 2.42 MiB at V = 1000 and 2000 (ratio 2.00);
-    2.02 and 5.05 MiB (ratio 2.50) when the keys are ORs of bits."""
-    def peak(v: int) -> int:
-        S = subdivided_circle(v)
-        tracemalloc.start()
-        try:
-            build_expk(S, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def test_k1_build_is_the_base_itself(monkeypatch):
+    """exp_1 S is S ({x} -> x): a k = 1 build returns S itself, with the
+    cells_enumerated of S's levels, and enumerates no level and applies no
+    face map.  wedge(2, 1, 2) has ids out of dimension order."""
+    def refuse(*args):
+        raise AssertionError("called by a k = 1 build")
 
-    assert peak(2000) <= 2.25 * peak(1000)
+    monkeypatch.setattr(expk, "enumerate_level", refuse)
+    monkeypatch.setattr(expk, "apply_face", refuse)
+    bases = [parse_space(desc)[1] for desc, _ in MATRIX_CASES]
+    for S in bases + [wedge(WedgeSpec((2, 1, 2)))]:
+        space = build_expk(S, 1)
+        assert space.result is S
+        assert space.cells_enumerated == sum(level_size(S, n)
+                                             for n in range(S.dim + 1))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -353,6 +351,14 @@ def test_exp1_of_a_300_sphere():
     h = homology(normalized_chains(build_expk(sphere(300), 1).result),
                  reduced=True)
     assert h.betti == [0] * 300 + [1]
+    assert not any(h.torsion)
+
+
+def test_exp1_homology_of_a_20000_sphere():
+    """exp_1 S^20000 is S^20000, so its homology costs no build and no
+    quadratic face check: reduced, Z in degree 20000 alone."""
+    h, _ = expk_homology(sphere(20000), 1, True)
+    assert h.betti == [0] * 20000 + [1]
     assert not any(h.torsion)
 
 
@@ -433,9 +439,9 @@ def test_oracle_matches_subset_count():
 
 
 def test_oracle_checks_cap_before_enumerating(monkeypatch):
-    """The check sizes each level of the build before enumerating it, and a
-    level above the build's top dimension is checked, not refused: its
-    simplices are all degenerate, and their count still holds."""
+    """The check sizes every level of the build before it enumerates any,
+    and a level above the build's top dimension is checked, not refused:
+    its simplices are all degenerate, and their count still holds."""
     calls = []
     real = expk.enumerate_level
 
@@ -446,7 +452,7 @@ def test_oracle_checks_cap_before_enumerating(monkeypatch):
     monkeypatch.setattr(expk, "enumerate_level", recorder)
     with pytest.raises(ResourceCapError):
         V.level_count_check(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
-    assert calls == [0, 1, 2]
+    assert calls == []
     assert V.level_count_check(sphere(2), 2, 400) == (V.PASS, None, 43)
     with pytest.raises(SimplicialError, match="dimension must be >= 0"):
         V.level_count_check(sphere(2), 2, -1)

@@ -11,7 +11,7 @@ import pytest
 
 from subsetspace.expk import build_expk, expk_f_vector
 from subsetspace.homology import expk_homology, space_homology
-from subsetspace.simplicial import validate
+from subsetspace.simplicial import SimplicialSet, validate
 from subsetspace.spaces import edgewise_subdivision, parse_space, reduce_base
 
 from oracles import complex_to_sset, subset_space_f_vector
@@ -28,7 +28,17 @@ def random_connected_graph(seed: int) -> list[tuple[int, int]]:
     return tree + rng.sample(rest, rng.randint(1, 3))
 
 
-# name -> (base, largest k checked); every base has more than one vertex
+def loop_bounding_a_triangle() -> SimplicialSet:
+    """One vertex v, a loop a, and a 2-simplex with faces (a, s_0 v, s_0 v):
+    (a, the 2-simplex) is an elementary expansion, so S/K is a point."""
+    S = SimplicialSet()
+    v, a, t = (S.add_generator(d) for d in (0, 1, 2))
+    S.set_faces(a, [(v, 0), (v, 0)])
+    S.set_faces(t, [(a, 0), (v, 1), (v, 1)])
+    return S
+
+
+# name -> (base, largest k checked); every base has an expansion
 SHELF = {
     "K4": (complex_to_sset(combinations(range(4), 2)), 3),
     "theta": (complex_to_sset([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]), 3),
@@ -47,6 +57,7 @@ SHELF = {
        for v in range(3, 7)},
     # two vertices, and faces of the form s_0 v
     "esd-wedge:1,2": (edgewise_subdivision(parse_space("wedge:1,2")[1]), 2),
+    "loop-bounding-a-triangle": (loop_bounding_a_triangle(), 3),
 }
 
 
@@ -99,17 +110,19 @@ def test_the_reduced_base_keeps_euler_and_one_vertex_per_component():
     reduced = {name: reduce_base(SHELF[name][0]).f_vector()
                for name in ("filled-triangle", "boundary-tetrahedron",
                             "boundary-4-simplex", "K4", "two-circles",
-                            "path-and-point", "circle:6")}
+                            "path-and-point", "circle:6",
+                            "loop-bounding-a-triangle")}
     assert reduced == {"filled-triangle": [1],
                        "boundary-tetrahedron": [1, 0, 1],
                        "boundary-4-simplex": [1, 0, 0, 1], "K4": [1, 3],
                        "two-circles": [2, 2], "path-and-point": [2],
-                       "circle:6": [1, 1]}
+                       "circle:6": [1, 1], "loop-bounding-a-triangle": [1]}
 
 
 def test_a_one_vertex_base_is_its_own_reduction():
-    """Every sN and wedge: base is one vertex, so reduce_base returns it:
-    the inputs of theorem1, tuffley and build-s3k3 are built unreduced."""
+    """Every sN and wedge: base is one vertex with no expansion, so
+    reduce_base returns it: the inputs of theorem1, tuffley and build-s3k3
+    are built unreduced."""
     descs = [f"s{n}" for n in range(1, 8)]
     descs += ["wedge:1", "wedge:2", "wedge:3", "wedge:1,1", "wedge:1,2",
               "wedge:2,1", "wedge:2,2", "wedge:2,3", "wedge:1,1,1",
