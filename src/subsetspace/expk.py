@@ -1,13 +1,13 @@
-"""The finite subset functor on finite simplicial sets.
+"""The finite subset functor on finite simplicial sets, as chains.
 
 Primary construction: levelwise subsets of size <= k of the simplices of S,
 on integer level indices.  A simplex lies in the image of s_i exactly when i
 is in its normal-form word (a bitmask), so a subset is non-degenerate when
 the complements of its elements' words cover [n]: a pruned depth-first
-search finds these subsets.  A face's Eilenberg-Zilber normal form is s_C of
-a core, C the AND of its elements' words: since d_c s_c = id, each element
-drops C by following d_c through the level face tables, highest c first.
-Each distinct face of a level is normalised once, keyed by its elements' bits.
+search finds these subsets, and they are the generators of the normalized
+chains of exp_k S.  A generator's face d_i is the set of its elements' d_i;
+it is a generator of level n - 1 or degenerate, and a degenerate face adds
+nothing to the boundary, so it is never put in normal form.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from functools import partial, reduce
 from math import comb
 from operator import or_
 
-from .simplicial import (SimplicialSet, SimplicialError, apply_face,
-                         enumerate_level)
+from .simplicial import (ChainComplex, SimplicialSet, SimplicialError,
+                         apply_face, boundary, enumerate_level,
+                         normalized_chains)
 
 DEFAULT_MAX_CELLS = 200_000
 
@@ -35,8 +36,8 @@ class ResourceCapError(Exception):
             f"simplices exceeds cap {cap}")
 
 
-# result is the SimplicialSet exp_k S, S itself at k = 1; cells_enumerated
-# sums the projected_cells of its levels
+# result is the ChainComplex of exp_k S's normalized chains, those of S
+# itself at k = 1; cells_enumerated sums the projected_cells of its levels
 ExpkSpace = namedtuple("ExpkSpace", "result cells_enumerated")
 
 
@@ -118,64 +119,41 @@ def _nondegenerate_subsets(comps: list[int], full: int, k: int,
 
 def build_expk(S: SimplicialSet, k: int,
                max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
-    """exp_k S, built once every level n <= k * dim(S) has passed the cell
-    cap; exp_1 S is S itself ({x} -> x).  Else on level indices, level by
-    level, each with a face table of indices into level n - 1.  A subset's
-    face d_i is the set of its elements' d_i; its word is the AND C of
-    their words.  If x = s_c y then d_c x = y, so each element follows d_c
-    through the face tables for every c in C, highest first (removing the
-    highest index shifts none below it), to its core in level n - 1 - |C|.
-    normal[n] maps a set's key, the OR of its indices' bits, to its normal
-    form: level n's generators, and each new degenerate face that level
-    n + 1 adds, checked once, so equal faces are one (base, word) tuple."""
+    """The normalized chains of exp_k S, built once every level n <= k *
+    dim(S) has passed the cell cap; at k = 1, exp_1 S is S ({x} -> x) and
+    they are normalized_chains(S).  Else level by level, on level indices:
+    level n's generators are its non-degenerate subsets, with contiguous
+    ids in level order, each keyed by the OR of its indices' bits.  Face
+    d_i of a subset has for key the OR of its elements' d_i bits in level
+    n - 1; it is level n - 1's generator with that key, or degenerate when
+    no generator has it: level n - 1's generators are all of its
+    non-degenerate subsets of size <= k, and a key names one subset."""
     if k < 1:
         raise SimplicialError("k must be >= 1")
     cells = capped_cells(S, k, max_cells)
     if k == 1:
-        return ExpkSpace(result=S, cells_enumerated=cells)
-    result = SimplicialSet()
-    faces: list[list[list[int]]] = []  # faces[n][a][i]: d_i of a, in n - 1
-    normal: list[dict[int, tuple[int, int]]] = []  # normal[n][key]: its form
-    below: dict[tuple[int, int], int] = {}
-    words: list[list[int]] = []  # words[n][a]: the word of a
-    key = lambda E: reduce(or_, map((1).__lshift__, E))
-
-    def face(n: int, elems: set[int]) -> tuple[int, int]:
-        C = (1 << n) - 1
-        for a in elems:
-            C &= words[n][a]
-        at, rest = n, C  # the elements are in level ``at``
-        while rest:  # strip the highest common index first
-            c = rest.bit_length() - 1
-            elems = {faces[at][a][c] for a in elems}
-            at -= 1
-            rest ^= 1 << c
-        f = normal[at][key(elems)][0], C
-        result.check_face(f, n + 1)
-        return f
-
+        return ExpkSpace(result=normalized_chains(S), cells_enumerated=cells)
+    bases: list[list[int]] = []
+    boundaries = []
+    row_of: dict[int, int] = {}  # key -> row, over level n - 1's generators
+    below: dict[tuple[int, int], int] = {}  # level n - 1: simplex -> index
     join = partial(map, or_)
     for n in range(k * S.dim + 1):
         level = enumerate_level(S, n)
-        words.append([w for _, w in level])
-        table = [[below[apply_face(x, i, S)] for i in range(n + 1)]
-                 for x in level] if n else []
-        faces.append(table)
-        rows = [[1 << t for t in row] for row in table]
-        memo = normal[-1] if n else {}  # level n - 1's normal forms
-        normal.append({})
         full = (1 << n) - 1
-        for idxs in _nondegenerate_subsets([full ^ w for w in words[n]], full,
-                                           k, S.dim):
-            g = result.add_generator(n)
-            normal[n][key(idxs)] = g, 0
-            if n:  # d_i's key is the OR of the rows' i-th entries
-                keys = list(reduce(join, map(rows.__getitem__, idxs)))
-                fs = list(map(memo.get, keys))
-                if None in fs:  # a new degenerate face
-                    for i, e in enumerate(keys):
-                        fs[i] = memo.get(e) or memo.setdefault(
-                            e, face(n - 1, {table[a][i] for a in idxs}))
-                result.faces[g] = fs  # face() checked each new entry
+        subsets = _nondegenerate_subsets([full ^ w for _, w in level], full,
+                                         k, S.dim)
+        # bits[a][i]: the bit of d_i of simplex a, in level n - 1
+        faces = range(n + 1) if n else ()
+        bits = [[1 << below[apply_face(x, i, S)] for i in faces]
+                for x in level]
+        boundaries.append(boundary(len(row_of), (
+            map(row_of.get, reduce(join, map(bits.__getitem__, idxs)))
+            for idxs in subsets)))
+        start = sum(map(len, bases))
+        bases.append(list(range(start, start + len(subsets))))
+        row_of = {reduce(or_, map((1).__lshift__, idxs)): r
+                  for r, idxs in enumerate(subsets)}
         below = {x: a for a, x in enumerate(level)}
-    return ExpkSpace(result=result, cells_enumerated=cells)
+    return ExpkSpace(result=ChainComplex(bases=bases, boundaries=boundaries),
+                     cells_enumerated=cells)

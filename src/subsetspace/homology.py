@@ -1,8 +1,8 @@
-"""Normalized integer chain complex and exact homology via Smith normal form.
+"""Exact homology of normalized integer chain complexes via Smith normal form.
 
 All arithmetic is exact over Python's unbounded integers; boundary matrices
 are kept sparse (per-column nonzero maps) since exp_k complexes are very
-sparse.
+sparse.  The chain types come from simplicial, which expk builds on too.
 """
 
 from __future__ import annotations
@@ -11,56 +11,14 @@ import heapq
 from collections import namedtuple
 from math import gcd
 
-from .simplicial import SimplicialSet, SimplicialError, close_under_faces
+from .simplicial import (ChainComplex, SimplicialSet, SparseIntMatrix,
+                         normalized_chains)
 from .expk import DEFAULT_MAX_CELLS, build_expk, capped_cells, expk_f_vector
 from .spaces import reduce_base
 
 
 class ChainComplexError(Exception):
     """d.d != 0: signals a construction bug upstream."""
-
-
-class SparseIntMatrix:
-    """Integer matrix stored as per-column {row: value} maps."""
-
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-
-    def entries(self):
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                yield r, c, v
-
-    def nnz(self) -> int:
-        return sum(len(col) for col in self.cols)
-
-
-class ChainComplex(namedtuple("ChainComplex", "bases boundaries")):
-    """bases[n] lists the generator ids in degree n; boundaries[n] is the
-    SparseIntMatrix of d_n from degree n to degree n-1 (boundaries[0] is the
-    zero map out of degree 0)."""
-    __slots__ = ()
-
-    @property
-    def top(self) -> int:
-        return len(self.bases) - 1
-
-    def f_vector(self) -> list[int]:
-        return [len(b) for b in self.bases]
-
-    def check_dd_zero(self) -> bool:
-        """Exact d_{n-1} d_n = 0 in every degree, one column at a time."""
-        for lower, upper in zip(self.boundaries, self.boundaries[1:]):
-            for col in upper.cols:
-                acc: dict[int, int] = {}
-                for mid, v in col.items():
-                    for r, w in lower.cols[mid].items():
-                        acc[r] = acc.get(r, 0) + v * w
-                if any(acc.values()):
-                    return False
-        return True
 
 
 # rank: int; divisors: d_1 | d_2 | ... | d_rank, all positive; cleared: the
@@ -88,40 +46,6 @@ class HomologyResult(namedtuple("HomologyResult",
 
     def is_trivial_in(self, n: int) -> bool:
         return self.group(n) == (0, [])
-
-
-def normalized_chains(S: SimplicialSet,
-                      gens: set[int] | None = None) -> ChainComplex:
-    """Free integer chains on the non-degenerate generators; the boundary is
-    the alternating face sum with degenerate faces contributing zero.
-
-    With gens, the chains of that generator-closed subset of S (a simplicial
-    subset); a set not closed under faces raises SimplicialError.
-    """
-    if gens is None:
-        gens = range(S.n_generators)
-    elif close_under_faces(S, gens) != gens:
-        raise SimplicialError("generator set is not closed under faces")
-    bases: list[list[int]] = [[]]  # up to the largest dimension in gens
-    for g, n in enumerate(S.dim_of):
-        if g in gens:
-            while len(bases) <= n:
-                bases.append([])
-            bases[n].append(g)
-    index = [{g: i for i, g in enumerate(b)} for b in bases]
-    boundaries = [SparseIntMatrix(0, len(bases[0]))]
-    for n in range(1, len(bases)):
-        M = SparseIntMatrix(len(bases[n - 1]), len(bases[n]))
-        row_of = index[n - 1]
-        for g, col in zip(bases[n], M.cols):
-            for i, (base, word) in enumerate(S.faces[g]):
-                if not word:
-                    r = row_of[base]
-                    v = col[r] = col.get(r, 0) + (-1 if i % 2 else 1)
-                    if not v:
-                        del col[r]
-        boundaries.append(M)
-    return ChainComplex(bases=bases, boundaries=boundaries)
 
 
 def _least(rows: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
@@ -317,13 +241,15 @@ def expk_homology(S: SimplicialSet, k: int, reduced: bool = False,
     (Hatcher, Algebraic Topology, Prop. 0.17), and exp_k keeps it one
     (Handel, Houston J. Math. 26, 2000), so the groups and euler hold for
     exp_k S.  When S/K is not S, the f-vector is exp_k S's closed form, and
-    the groups are padded with zeros to its length."""
-    cells = capped_cells(S, k, max_cells)
+    the groups are padded with zeros to its length; S's cap is tested
+    first, so its first level over the cap is the one reported."""
     R = reduce_base(S)
-    h = space_homology(build_expk(R, k, max_cells).result, reduced)
-    if R is not S:
-        f = expk_f_vector(S, k)
-        pad = range(len(f) - len(h.betti))
-        h = h._replace(f_vector=f, betti=h.betti + [0 for _ in pad],
-                       torsion=h.torsion + [[] for _ in pad])
-    return h, cells
+    if R is S:
+        space = build_expk(S, k, max_cells)
+        return homology(space.result, reduced), space.cells_enumerated
+    cells = capped_cells(S, k, max_cells)
+    h = homology(build_expk(R, k, max_cells).result, reduced)
+    f = expk_f_vector(S, k)
+    pad = range(len(f) - len(h.betti))
+    return h._replace(f_vector=f, betti=h.betti + [0 for _ in pad],
+                      torsion=h.torsion + [[] for _ in pad]), cells

@@ -9,15 +9,19 @@ bit i - 1 is set, leaving the word with that bit deleted; otherwise it
 reaches the generator as d_v, v = i - #{bits below i}.
 
 A simplex is the plain tuple (base, word) of two ints: its dimension is
-dim_of[base] plus the word's length, and apply_face and check_face are where
+dim_of[base] plus the word's length, and apply_face and set_faces are where
 that sum is taken.  It sorts and hashes as (base id, word), the canonical
 total order used everywhere for determinism.
+
+The normalized chains of a simplicial set, and of exp_k S (built in expk),
+are a ChainComplex whose boundaries come from one assembler, boundary().
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from itertools import combinations
 
 # ASCII, unsigned, no leading zero, at most 639 digits, so int() reads a
@@ -103,20 +107,16 @@ class SimplicialSet:
             raise SimplicialError("vertices have no faces")
         if len(faces) != n + 1:
             raise SimplicialError(f"dimension {n} needs {n + 1} faces")
-        for f in {id(f): f for f in faces}.values():  # each object once
-            self.check_face(f, n)
+        # each face object once, for its base, its word, then its dimension
+        for base, word in {id(f): f for f in faces}.values():
+            if not 0 <= base < len(self.dim_of):
+                raise SimplicialError(f"face base {base} does not exist")
+            if not word_is_valid(word, self.dim_of[base]):
+                raise SimplicialError(
+                    f"face word {word:#b} not in normal form")
+            if self.dim_of[base] + word.bit_count() != n - 1:
+                raise SimplicialError("face dimension mismatch")
         self.faces[g] = list(faces)
-
-    def check_face(self, face: tuple[int, int], n: int) -> None:
-        """Refuse ``face`` of an n-simplex unless its base exists, its word
-        is in normal form, and its dimension is n - 1, tested in order."""
-        base, word = face
-        if not 0 <= base < len(self.dim_of):
-            raise SimplicialError(f"face base {base} does not exist")
-        if not word_is_valid(word, self.dim_of[base]):
-            raise SimplicialError(f"face word {word:#b} not in normal form")
-        if self.dim_of[base] + word.bit_count() != n - 1:
-            raise SimplicialError("face dimension mismatch")
 
     # -- accessors ---------------------------------------------------------
 
@@ -190,6 +190,97 @@ def enumerate_level(S: SimplicialSet, n: int) -> list[tuple[int, int]]:
         if m <= n:
             out.extend((g, w) for w in degeneracy_words(m, n - m))
     return out
+
+
+class SparseIntMatrix:
+    """Integer matrix stored as per-column {row: value} maps."""
+
+    def __init__(self, nrows: int, ncols: int):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+
+    def entries(self):
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                yield r, c, v
+
+    def nnz(self) -> int:
+        return sum(len(col) for col in self.cols)
+
+
+class ChainComplex(namedtuple("ChainComplex", "bases boundaries")):
+    """bases[n] lists the generator ids in degree n; boundaries[n] is the
+    SparseIntMatrix of d_n from degree n to degree n-1 (boundaries[0] is the
+    zero map out of degree 0)."""
+    __slots__ = ()
+
+    @property
+    def top(self) -> int:
+        return len(self.bases) - 1
+
+    @property
+    def n_generators(self) -> int:
+        return sum(map(len, self.bases))
+
+    def f_vector(self) -> list[int]:
+        return [len(b) for b in self.bases]
+
+    def check_dd_zero(self) -> bool:
+        """Exact d_{n-1} d_n = 0 in every degree, one column at a time."""
+        for lower, upper in zip(self.boundaries, self.boundaries[1:]):
+            for col in upper.cols:
+                acc: dict[int, int] = {}
+                for mid, v in col.items():
+                    for r, w in lower.cols[mid].items():
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    return False
+        return True
+
+
+def boundary(nrows: int, face_rows) -> SparseIntMatrix:
+    """d_n, one column per generator of degree n, from the face rows of
+    each: the row in degree n - 1 of each face d_i, which adds (-1)^i, or
+    None for a degenerate face, which adds 0."""
+    M = SparseIntMatrix(nrows, 0)
+    for rows in face_rows:
+        col: dict[int, int] = {}
+        sign = 1
+        for r in rows:
+            if r is not None:
+                v = col[r] = col.get(r, 0) + sign
+                if not v:
+                    del col[r]
+            sign = -sign
+        M.cols.append(col)
+    M.ncols = len(M.cols)
+    return M
+
+
+def normalized_chains(S: SimplicialSet,
+                      gens: set[int] | None = None) -> ChainComplex:
+    """Free integer chains on the non-degenerate generators; the boundary is
+    the alternating face sum with degenerate faces contributing zero.
+
+    With gens, the chains of that generator-closed subset of S (a simplicial
+    subset); a set not closed under faces raises SimplicialError.
+    """
+    if gens is None:
+        gens = range(S.n_generators)
+    elif close_under_faces(S, gens) != gens:
+        raise SimplicialError("generator set is not closed under faces")
+    bases: list[list[int]] = [[]]  # up to the largest dimension in gens
+    for g, n in enumerate(S.dim_of):
+        if g in gens:
+            while len(bases) <= n:
+                bases.append([])
+            bases[n].append(g)
+    row_of = {g: r for basis in bases for r, g in enumerate(basis)}
+    boundaries = [boundary(len(lower), (
+        [None if word else row_of[base] for base, word in S.faces[g] or ()]
+        for g in upper)) for lower, upper in zip([[]] + bases, bases)]
+    return ChainComplex(bases=bases, boundaries=boundaries)
 
 
 def validate(S: SimplicialSet) -> tuple[int, int, int] | None:

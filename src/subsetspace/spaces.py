@@ -65,9 +65,9 @@ def edgewise_subdivision(S: SimplicialSet,
     when bits c and 2n - c of its word are set, c < n: those c are its esd
     word, and the x with none are the generators.  Then s_W g has at most
     n + 1 bits, and 2n + 1 - dim g of them, so n <= dim S.  A face drops its
-    esd word C by following d_c, highest c first, as build_expk's face()
-    does.  Level n has level_size(S, 2n + 1) simplices, and every level is
-    tested against ``max_cells`` before any is built.
+    esd word C by following d_c (d_c s_c = id), highest c first.  Level n
+    has level_size(S, 2n + 1) simplices, and every level is tested against
+    ``max_cells`` before any is built.
     """
     for n in range(S.dim + 1):
         m = level_size(S, 2 * n + 1)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from math import comb
 
 from .simplicial import SimplicialSet, close_under_faces
 from .expk import DEFAULT_MAX_CELLS, build_expk, level_size, projected_cells
 from .homology import (HomologyResult, expk_homology, homology,
-                       normalized_chains, space_homology)
+                       normalized_chains)
 
 PASS = "pass"
 FAIL = "fail"
@@ -133,8 +134,8 @@ def invariance_check(A: SimplicialSet, B: SimplicialSet, k: int,
     """Homology tables of exp_k of two models of one homotopy type must
     agree degree-wise in betti and torsion.  The Outcome holds A's."""
     space = build_expk(A, k, max_cells=max_cells)
-    ha = space_homology(space.result)
-    hb = space_homology(build_expk(B, k, max_cells=max_cells).result)
+    ha = homology(space.result)
+    hb = homology(build_expk(B, k, max_cells=max_cells).result)
     return Outcome(PASS if ha.groups_equal(hb) else FAIL, ha,
                    space.cells_enumerated)
 
@@ -144,13 +145,16 @@ def level_count_check(S: SimplicialSet, k: int, level: int | None = None,
     """Outcome (homology None) of the built exp_k S against its level
     counts.  By the Eilenberg-Zilber lemma every simplex is s_W y for exactly
     one non-degenerate y, so level n of the build has sum_j f_j C(n, j)
-    simplices; it must have one per nonempty subset of size <= k of S_n.
+    simplices, f its chains' f-vector; it must have one per nonempty subset
+    of size <= k of S_n.
     projected_cells counts those subsets up to its first partial sum over
     the built count b, so it gives b exactly when the full count is b.
     Without a level every n <= k * dim S is checked: by Moebius inversion
     these fix every f_j, so every higher level agrees too."""
     space = build_expk(S, k, max_cells=max_cells)
+    f = [(j, fj) for j, fj in enumerate(space.result.f_vector()) if fj]
     levels = range(k * S.dim + 1) if level is None else [level]
-    ok = all(projected_cells(level_size(S, n), k, b) == b
-             for n in levels for b in [level_size(space.result, n)])
+    sizes = [(level_size(S, n),  # which refuses n < 0 first
+              sum(fj * comb(n, j) for j, fj in f)) for n in levels]
+    ok = all(projected_cells(m, k, b) == b for m, b in sizes)
     return Outcome(PASS if ok else FAIL, None, space.cells_enumerated)

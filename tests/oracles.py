@@ -9,16 +9,19 @@ and the subset normal form are checked against the exact membership test
 s_i(d_i(x)) == x, the face-by-face stripper and the object-level closed-form
 strip; the pruned subset search against the unpruned search it replaced,
 which with the membership test also rebuilds the generators of exp_k S as
-element tuples (expk_subsets) for the face-table checks.  Integer matrix
+element tuples (expk_subsets).  With the closed-form strip of each face
+they make exp_k S a simplicial set (expk_simplicial_set), the reference
+for the build's chains and for every face-table check of exp_k.  Integer matrix
 facts are checked against brute-force cofactor determinants and minors, and
 the Smith normal form against the single-phase elimination it replaced.
 The Euler characteristic of exp_k X is checked against the
 configuration-space stratification, and its f-vector against a closed form
 in the generator dimensions of X.  The homology of exp_2 S^n is checked
 against the cofibre sequence S^n -> SP^2 S^n -> Sigma^{n+1} RP^{n-1}, and
-exp_1 S against S by a backtracking isomorphism search.  complex_to_sset
+the oracle's exp_1 S against S by a backtracking isomorphism search.  complex_to_sset
 turns a facet list into a simplicial set for triangulated test bases.  The
-dense-matrix helpers at the end convert to and from SparseIntMatrix.
+helpers at the end compare chain complexes by value and convert to and from
+SparseIntMatrix.
 """
 
 from __future__ import annotations
@@ -262,6 +265,24 @@ def expk_subsets(S: SimplicialSet,
         out += [tuple(level[a] for a in idxs)
                 for idxs in nondegenerate_subsets_unpruned(dsets, k)]
     return out
+
+
+def expk_simplicial_set(S: SimplicialSet, k: int) -> SimplicialSet:
+    """exp_k S as a simplicial set, from the tuple model alone: its
+    generators are expk_subsets(S, k), in that order, and face d_i of a
+    generator is the strip_degeneracies normal form of the set of its
+    elements' d_i, word on the id of the core subset."""
+    subsets = expk_subsets(S, k)
+    id_of = {sub: g for g, sub in enumerate(subsets)}
+    X = SimplicialSet()
+    for sub in subsets:
+        X.add_generator(simplex_dim(S, sub[0]))
+    for g, sub in enumerate(subsets):
+        if n := X.dim_of[g]:
+            stripped = (strip_degeneracies([apply_face(a, i, S) for a in sub],
+                                           S) for i in range(n + 1))
+            X.set_faces(g, [(id_of[core], word) for word, core in stripped])
+    return X
 
 
 def generalized_binomial(x: int, j: int) -> int:
@@ -609,6 +630,12 @@ def complex_to_sset(facets) -> SimplicialSet:
         S.set_faces(ids[c], [(ids[c[:i] + c[i + 1:]], 0)
                              for i in range(len(c))])
     return S
+
+
+def chain_tables(C: ChainComplex):
+    """C as plain data that compares by value: its bases, and each
+    boundary's shape and columns."""
+    return C.bases, [(M.nrows, M.ncols, M.cols) for M in C.boundaries]
 
 
 def to_dense(M: SparseIntMatrix) -> list[list[int]]:

@@ -16,15 +16,16 @@ from subsetspace.simplicial import (apply_face, close_under_faces,
 from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import build_expk
-from subsetspace.homology import normalized_chains, homology, smith_normal_form, space_homology
+from subsetspace.homology import normalized_chains, homology, smith_normal_form
 from subsetspace import verify as V
 from subsetspace.cli import main as cli_main
 
-from oracles import (expk_subsets, find_isomorphism, from_dense,
-                     homology_reference, minors_gcd, rank_over_q,
-                     simplex_dim, smith_normal_form_reference,
-                     strip_degeneracies, strip_degeneracies_iterative,
-                     subset_space_euler, subset_space_f_vector)
+from oracles import (chain_tables, expk_simplicial_set, expk_subsets,
+                     find_isomorphism, from_dense, homology_reference,
+                     minors_gcd, rank_over_q, simplex_dim,
+                     smith_normal_form_reference, strip_degeneracies,
+                     strip_degeneracies_iterative, subset_space_euler,
+                     subset_space_f_vector)
 
 
 def report(name: str, ok: bool):
@@ -47,14 +48,14 @@ MATRIX_CASES = [
 
 
 def test_criterion_1_moebius_exact_table():
-    space = build_expk(sphere(1), 2)
-    h = space_homology(space.result)
-    ok = (space.result.f_vector() == [1, 2, 1]
+    C = build_expk(sphere(1), 2).result
+    h = homology(C)
+    ok = (C.f_vector() == [1, 2, 1]
           and h.betti == [1, 1, 0]
           and h.torsion == [[], [], []]
           and h.euler == 0)
     # the hand chain computation: d(top cell) = 2b - a
-    col = normalized_chains(space.result).boundaries[2].cols[0]
+    col = C.boundaries[2].cols[0]
     ok = ok and sorted(col.values()) == [-1, 2]
     report("1 moebius-exact-table", ok)
 
@@ -121,17 +122,19 @@ def test_criterion_6_structural_properties():
     ok = True
 
     # the f-vector is the closed form in the generator dimensions; every face
-    # table is the elementwise definition, stripped face by face; d.d = 0 on
+    # table of the oracle's exp_k is the elementwise definition, stripped
+    # face by face, and the build's chains are the oracle's; d.d = 0 on
     # every constructed complex; its Euler characteristic agrees with the
     # Betti numbers and with the configuration-space stratification; every
     # boundary's SNF agrees with the single-phase elimination, and the
     # homology with the one assembled from those SNFs without clearing
     for desc, k in MATRIX_CASES:
         _, S = parse_space(desc)
-        space = build_expk(S, k)
-        if space.result.f_vector() != subset_space_f_vector(S.dim_of, k):
+        C = build_expk(S, k).result
+        if C.f_vector() != subset_space_f_vector(S.dim_of, k):
             print(f"  f-vector differs from the closed form for {desc} k={k}")
             ok = False
+        X = expk_simplicial_set(S, k)
         subsets = expk_subsets(S, k)
         id_of = {sub: g for g, sub in enumerate(subsets)}
         for g, sub in enumerate(subsets):
@@ -141,10 +144,12 @@ def test_criterion_6_structural_properties():
                 for i in range(n + 1))
             expected = [(id_of.get(core), word)
                         for word, core in stripped] if n else None
-            if space.result.faces[g] != expected:
+            if X.faces[g] != expected:
                 print(f"  face table of generator {g} wrong for {desc} k={k}")
                 ok = False
-        C = normalized_chains(space.result)
+        if chain_tables(C) != chain_tables(normalized_chains(X)):
+            print(f"  chains differ from the oracle's for {desc} k={k}")
+            ok = False
         if not C.check_dd_zero():
             print(f"  dd!=0 for {desc} k={k}")
             ok = False
@@ -165,11 +170,15 @@ def test_criterion_6_structural_properties():
             print(f"  euler oracle fails for {desc} k={k}")
             ok = False
 
-    # exp_1 isomorphism on all builders
+    # exp_1 isomorphism on all builders, through the oracle's subsets, and
+    # the k = 1 build's chains are the oracle's
     for S in [sphere(1), sphere(2), sphere(3), wedge(WedgeSpec((1, 1))),
               wedge(WedgeSpec((2, 2))), subdivided_circle(3),
               subdivided_circle(4)]:
-        if find_isomorphism(build_expk(S, 1).result, S) is None:
+        X = expk_simplicial_set(S, 1)
+        if (find_isomorphism(X, S) is None
+                or chain_tables(normalized_chains(X))
+                != chain_tables(build_expk(S, 1).result)):
             print("  exp_1 isomorphism fails")
             ok = False
 
@@ -233,9 +242,9 @@ def test_criterion_7_lemma1_implication_suite():
     rng = random.Random(808)
     spaces = [wedge(WedgeSpec((1, 1))), wedge(WedgeSpec((2,))),
               wedge(WedgeSpec((1, 1, 1))),
-              build_expk(sphere(1), 2).result,
-              build_expk(wedge(WedgeSpec((1, 1))), 2).result,
-              build_expk(sphere(2), 2).result]
+              expk_simplicial_set(sphere(1), 2),
+              expk_simplicial_set(wedge(WedgeSpec((1, 1))), 2),
+              expk_simplicial_set(sphere(2), 2)]
     met = 0
     for _ in range(200):
         Y = rng.choice(spaces)

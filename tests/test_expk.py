@@ -1,5 +1,6 @@
 import gc
 import random
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -14,14 +15,15 @@ from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
                                 parse_space, sphere, subdivided_circle, wedge)
 from subsetspace.expk import ResourceCapError, build_expk, level_size
 from subsetspace.homology import (SmithResult, expk_homology, homology,
-                                  normalized_chains, space_homology)
+                                  normalized_chains)
 
-from oracles import (degeneracy_set, degenerate, expk_subsets,
-                     find_isomorphism, homology_reference,
-                     nondegenerate_subsets_unpruned, simplex_dim,
-                     strip_degeneracies, strip_degeneracies_iterative,
-                     subset_space_euler, subset_space_f_vector, subset_tuple,
-                     word_mask, word_tuple)
+from oracles import (chain_tables, degeneracy_set, degenerate,
+                     expk_simplicial_set, expk_subsets, find_isomorphism,
+                     homology_reference, nondegenerate_subsets_unpruned,
+                     simplex_dim, strip_degeneracies,
+                     strip_degeneracies_iterative, subset_space_euler,
+                     subset_space_f_vector, subset_tuple, word_mask,
+                     word_tuple)
 from test_acceptance import MATRIX_CASES
 
 
@@ -125,17 +127,27 @@ def _delta_set_draws(rng: random.Random):
         yield _one_vertex_delta_set(rng, loops, triangles), k
 
 
+@cache
+def _oracle_cases() -> tuple:
+    """(S, k, expk_simplicial_set(S, k)) on every matrix case, then on the
+    24 random one-vertex Delta-sets, each oracle built once for the tests
+    that read it."""
+    cases = [(parse_space(desc)[1], k) for desc, k in MATRIX_CASES]
+    cases += _delta_set_draws(random.Random(909))
+    return tuple((S, k, expk_simplicial_set(S, k)) for S, k in cases)
+
+
 def test_random_one_vertex_delta_sets():
     """exp_2 and exp_3 of random one-vertex Delta-sets, whose triangles have
-    non-degenerate faces: the face tables against the face-by-face stripper
-    (all of them at k = 2, a sample at k = 3), the f-vector and Euler
-    oracles, the SNF reference, and exp_1 S = S."""
+    non-degenerate faces: the oracle's face tables against the face-by-face
+    stripper (all of them at k = 2, a sample at k = 3), and the build's
+    chains against the f-vector and Euler oracles and the SNF reference;
+    the oracle's exp_1 S is S."""
     rng = random.Random(909)
     with_torsion = 0
-    for S, k in _delta_set_draws(rng):
+    for S, k, X in _oracle_cases()[len(MATRIX_CASES):]:
         assert validate(S) is None
-        space = build_expk(S, k)
-        assert validate(space.result) is None
+        assert validate(X) is None
         subsets = expk_subsets(S, k)
         id_of = {sub: g for g, sub in enumerate(subsets)}
         gens = [g for g, sub in enumerate(subsets) if simplex_dim(S, sub[0])]
@@ -144,15 +156,15 @@ def test_random_one_vertex_delta_sets():
             for i in range(n + 1):
                 word, core = strip_degeneracies_iterative(
                     [apply_face(a, i, S) for a in subsets[g]], S)
-                assert space.result.faces[g][i] == (id_of[core], word)
-        assert space.result.f_vector() == subset_space_f_vector(S.dim_of, k)
-        C = normalized_chains(space.result)
+                assert X.faces[g][i] == (id_of[core], word)
+        C = build_expk(S, k).result
+        assert C.f_vector() == subset_space_f_vector(S.dim_of, k)
         assert C.check_dd_zero()
         h = homology(C)
         assert h == homology_reference(C)
         chi = sum((-1) ** n * f for n, f in enumerate(S.f_vector()))
         assert h.euler == subset_space_euler(chi, k)
-        assert find_isomorphism(build_expk(S, 1).result, S) is not None
+        assert find_isomorphism(expk_simplicial_set(S, 1), S) is not None
         with_torsion += any(h.torsion)
     assert with_torsion >= 5
 
@@ -164,7 +176,7 @@ def test_word_is_degeneracy_set():
     spaces = []
     for desc, k in [("s1", 4), ("s2", 3), ("wedge:1,1", 3), ("circle:4", 3)]:
         S = parse_space(desc)[1]
-        spaces += [S, build_expk(S, k).result]
+        spaces += [S, expk_simplicial_set(S, k)]
     rng = random.Random(31)
     broken = [_random_face_table(rng) for _ in range(5)]
     assert all(validate(S) is not None for S in broken)
@@ -218,38 +230,32 @@ def test_oracle_subsets_give_the_generator_ids():
     """Seeded output rests on the build's generator ids: level by level, the
     non-degenerate subsets in lexicographic order of level indices.  The
     oracle's subsets, found by the unpruned search over membership-test
-    degeneracy sets, number the build's generators and have their
-    dimensions, on every matrix case and the random one-vertex Delta-sets;
-    the face-table tests compare ids through them."""
-    cases = [(parse_space(desc)[1], k) for desc, k in MATRIX_CASES]
-    cases += list(_delta_set_draws(random.Random(909)))
-    for S, k in cases:
-        R = build_expk(S, k).result
-        subsets = expk_subsets(S, k)
-        assert len(subsets) == R.n_generators
-        assert [simplex_dim(S, sub[0]) for sub in subsets] == R.dim_of
+    degeneracy sets, are the generators of its exp_k in that order; they
+    number the build's generators and have their dimensions, on every
+    matrix case and the random one-vertex Delta-sets.  The face-table tests
+    compare ids through them."""
+    for S, k, X in _oracle_cases():
+        C = build_expk(S, k).result
+        assert X.n_generators == C.n_generators
+        assert X.dim_of == [n for n, basis in enumerate(C.bases)
+                            for _ in basis]
+
+
+def test_build_is_the_normalized_chains_of_the_oracles_exp_k():
+    """build_expk's chains are those of exp_k S built from the tuple model
+    (expk_simplicial_set: every face put in normal form, degenerate ones
+    too), boundary for boundary and basis for basis, on every matrix case
+    and the random one-vertex Delta-sets.  So reading a missing face key as
+    a degenerate face drops exactly the faces that add 0."""
+    for S, k, X in _oracle_cases():
+        assert chain_tables(build_expk(S, k).result) == chain_tables(
+            normalized_chains(X)), k
 
 
 def test_f_vector_closed_form_s3k3():
     S = sphere(3)
     assert (build_expk(S, 3).result.f_vector()
             == subset_space_f_vector(S.dim_of, 3))
-
-
-def test_equal_faces_within_a_level_are_one_object():
-    """build_expk normalises each distinct face of a level once, so the
-    face tables of one level share one object per distinct face."""
-    R = build_expk(sphere(3), 3).result
-    calls = distinct = 0
-    for n in range(1, R.dim + 1):
-        gens = [g for g, m in enumerate(R.dim_of) if m == n]
-        first: dict[tuple[int, int], tuple[int, int]] = {}
-        for g in gens:
-            for f in R.faces[g]:
-                assert first.setdefault(f, f) is f
-        calls += sum(len(R.faces[g]) for g in gens)
-        distinct += len(first)
-    assert (calls, distinct) == (22_288, 3_382)
 
 
 def test_build_and_homology_leave_no_reference_cycles():
@@ -260,7 +266,7 @@ def test_build_and_homology_leave_no_reference_cycles():
     try:
         gc.collect()
         for desc, k in MATRIX_CASES:
-            space_homology(build_expk(parse_space(desc)[1], k).result)
+            homology(build_expk(parse_space(desc)[1], k).result)
             assert gc.collect() == 0, (desc, k)
     finally:
         if was:
@@ -268,9 +274,10 @@ def test_build_and_homology_leave_no_reference_cycles():
 
 
 def test_k1_build_is_the_base_itself(monkeypatch):
-    """exp_1 S is S ({x} -> x): a k = 1 build returns S itself, with the
-    cells_enumerated of S's levels, and enumerates no level and applies no
-    face map.  wedge(2, 1, 2) has ids out of dimension order."""
+    """exp_1 S is S ({x} -> x): a k = 1 build returns S's own normalized
+    chains, with the cells_enumerated of S's levels, and enumerates no
+    level and applies no face map.  wedge(2, 1, 2) has ids out of dimension
+    order."""
     def refuse(*args):
         raise AssertionError("called by a k = 1 build")
 
@@ -279,53 +286,27 @@ def test_k1_build_is_the_base_itself(monkeypatch):
     bases = [parse_space(desc)[1] for desc, _ in MATRIX_CASES]
     for S in bases + [wedge(WedgeSpec((2, 1, 2)))]:
         space = build_expk(S, 1)
-        assert space.result is S
+        assert chain_tables(space.result) == chain_tables(
+            normalized_chains(S))
         assert space.cells_enumerated == sum(level_size(S, n)
                                              for n in range(S.dim + 1))
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda f: (f[0] + 10**6, f[1]),
-    lambda f: (f[0], f[1] | 1 << 40),
-    lambda f: (f[0], f[1] << 1 | 1),  # one s_0 too many
-], ids=["base", "word", "dim"])
-def test_a_malformed_face_is_refused_with_set_faces_message(monkeypatch,
-                                                            corrupt):
-    """build_expk checks each new face with set_faces's rule once: a
-    corrupt face ends the build with the message set_faces gives it."""
-    S = sphere(2)
-    made, sets = [], []
-    check = SimplicialSet.check_face
-    monkeypatch.setattr(SimplicialSet, "check_face", lambda R, f, n: check(
-        R, made.append(corrupt(f)) or made[-1], n))
-    monkeypatch.setattr(expk, "SimplicialSet", lambda: sets.append(
-        SimplicialSet()) or sets[-1])
-    with pytest.raises(SimplicialError) as built:
-        build_expk(S, 2)
-    monkeypatch.undo()
-    R = sets[0]
-    g = R.n_generators - 1
-    with pytest.raises(SimplicialError) as direct:
-        R.set_faces(g, [made[-1]] * (R.dim_of[g] + 1))
-    assert str(built.value) == str(direct.value)
-    assert R.faces[g] is None
-
-
 def test_build_exp2_circle_generators():
     S = circle()
-    R = build_expk(S, 2).result
-    assert R.f_vector() == [1, 2, 1]
+    assert build_expk(S, 2).result.f_vector() == [1, 2, 1]
+    X = expk_simplicial_set(S, 2)
     subsets = expk_subsets(S, 2)
-    assert [simplex_dim(S, sub[0]) for sub in subsets] == R.dim_of
+    assert [simplex_dim(S, sub[0]) for sub in subsets] == X.dim_of
     subsets = {n: [sub for sub in subsets if simplex_dim(S, sub[0]) == n]
-               for n in range(R.dim + 1)}
+               for n in range(X.dim + 1)}
     v, e = (0, 0), (1, 0)
     assert subsets[0] == [subset_tuple([v], S)]
     assert set(subsets[1]) == {subset_tuple([e], S),
                                subset_tuple([e, degenerate(v, 0)], S)}
     assert subsets[2] == [
         subset_tuple([degenerate(e, 0), degenerate(e, 1)], S)]
-    assert validate(R) is None
+    assert validate(X) is None
 
 
 def test_exp2_circle_rejects_degenerate_level2_pair():
@@ -339,17 +320,20 @@ def test_exp2_circle_rejects_degenerate_level2_pair():
 
 
 def test_exp1_is_identity_on_all_builders():
+    """exp_1 S, built from the tuple model through its subsets, is
+    isomorphic to S, and its chains are the k = 1 build's."""
     for S in [circle(), sphere(2), sphere(3), wedge(WedgeSpec((1, 1))),
               wedge(WedgeSpec((2, 2))), subdivided_circle(3)]:
-        R = build_expk(S, 1).result
-        assert find_isomorphism(R, S) is not None
+        X = expk_simplicial_set(S, 1)
+        assert find_isomorphism(X, S) is not None
+        assert chain_tables(normalized_chains(X)) == chain_tables(
+            build_expk(S, 1).result)
 
 
 def test_exp1_of_a_300_sphere():
     """exp_1 S^300 = S^300: its faces come from words of length up to 300,
     and its reduced homology is Z in degree 300 alone."""
-    h = homology(normalized_chains(build_expk(sphere(300), 1).result),
-                 reduced=True)
+    h = homology(build_expk(sphere(300), 1).result, reduced=True)
     assert h.betti == [0] * 300 + [1]
     assert not any(h.torsion)
 
@@ -363,14 +347,13 @@ def test_exp1_homology_of_a_20000_sphere():
 
 
 def test_exp3_circle_dimension_and_validity():
-    space = build_expk(circle(), 3)
-    assert space.result.dim == 3
-    assert validate(space.result) is None
+    assert build_expk(circle(), 3).result.top == 3
+    assert validate(expk_simplicial_set(circle(), 3)) is None
 
 
 def test_dimension_bound():
     for S, k in [(circle(), 2), (circle(), 3), (sphere(2), 2)]:
-        assert build_expk(S, k).result.dim <= k * S.dim
+        assert build_expk(S, k).result.top <= k * S.dim
 
 
 def test_monotone_inclusion():
@@ -378,8 +361,8 @@ def test_monotone_inclusion():
     faces."""
     S = wedge(WedgeSpec((1, 1)))
     for k in (1, 2):
-        small = build_expk(S, k).result
-        big = build_expk(S, k + 1).result
+        small = expk_simplicial_set(S, k)
+        big = expk_simplicial_set(S, k + 1)
         small_subsets = expk_subsets(S, k)
         big_subsets = expk_subsets(S, k + 1)
         big_id = {sub: g for g, sub in enumerate(big_subsets)}
@@ -406,7 +389,7 @@ def test_oracle_circle_level1():
     of S^1_1, and the check passes there with the build's cell count."""
     S = circle()
     assert level_size(S, 1) == 2
-    assert level_size(build_expk(S, 2).result, 1) == 3
+    assert level_size(expk_simplicial_set(S, 2), 1) == 3
     assert V.level_count_check(S, 2, 1) == (V.PASS, None, 10)
 
 
@@ -416,14 +399,14 @@ def test_oracle_class_count_formula():
                     (subdivided_circle(3), 2, 1)]:
         m = len(enumerate_level(S, n))
         space = build_expk(S, k)
-        assert (level_size(space.result, n)
+        assert (level_size(expk_simplicial_set(S, k), n)
                 == sum(comb(m, j) for j in range(1, k + 1)))
         assert V.level_count_check(S, k, n) == (V.PASS, None,
                                                 space.cells_enumerated)
 
 
 def test_oracle_matches_subset_count():
-    """The build's level size is the itertools count of the subsets of size
+    """exp_k S's level size is the itertools count of the subsets of size
     <= k of the enumerated level, and level_size(S, n) is |S_n|."""
     for S, k, n in [(circle(), 2, 1), (circle(), 2, 2), (sphere(2), 3, 2),
                     (wedge(WedgeSpec((1, 1))), 2, 1),
@@ -431,7 +414,7 @@ def test_oracle_matches_subset_count():
         level = enumerate_level(S, n)
         subsets = sum(1 for size in range(1, k + 1)
                       for _ in combinations(level, size))
-        assert level_size(build_expk(S, k).result, n) == subsets
+        assert level_size(expk_simplicial_set(S, k), n) == subsets
     for S in [circle(), sphere(2), wedge(WedgeSpec((1, 2))),
               subdivided_circle(3)]:
         for n in range(5):
@@ -485,7 +468,7 @@ def test_records_compare_and_hash_as_their_field_tuples():
     space = build_expk(S, 2)
     records = [(WedgeSpec((1,)), "sphere_dims"),
                (space, "result"),
-               (space_homology(space.result), "betti")]
+               (homology(space.result), "betti")]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         with pytest.raises(AttributeError):

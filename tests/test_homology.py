@@ -14,8 +14,9 @@ from subsetspace.homology import (ChainComplex, ChainComplexError,
                                   normalized_chains, smith_normal_form,
                                   space_homology)
 
-from oracles import (betti_mod_p, from_dense, homology_reference,
-                     minors_gcd, random_model_complex, rank_over_q,
+from oracles import (betti_mod_p, chain_tables, expk_simplicial_set,
+                     from_dense, homology_reference, minors_gcd,
+                     random_model_complex, rank_over_q,
                      smith_normal_form_reference, sp2_sphere_reduced_homology,
                      to_dense)
 from test_acceptance import MATRIX_CASES
@@ -185,7 +186,7 @@ def _clearing_replay(C):
 def test_cleared_columns_keep_each_boundarys_snf(desc, k):
     """The clearing theorem, matrix by matrix: zeroing the columns of d_n
     that are cleared rows of d_{n+1} keeps the reference SNF of d_n."""
-    C = normalized_chains(build_expk(parse_space(desc)[1], k).result)
+    C = build_expk(parse_space(desc)[1], k).result
     for M, skip, res in _clearing_replay(C):
         full = smith_normal_form_reference(M)
         cleared = smith_normal_form_reference(_zero_columns(M, skip))
@@ -205,7 +206,7 @@ def _moore_space():
 def test_exp2_of_moore_space_matches_reference():
     """A base with torsion of its own: exp_2 M(Z/2, 2) has 67 generators
     and torsion Z/2, Z/4, Z/2 in degrees 2, 4 and 5."""
-    C = normalized_chains(build_expk(_moore_space(), 2).result)
+    C = build_expk(_moore_space(), 2).result
     h = homology(C)
     assert sum(h.f_vector) == 67
     assert h == homology_reference(C)
@@ -216,7 +217,7 @@ def test_exp2_of_moore_space_matches_reference():
 def test_every_pivot_of_exp4_circle5_is_cleared():
     """Every pivot on the boundaries of exp_4 circle:5 is +-1, so each row
     deleted is cleared; a unit phase that ended early would lose some."""
-    C = normalized_chains(build_expk(parse_space("circle:5")[1], 4).result)
+    C = build_expk(parse_space("circle:5")[1], 4).result
     ranks = []
     for _, _, res in _clearing_replay(C):
         assert len(res.cleared) == res.rank
@@ -248,7 +249,7 @@ def test_homology_hands_smith_normal_form_the_boundaries(monkeypatch):
     """Clearing passes the cleared columns as skip: every matrix handed to
     smith_normal_form is one of the complex's boundaries, each once."""
     import subsetspace.homology as homology_module
-    C = normalized_chains(build_expk(sphere(3), 3).result)
+    C = build_expk(sphere(3), 3).result
     calls = []
 
     def recording(M, skip=frozenset()):
@@ -285,7 +286,7 @@ def test_homology_on_random_complexes_of_known_homology():
 @pytest.mark.parametrize("desc,k", [("s3", 3), ("circle:5", 4), ("s2", 4),
                                     ("wedge:1,2", 4)])
 def test_homology_matches_reference_without_clearing(desc, k):
-    C = normalized_chains(build_expk(parse_space(desc)[1], k).result)
+    C = build_expk(parse_space(desc)[1], k).result
     assert homology(C) == homology_reference(C)
 
 
@@ -296,7 +297,7 @@ def test_tuffley_circle_oracle(desc, kmax):
     "Finite subset spaces of S^1", Algebr. Geom. Topol. 2002)."""
     _, S = parse_space(desc)
     for k in range(1, kmax + 1):
-        h = space_homology(build_expk(S, k).result, reduced=True)
+        h = homology(build_expk(S, k).result, reduced=True)
         top = 2 * ((k + 1) // 2) - 1
         assert h.betti == [1 if n == top else 0 for n in range(len(h.betti))]
         assert all(not t for t in h.torsion)
@@ -306,7 +307,7 @@ def test_tuffley_circle_oracle(desc, kmax):
 def test_sp2_sphere_oracle(n):
     """exp_2 S^n = SP^2 S^n, whose reduced homology follows from
     SP^2 S^n / S^n = Sigma^{n+1} RP^{n-1}."""
-    h = space_homology(build_expk(sphere(n), 2).result, reduced=True)
+    h = homology(build_expk(sphere(n), 2).result, reduced=True)
     betti, torsion = sp2_sphere_reduced_homology(n)
     pad = len(betti) - len(h.betti)
     assert pad >= 0
@@ -322,8 +323,7 @@ def test_chains_minimal_sphere_boundaries_vanish():
 
 
 def test_chains_exp2_circle_boundary():
-    space = build_expk(sphere(1), 2)
-    C = normalized_chains(space.result)
+    C = build_expk(sphere(1), 2).result
     assert C.f_vector() == [1, 2, 1]
     # d(top cell) = 2b - a where a = {e} and b = {e, s_0 v}
     col = C.boundaries[2].cols[0]
@@ -332,16 +332,19 @@ def test_chains_exp2_circle_boundary():
 
 
 def test_chains_exp1_equal_base_chains():
+    """The k = 1 build's chains are those of exp_1 S built through its
+    subsets by the oracle, and those of S."""
     S = wedge(WedgeSpec((1, 1)))
-    C_base = normalized_chains(S)
-    C_exp = normalized_chains(build_expk(S, 1).result)
-    assert C_base.f_vector() == C_exp.f_vector()
+    C_base = normalized_chains(expk_simplicial_set(S, 1))
+    C_exp = build_expk(S, 1).result
+    assert C_base.f_vector() == C_exp.f_vector() == [1, 2]
     for M, N in zip(C_base.boundaries, C_exp.boundaries):
         assert to_dense(M) == to_dense(N)
+    assert chain_tables(C_exp) == chain_tables(normalized_chains(S))
 
 
 def test_homology_exp2_circle_is_moebius():
-    h = space_homology(build_expk(sphere(1), 2).result)
+    h = homology(build_expk(sphere(1), 2).result)
     assert h.betti == [1, 1, 0]
     assert h.torsion == [[], [], []]
     assert h.euler == 0
@@ -375,11 +378,12 @@ def test_homology_rejects_broken_complex():
 
 def test_euler_identity_everywhere():
     spaces = [sphere(1), sphere(2), wedge(WedgeSpec((1, 1, 1))),
-              subdivided_circle(4),
-              build_expk(sphere(1), 3).result,
-              build_expk(wedge(WedgeSpec((1, 1))), 2).result]
-    for S in spaces:
-        h = space_homology(S)
+              subdivided_circle(4)]
+    complexes = [normalized_chains(S) for S in spaces] + [
+        build_expk(sphere(1), 3).result,
+        build_expk(wedge(WedgeSpec((1, 1))), 2).result]
+    for C in complexes:
+        h = homology(C)
         assert h.euler == sum((-1) ** n * f for n, f in enumerate(h.f_vector))
         assert h.euler == sum((-1) ** n * b for n, b in enumerate(h.betti))
 
@@ -387,7 +391,7 @@ def test_euler_identity_everywhere():
 def test_direct_sum_is_degreewise_sum():
     """Block-diagonal assembly of two complexes adds betti and concatenates
     torsion degree-wise."""
-    A = normalized_chains(build_expk(sphere(1), 2).result)
+    A = build_expk(sphere(1), 2).result
     B = normalized_chains(sphere(2))
     top = max(A.top, B.top)
 
@@ -436,8 +440,8 @@ def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
     assert S.dim_of == [0, 2, 1, 2]
     assert normalized_chains(S).bases == [[0], [2], [1, 3]]
     for k in (1, 2):
-        assert space_homology(build_expk(S, k).result).groups_equal(
-            space_homology(build_expk(T, k).result))
+        assert homology(build_expk(S, k).result).groups_equal(
+            homology(build_expk(T, k).result))
     for gens, bases, summands in [({0, 2, 3}, [[0], [2], [3]], (1, 2)),
                                   ({0, 1, 3}, [[0], [], [1, 3]], (2, 2)),
                                   ({0, 2}, [[0], [2]], (1,))]:
@@ -457,7 +461,7 @@ def _mod_p_mismatches() -> list[tuple[str, int, int]]:
     and every prime dividing a reported divisor."""
     bad = []
     for desc, k in MATRIX_CASES:
-        C = normalized_chains(build_expk(parse_space(desc)[1], k).result)
+        C = build_expk(parse_space(desc)[1], k).result
         h = homology(C)
         primes = {2, 3} | {q for ds in h.torsion for d in ds
                            for q in range(2, d + 1)

@@ -1,6 +1,7 @@
 """Package-wide guards: the library imports only the standard library, so
-``dependencies = []`` stays true, the package binds no name of its own, so
-each module is reached by its own name, and importing the CLI stays
+``dependencies = []`` stays true, each module imports alone, so no import
+cycle hides behind an import order, the package binds no name of its own,
+so each module is reached by its own name, and importing the CLI stays
 cheap."""
 
 import ast
@@ -32,6 +33,22 @@ def test_src_imports_only_the_standard_library():
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, \
                     f"{path.name} imports {module}"
+
+
+def test_each_module_imports_alone_in_a_fresh_interpreter():
+    """Imported first, each module loads the ones it needs without meeting
+    one half-initialised: the chain types live in simplicial, and expk and
+    homology import them from there, so neither of those two imports the
+    other back."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    modules = [f"subsetspace.{p.stem}" for p in sorted(SRC.glob("*.py"))
+               if p.stem != "__init__"]
+    assert "subsetspace.expk" in modules
+    for module in modules:
+        proc = subprocess.run([sys.executable, "-S", "-c", f"import {module}"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, (module, proc.stderr)
 
 
 def test_the_package_binds_no_name_so_subsetspace_homology_is_the_module():

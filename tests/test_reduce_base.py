@@ -9,8 +9,10 @@ from itertools import combinations
 
 import pytest
 
-from subsetspace.expk import build_expk, expk_f_vector
-from subsetspace.homology import expk_homology, space_homology
+from subsetspace import expk, homology as homology_module
+from subsetspace.expk import (ResourceCapError, build_expk, capped_cells,
+                              expk_f_vector)
+from subsetspace.homology import expk_homology, homology
 from subsetspace.simplicial import SimplicialSet, validate
 from subsetspace.spaces import edgewise_subdivision, parse_space, reduce_base
 
@@ -95,8 +97,33 @@ def test_homology_on_the_reduced_base_is_the_full_builds(name):
         full = full_build(name, k)
         for reduced in (False, True):
             assert expk_homology(S, k, reduced) == (
-                space_homology(full.result, reduced),
+                homology(full.result, reduced),
                 full.cells_enumerated), (k, reduced)
+
+
+def test_the_cap_is_tested_once_unless_the_base_reduces(monkeypatch):
+    """expk_homology tests S's cap once, in build_expk, when S/K is S.
+    Otherwise it tests S's cap and then S/K's, so an over-cap S is refused
+    at its own first level over the cap, also where S/K passes."""
+    calls = []
+
+    def counting(S, k, max_cells):
+        calls.append(S)
+        return capped_cells(S, k, max_cells)
+
+    monkeypatch.setattr(expk, "capped_cells", counting)
+    monkeypatch.setattr(homology_module, "capped_cells", counting)
+    S = parse_space("s2")[1]
+    assert expk_homology(S, 3)[1] == capped_cells(S, 3, 200_000)
+    assert calls == [S]
+    T = SHELF["K4"][0]
+    calls.clear()
+    expk_homology(T, 3)
+    assert calls[0] is T and len(calls) == 2
+    with pytest.raises(ResourceCapError) as refused:
+        expk_homology(T, 3, max_cells=200)
+    assert refused.value.report["level"] == 2
+    assert capped_cells(reduce_base(T), 3, 200) == 253
 
 
 def test_the_reduced_base_keeps_euler_and_one_vertex_per_component():

@@ -10,6 +10,8 @@ from subsetspace.expk import build_expk
 from subsetspace import cli
 from subsetspace import verify as V
 
+from oracles import expk_simplicial_set
+
 
 def two_edge_path():
     S = SimplicialSet()
@@ -129,8 +131,8 @@ def test_lemma1_rejects_incomplete_cover():
 def test_lemma1_randomized_implication_holds():
     rng = random.Random(11)
     spaces = [wedge(WedgeSpec((1, 1))), wedge(WedgeSpec((2,))),
-              build_expk(sphere(1), 2).result,
-              build_expk(wedge(WedgeSpec((1, 1))), 2).result]
+              expk_simplicial_set(sphere(1), 2),
+              expk_simplicial_set(wedge(WedgeSpec((1, 1))), 2)]
     for _ in range(60):
         Y = rng.choice(spaces)
         res = V.lemma1_check(Y, *V.random_lemma1_instance(Y, rng))
@@ -162,18 +164,17 @@ def test_invariance_detects_different_types():
 
 def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     """The check reads the build: with its last, top-dimensional generator
-    removed, exp_2 S^1 fails at levels >= 2 and at every level, and the CLI
-    exits 1; a level below that generator's dimension still passes."""
+    removed from its chains, exp_2 S^1 fails at levels >= 2 and at every
+    level, and the CLI exits 1; a level below that generator's dimension
+    still passes."""
     def broken(S, k, max_cells):
         space = build_expk(S, k, max_cells)
-        X = space.result
-        X.dim_of.pop()
-        X.faces.pop()
+        space.result.bases[-1].pop()
         return space
 
     monkeypatch.setattr(V, "build_expk", broken)
     S = sphere(1)
-    assert build_expk(S, 2).result.dim == 2
+    assert build_expk(S, 2).result.f_vector() == [1, 2, 1]
     for level in (0, 1):
         assert V.level_count_check(S, 2, level)[0] == V.PASS
     for level in (2, 3, None):
