@@ -122,8 +122,8 @@ def build_expk(S: SimplicialSet, k: int,
     """The normalized chains of exp_k S, built once every level n <= k *
     dim(S) has passed the cell cap; at k = 1, exp_1 S is S ({x} -> x) and
     they are normalized_chains(S).  Else level by level, on level indices:
-    level n's generators are its non-degenerate subsets, with contiguous
-    ids in level order, each keyed by the OR of its indices' bits.  Face
+    level n's generators are its non-degenerate subsets, the columns of
+    d_n in search order, each keyed by the OR of its indices' bits.  Face
     d_i of a subset has for key the OR of its elements' d_i bits in level
     n - 1; it is level n - 1's generator with that key, or degenerate when
     no generator has it: level n - 1's generators are all of its
@@ -133,7 +133,6 @@ def build_expk(S: SimplicialSet, k: int,
     cells = capped_cells(S, k, max_cells)
     if k == 1:
         return ExpkSpace(result=normalized_chains(S), cells_enumerated=cells)
-    bases: list[list[int]] = []
     boundaries = []
     row_of: dict[int, int] = {}  # key -> row, over level n - 1's generators
     below: dict[tuple[int, int], int] = {}  # level n - 1: simplex -> index
@@ -150,10 +149,7 @@ def build_expk(S: SimplicialSet, k: int,
         boundaries.append(boundary(len(row_of), (
             map(row_of.get, reduce(join, map(bits.__getitem__, idxs)))
             for idxs in subsets)))
-        start = sum(map(len, bases))
-        bases.append(list(range(start, start + len(subsets))))
         row_of = {reduce(or_, map((1).__lshift__, idxs)): r
                   for r, idxs in enumerate(subsets)}
         below = {x: a for a, x in enumerate(level)}
-    return ExpkSpace(result=ChainComplex(bases=bases, boundaries=boundaries),
-                     cells_enumerated=cells)
+    return ExpkSpace(result=ChainComplex(boundaries), cells_enumerated=cells)

@@ -193,11 +193,11 @@ def enumerate_level(S: SimplicialSet, n: int) -> list[tuple[int, int]]:
 
 
 class SparseIntMatrix:
-    """Integer matrix stored as per-column {row: value} maps."""
+    """Integer matrix stored as per-column {row: value} maps, in cols."""
+    __slots__ = ("nrows", "cols")
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
-        self.ncols = ncols
         self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
 
     def entries(self):
@@ -209,22 +209,22 @@ class SparseIntMatrix:
         return sum(len(col) for col in self.cols)
 
 
-class ChainComplex(namedtuple("ChainComplex", "bases boundaries")):
-    """bases[n] lists the generator ids in degree n; boundaries[n] is the
-    SparseIntMatrix of d_n from degree n to degree n-1 (boundaries[0] is the
-    zero map out of degree 0)."""
+class ChainComplex(namedtuple("ChainComplex", "boundaries")):
+    """boundaries[n] is the SparseIntMatrix of d_n from degree n to degree
+    n-1, one column per generator of degree n (boundaries[0] is the zero
+    map out of degree 0)."""
     __slots__ = ()
 
     @property
     def top(self) -> int:
-        return len(self.bases) - 1
+        return len(self.boundaries) - 1
 
     @property
     def n_generators(self) -> int:
-        return sum(map(len, self.bases))
+        return sum(self.f_vector())
 
     def f_vector(self) -> list[int]:
-        return [len(b) for b in self.bases]
+        return [len(M.cols) for M in self.boundaries]
 
     def check_dd_zero(self) -> bool:
         """Exact d_{n-1} d_n = 0 in every degree, one column at a time."""
@@ -254,7 +254,6 @@ def boundary(nrows: int, face_rows) -> SparseIntMatrix:
                     del col[r]
             sign = -sign
         M.cols.append(col)
-    M.ncols = len(M.cols)
     return M
 
 
@@ -270,17 +269,16 @@ def normalized_chains(S: SimplicialSet,
         gens = range(S.n_generators)
     elif close_under_faces(S, gens) != gens:
         raise SimplicialError("generator set is not closed under faces")
-    bases: list[list[int]] = [[]]  # up to the largest dimension in gens
+    ids: list[list[int]] = [[]]  # per degree, up to the largest in gens
     for g, n in enumerate(S.dim_of):
         if g in gens:
-            while len(bases) <= n:
-                bases.append([])
-            bases[n].append(g)
-    row_of = {g: r for basis in bases for r, g in enumerate(basis)}
-    boundaries = [boundary(len(lower), (
+            while len(ids) <= n:
+                ids.append([])
+            ids[n].append(g)
+    row_of = {g: r for level in ids for r, g in enumerate(level)}
+    return ChainComplex([boundary(len(lower), (
         [None if word else row_of[base] for base, word in S.faces[g] or ()]
-        for g in upper)) for lower, upper in zip([[]] + bases, bases)]
-    return ChainComplex(bases=bases, boundaries=boundaries)
+        for g in upper)) for lower, upper in zip([[]] + ids, ids)])
 
 
 def validate(S: SimplicialSet) -> tuple[int, int, int] | None:

@@ -427,8 +427,8 @@ def homology_reference(C: ChainComplex) -> HomologyResult:
     """Homology assembled from the reference SNF of every full boundary, one
     degree at a time, with no clearing; the caller checks d.d = 0."""
     snfs = [smith_normal_form_reference(M) for M in C.boundaries]
-    top = len(C.bases) - 1
-    f_vector = [len(b) for b in C.bases]
+    f_vector = C.f_vector()
+    top = len(f_vector) - 1
     betti, torsion = [], []
     for n in range(top + 1):
         rank_in = snfs[n + 1].rank if n < top else 0
@@ -471,7 +471,7 @@ def betti_mod_p(C: ChainComplex, p: int) -> list[int]:
                 kept[low] = {r: x * inv % p for r, x in v.items()}
         ranks.append(len(kept))
     ranks.append(0)  # d_{top+1} = 0
-    return [len(b) - ranks[n] - ranks[n + 1] for n, b in enumerate(C.bases)]
+    return [f - ranks[n] - ranks[n + 1] for n, f in enumerate(C.f_vector())]
 
 
 def invariant_factors(orders: list[int]) -> list[int]:
@@ -547,8 +547,7 @@ def random_model_complex(rng: random.Random):
                 if v:
                     M.cols[c][r] = v
         boundaries.append(M)
-    C = ChainComplex(bases=[list(range(len(b))) for b in cells],
-                     boundaries=boundaries)
+    C = ChainComplex(boundaries)
     torsion = [invariant_factors([t for t in coefficients[n + 1] if t > 1])
                if n < top else [] for n in range(top + 1)]
     return C, free, torsion, coefficients
@@ -633,13 +632,13 @@ def complex_to_sset(facets) -> SimplicialSet:
 
 
 def chain_tables(C: ChainComplex):
-    """C as plain data that compares by value: its bases, and each
-    boundary's shape and columns."""
-    return C.bases, [(M.nrows, M.ncols, M.cols) for M in C.boundaries]
+    """C as plain data that compares by value: its f-vector, and each
+    boundary's row count and columns."""
+    return C.f_vector(), [(M.nrows, M.cols) for M in C.boundaries]
 
 
 def to_dense(M: SparseIntMatrix) -> list[list[int]]:
-    out = [[0] * M.ncols for _ in range(M.nrows)]
+    out = [[0] * len(M.cols) for _ in range(M.nrows)]
     for r, c, v in M.entries():
         out[r][c] = v
     return out

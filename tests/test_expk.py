@@ -237,8 +237,8 @@ def test_oracle_subsets_give_the_generator_ids():
     for S, k, X in _oracle_cases():
         C = build_expk(S, k).result
         assert X.n_generators == C.n_generators
-        assert X.dim_of == [n for n, basis in enumerate(C.bases)
-                            for _ in basis]
+        assert X.dim_of == [n for n, f in enumerate(C.f_vector())
+                            for _ in range(f)]
 
 
 def test_build_is_the_normalized_chains_of_the_oracles_exp_k():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetspace.simplicial import SimplicialError, simplicial_set_from_dict
+from subsetspace.simplicial import (SimplicialError, SimplicialSet,
+                                    simplicial_set_from_dict)
 from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
                                 subdivided_circle, wedge)
 from subsetspace.expk import build_expk
@@ -167,7 +168,7 @@ def test_snf_unit_pivots_of_every_kind_are_cleared():
 
 
 def _zero_columns(M, cols):
-    Z = SparseIntMatrix(M.nrows, M.ncols)
+    Z = SparseIntMatrix(M.nrows, len(M.cols))
     Z.cols = [{} if c in cols else dict(col) for c, col in enumerate(M.cols)]
     return Z
 
@@ -362,15 +363,11 @@ def test_homology_figure_eight():
 
 
 def test_homology_rejects_broken_complex():
-    bad = ChainComplex(
-        bases=[[0], [1]],
-        boundaries=[SparseIntMatrix(0, 1), from_dense([[1]])])
+    bad = ChainComplex([SparseIntMatrix(0, 1), from_dense([[1]])])
     # d.d = 0 trivially here; break it with a second boundary
-    bad2 = ChainComplex(
-        bases=[[0], [1], [2]],
-        boundaries=[SparseIntMatrix(0, 1),
-                    from_dense([[1]]),
-                    from_dense([[1]])])
+    bad2 = ChainComplex([SparseIntMatrix(0, 1),
+                         from_dense([[1]]),
+                         from_dense([[1]])])
     homology(bad)
     with pytest.raises(ChainComplexError):
         homology(bad2)
@@ -395,27 +392,23 @@ def test_direct_sum_is_degreewise_sum():
     B = normalized_chains(sphere(2))
     top = max(A.top, B.top)
 
-    def basis(C, n):
-        return C.bases[n] if n <= C.top else []
-
     def mat(C, n):
         if n <= C.top:
             return C.boundaries[n]
-        return SparseIntMatrix(len(basis(C, n - 1)), 0)
+        return SparseIntMatrix(len(mat(C, n - 1).cols), 0)
 
-    bases, boundaries = [], []
+    boundaries = []
     for n in range(top + 1):
-        bases.append([("a", g) for g in basis(A, n)]
-                     + [("b", g) for g in basis(B, n)])
         MA, MB = mat(A, n), mat(B, n)
-        M = SparseIntMatrix(len(bases[n - 1]) if n else 0, len(bases[n]))
+        M = SparseIntMatrix(MA.nrows + MB.nrows,
+                            len(MA.cols) + len(MB.cols))
         for r, c, v in MA.entries():
             M.cols[c][r] = v
-        off_r, off_c = MA.nrows, MA.ncols
+        off_r, off_c = MA.nrows, len(MA.cols)
         for r, c, v in MB.entries():
             M.cols[c + off_c][r + off_r] = v
         boundaries.append(M)
-    h = homology(ChainComplex(bases=bases, boundaries=boundaries))
+    h = homology(ChainComplex(boundaries))
     ha = homology(A)
     hb = homology(B)
     for n in range(top + 1):
@@ -431,26 +424,65 @@ def test_normalized_chains_requires_closure():
 
 
 def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
-    """wedge((2, 1, 2)) has generators of dimension 0, 2, 1, 2 in id order.
-    Its chains group their bases by degree, ascending within each; it and
-    its exp_2 have the homology of wedge((1, 2, 2)); and a closed subset's
-    chains are the subcomplex's, up to the largest dimension in it."""
+    """A circle of two edges, ids 1 and 3, on the vertices 0 and 2: its
+    chains number each degree's generators in ascending id order, which its
+    boundary rows show, and so does a closed subset's, up to the largest
+    dimension in it.  wedge((2, 1, 2)) has generators of dimension 0, 2, 1,
+    2 in id order; it and its exp_2 have the homology of wedge((1, 2, 2)),
+    and its closed subsets have the chains of the wedges they are."""
+    O = SimplicialSet()
+    for dim in (0, 1, 0, 1):
+        O.add_generator(dim)
+    O.set_faces(1, [(2, 0), (0, 0)])  # from vertex 0 to vertex 2
+    O.set_faces(3, [(0, 0), (2, 0)])  # and back
+    assert O.dim_of == [0, 1, 0, 1]
+    for gens, d1 in [(None, [[-1, 1], [1, -1]]), ({0, 1, 2}, [[-1], [1]]),
+                     ({0, 2, 3}, [[1], [-1]]), ({0, 2}, None)]:
+        C = normalized_chains(O, gens)
+        assert [to_dense(M) for M in C.boundaries[1:]] == (
+            [d1] if d1 else [])
+    assert homology(normalized_chains(O)).betti == [1, 1]
     S = wedge(WedgeSpec((2, 1, 2)))
     T = wedge(WedgeSpec((1, 2, 2)))
     assert S.dim_of == [0, 2, 1, 2]
-    assert normalized_chains(S).bases == [[0], [2], [1, 3]]
+    assert normalized_chains(S).f_vector() == [1, 1, 2]
     for k in (1, 2):
         assert homology(build_expk(S, k).result).groups_equal(
             homology(build_expk(T, k).result))
-    for gens, bases, summands in [({0, 2, 3}, [[0], [2], [3]], (1, 2)),
-                                  ({0, 1, 3}, [[0], [], [1, 3]], (2, 2)),
-                                  ({0, 2}, [[0], [2]], (1,))]:
+    for gens, f_vector, summands in [({0, 2, 3}, [1, 1, 1], (1, 2)),
+                                     ({0, 1, 3}, [1, 0, 2], (2, 2)),
+                                     ({0, 2}, [1, 1], (1,))]:
         sub = normalized_chains(S, gens)
-        assert sub.bases == bases
+        assert sub.f_vector() == f_vector
         whole = normalized_chains(wedge(WedgeSpec(summands)))
         assert [to_dense(M) for M in sub.boundaries] == [
             to_dense(M) for M in whole.boundaries]
         assert homology(sub).groups_equal(homology(whole))
+
+
+def test_a_chain_complex_is_its_boundaries():
+    """A degree's size is its boundary's column count, stored nowhere
+    else: a column appended to d_n adds one generator in degree n."""
+    assert ChainComplex._fields == ("boundaries",)
+    C = build_expk(sphere(1), 2).result
+    f = C.f_vector()
+    for n in range(C.top + 1):
+        size = C.n_generators
+        C.boundaries[n].cols.append({})
+        f[n] += 1
+        assert C.f_vector() == f
+        assert C.n_generators == size + 1
+
+
+def test_a_sparse_matrix_stores_its_rows_and_columns_only():
+    M = SparseIntMatrix(3, 2)
+    assert not hasattr(M, "__dict__")
+    assert (M.nrows, len(M.cols)) == (3, 2)
+    M.cols.append({0: 1})
+    assert len(M.cols) == 3 and M.nnz() == 1 and to_dense(M) == [
+        [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    with pytest.raises(AttributeError):
+        M.ncols = 3
 
 
 def _mod_p_mismatches() -> list[tuple[str, int, int]]:

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from subsetspace.simplicial import (SimplicialSet,
+from subsetspace.simplicial import (SimplicialError, SimplicialSet,
                                     simplicial_set_from_dict)
 from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
-from subsetspace.expk import build_expk
+from subsetspace.expk import ResourceCapError, build_expk
 from subsetspace import cli
 from subsetspace import verify as V
 
@@ -169,7 +169,7 @@ def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     still passes."""
     def broken(S, k, max_cells):
         space = build_expk(S, k, max_cells)
-        space.result.bases[-1].pop()
+        space.result.boundaries[-1].cols.pop()
         return space
 
     monkeypatch.setattr(V, "build_expk", broken)
@@ -182,6 +182,30 @@ def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     assert cli.main(["verify", "oracle", "--space", "s1", "--k", "2",
                      "--seed", "0"]) == 1
     assert '"verdict": "fail"' in capsys.readouterr().out
+
+
+def test_level_count_at_k1_builds_nothing(monkeypatch, capsys):
+    """exp_1 S is S, so at k = 1 the check reads S's own f-vector and cap
+    count and builds no chains: it passes with the cells of exp_1 S, tests
+    the cap before it refuses a negative level, and the CLI exits 0."""
+    cases = [(S, build_expk(S, 1).cells_enumerated)
+             for S in (sphere(2), subdivided_circle(3), two_edge_path()[0])]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("chains built at k = 1")
+
+    monkeypatch.setattr(V, "build_expk", no_build)
+    monkeypatch.setattr(V, "normalized_chains", no_build)
+    for S, cells in cases:
+        for level in (0, 1, 2, 5, None):
+            assert V.level_count_check(S, 1, level) == (V.PASS, None, cells)
+    with pytest.raises(ResourceCapError):
+        V.level_count_check(wedge(WedgeSpec((1,) * 9)), 1, -1, max_cells=5)
+    with pytest.raises(SimplicialError, match="dimension must be >= 0"):
+        V.level_count_check(sphere(2), 1, -1)
+    assert cli.main(["verify", "oracle", "--space", "s150", "--k", "1",
+                     "--seed", "0"]) == 0
+    assert '"verdict": "pass"' in capsys.readouterr().out
 
 
 def test_lemma1_fails_when_only_the_whole_space_has_homology(monkeypatch,
