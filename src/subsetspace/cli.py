@@ -64,7 +64,7 @@ def cmd_verify(which: str, args: argparse.Namespace, S):
                                   args.k, max_cells=args.max_cells)
     import random  # lemma1; argparse admits only the five checks
     rng = random.Random(args.seed or 0)
-    failed = any(V.lemma1_check(S, *V.random_lemma1_instance(S, rng)).verdict
+    failed = any(V.lemma1_check(S, *V.random_lemma1_instance(S, rng))
                  == V.FAIL for _ in range(50))
     return V.Outcome(V.FAIL if failed else V.PASS, None, 0)
 

@@ -108,8 +108,9 @@ def reduce_base(S: SimplicialSet) -> SimplicialSet:
     sigma expands when all its faces but one, tau, have their base in K.
     Each face of d_i sigma is a face of a d_j sigma, j != i, so tau is
     non-degenerate, once among sigma's faces and with its faces in K:
-    sigma meets K in a horn, and K stays contractible.  A face based in K
-    becomes (seed, 1...1)."""
+    sigma meets K in a horn, and K stays contractible and closed under
+    faces, so a sigma already in K has no face outside it and never
+    expands again.  A face based in K becomes (seed, 1...1)."""
     cofaces: list[list[int]] = [[] for _ in S.dim_of]
     for s, fs in enumerate(S.faces):
         for b in {b for b, _ in fs or ()}:
@@ -123,7 +124,7 @@ def reduce_base(S: SimplicialSet) -> SimplicialSet:
         while work:
             for s in cofaces[work.popleft()]:
                 out = [b for b, _ in S.faces[s] if b not in seed_of]
-                if len(out) == 1 and s not in seed_of:
+                if len(out) == 1:
                     seed_of[out[0]] = seed_of[s] = v
                     work += out[0], s
     if all(seed_of[g] == g for g in seed_of):

@@ -67,19 +67,15 @@ def tuffley_check(S: SimplicialSet, k: int,
     return theorem1_check(S, k, max_cells)
 
 
-# verdict is PASS, FAIL or HYPOTHESES_NOT_MET; detail (a str) says why
-Lemma1Verdict = namedtuple("Lemma1Verdict", "verdict detail")
-
-
-def lemma1_check(Y: SimplicialSet, cover: list[set[int]],
-                 j: int) -> Lemma1Verdict:
+def lemma1_check(Y: SimplicialSet, cover: list[set[int]], j: int) -> str:
     """Evaluate the cover-vanishing implication for a cover of Y (a list of
     generator-closed sets of generator ids): if the total intersection is
     nonempty, every s-fold intersection (s >= 2) has vanishing reduced
     homology below degree j, and every cover member has vanishing reduced
     homology below degree j+1, then so does the whole space.
 
-    Failed hypotheses yield 'hypotheses-not-met', never a failure.
+    Returns PASS, FAIL or HYPOTHESES_NOT_MET; failed hypotheses yield
+    HYPOTHESES_NOT_MET, never a failure.
     """
     if not cover:
         raise ValueError("cover must be nonempty")
@@ -89,27 +85,21 @@ def lemma1_check(Y: SimplicialSet, cover: list[set[int]],
     if set().union(*cover) != set(range(Y.n_generators)):
         raise ValueError("cover does not exhaust the space")
     if not set.intersection(*cover):
-        return Lemma1Verdict(HYPOTHESES_NOT_MET, "total intersection empty")
+        return HYPOTHESES_NOT_MET
 
-    def first_nonzero(gens: set[int] | None, bound: int) -> int | None:
+    def vanishes(gens: set[int] | None, bound: int) -> bool:
         h = homology(normalized_chains(Y, gens), reduced=True)
-        return _first_nonzero_degree(h, bound)
+        return _first_nonzero_degree(h, bound) is None
 
     # every s-fold intersection holds the nonempty total intersection
     r = len(cover)
-    pieces = [(f"intersection {idxs}", idxs, j - 1)
+    pieces = [(idxs, j - 1)
               for s in range(2, r + 1) for idxs in combinations(range(r), s)]
-    pieces += [(f"cover member {idx}", (idx,), j) for idx in range(r)]
-    for label, idxs, bound in pieces:
-        i = first_nonzero(set.intersection(*(cover[c] for c in idxs)), bound)
-        if i is not None:
-            return Lemma1Verdict(HYPOTHESES_NOT_MET,
-                                 f"{label} has homology in degree {i}")
-
-    i = first_nonzero(None, j)  # the cover's union is all of Y
-    if i is not None:
-        return Lemma1Verdict(FAIL, f"conclusion violated in degree {i}")
-    return Lemma1Verdict(PASS, "hypotheses and conclusion hold")
+    pieces += [((idx,), j) for idx in range(r)]
+    if not all(vanishes(set.intersection(*(cover[c] for c in idxs)), bound)
+               for idxs, bound in pieces):
+        return HYPOTHESES_NOT_MET
+    return PASS if vanishes(None, j) else FAIL  # the union is all of Y
 
 
 def random_lemma1_instance(Y: SimplicialSet,

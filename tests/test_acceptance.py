@@ -230,11 +230,11 @@ def test_criterion_7_lemma1_implication_suite():
     from test_verify import two_edge_path
     P, (p0, p1, p2, e0, e1) = two_edge_path()
     res = V.lemma1_check(P, [{p0, p1, e0}, {p1, p2, e1}], 1)
-    if res.verdict != V.PASS:
+    if res != V.PASS:
         print("  hand-built path example: FAIL")
         ok = False
     res = V.lemma1_check(S, circle_cover, 1)
-    if res.verdict != V.HYPOTHESES_NOT_MET:
+    if res != V.HYPOTHESES_NOT_MET:
         print("  hand-built circle example: FAIL")
         ok = False
 
@@ -248,7 +248,7 @@ def test_criterion_7_lemma1_implication_suite():
     met = 0
     for _ in range(200):
         Y = rng.choice(spaces)
-        verdict = V.lemma1_check(Y, *V.random_lemma1_instance(Y, rng)).verdict
+        verdict = V.lemma1_check(Y, *V.random_lemma1_instance(Y, rng))
         if verdict == V.FAIL:
             print("  randomized cover violated the implication")
             ok = False

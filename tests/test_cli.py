@@ -48,6 +48,14 @@ def test_homology_moebius(capsys):
     assert payload["reduced"] is True
 
 
+def test_homology_strips_and_lower_cases_the_space(capsys):
+    args = ["--k", "2", "--seed", "0"]
+    code, out, _ = run_cli(capsys, "homology", "--space", " S2 ", *args)
+    assert code == 0
+    assert json.loads(out)["space"] == "s2"
+    assert out == run_cli(capsys, "homology", "--space", "s2", *args)[1]
+
+
 def test_homology_figure_eight(capsys):
     code, out, _ = run_cli(capsys, "homology", "--space", "wedge:1,1",
                            "--k", "1")

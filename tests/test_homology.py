@@ -44,6 +44,15 @@ def test_snf_empty_and_zero():
     assert smith_normal_form(from_dense([[0, 0], [0, 0]])).rank == 0
 
 
+def test_reduced_homology_without_vertices():
+    """Reduced homology subtracts the augmentation only when degree 0 has
+    a generator: the empty complex and one with no 0-cells keep theirs."""
+    h = homology(ChainComplex([]), reduced=True)
+    assert (h.betti, h.torsion, h.f_vector) == ([], [], [])
+    C = ChainComplex([SparseIntMatrix(0, 0), SparseIntMatrix(0, 2)])
+    assert homology(C, reduced=True).betti == [0, 2]
+
+
 def test_snf_does_not_mutate_input():
     M = from_dense([[2, 4], [6, 8]])
     before = to_dense(M)

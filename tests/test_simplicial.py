@@ -140,7 +140,9 @@ def test_apply_face_matches_tuple_model():
 
 def test_face_indices_out_of_range():
     S = sphere(1)
-    with pytest.raises(SimplicialError):
+    # refused before the face table is read, which a vertex lacks
+    with pytest.raises(SimplicialError,
+                       match="^cannot take a face of a vertex$"):
         apply_face((0, 0), 0, S)
     with pytest.raises(SimplicialError):
         apply_face((1, 0), 2, S)

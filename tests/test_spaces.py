@@ -89,6 +89,15 @@ def test_parse_space_descriptors():
         assert S.f_vector() == fvec
 
 
+def test_parse_space_strips_and_lower_cases_descriptors():
+    for raw, canon in [(" S2 ", "s2"), ("WEDGE:1,1", "wedge:1,1"),
+                       ("Circle:4", "circle:4")]:
+        name, S = parse_space(raw)
+        T = parse_space(canon)[1]
+        assert name == canon
+        assert (S.dim_of, S.faces) == (T.dim_of, T.faces)
+
+
 def test_parse_space_rejects_garbage():
     # a count is 0 or [1-9][0-9]* in ASCII: no sign, '_', space, leading
     # zero or other decimal digit ('\u0663' is ARABIC-INDIC DIGIT THREE)
