@@ -76,11 +76,15 @@ def capped_cells(S: SimplicialSet, k: int, max_cells: int) -> int:
 
 def expk_f_vector(S: SimplicialSet, k: int) -> list[int]:
     """The f-vector of exp_k S, by inclusion-exclusion over the t indices
-    that every word of a subset holds: f_n = sum_t (-1)^t C(n, t)
-    sum_{j <= k} C(level_size(S, n - t), j)."""
-    return [sum((-1) ** t * comb(n, t)
-                * sum(comb(level_size(S, n - t), j) for j in range(1, k + 1))
-                for t in range(n + 1)) for n in range(k * S.dim + 1)]
+    that every word of a subset holds: f_n = sum_t (-1)^t C(n, t) N(n - t),
+    N(l) = sum_{j <= k} C(level_size(S, l), j) counted once per level.
+    exp_1 S is S, whose f-vector it is."""
+    if k == 1:
+        return S.f_vector()
+    subsets = [sum(comb(level_size(S, n), j) for j in range(1, k + 1))
+               for n in range(k * S.dim + 1)]
+    return [sum((-1) ** t * comb(n, t) * subsets[n - t] for t in range(n + 1))
+            for n in range(len(subsets))]
 
 
 def _nondegenerate_subsets(comps: list[int], full: int, k: int,
@@ -146,9 +150,9 @@ def build_expk(S: SimplicialSet, k: int,
         faces = range(n + 1) if n else ()
         bits = [[1 << below[apply_face(x, i, S)] for i in faces]
                 for x in level]
-        boundaries.append(boundary(len(row_of), (
+        boundaries.append(boundary(
             map(row_of.get, reduce(join, map(bits.__getitem__, idxs)))
-            for idxs in subsets)))
+            for idxs in subsets))
         row_of = {reduce(or_, map((1).__lshift__, idxs)): r
                   for r, idxs in enumerate(subsets)}
         below = {x: a for a, x in enumerate(level)}

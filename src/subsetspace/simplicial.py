@@ -193,11 +193,11 @@ def enumerate_level(S: SimplicialSet, n: int) -> list[tuple[int, int]]:
 
 
 class SparseIntMatrix:
-    """Integer matrix stored as per-column {row: value} maps, in cols."""
-    __slots__ = ("nrows", "cols")
+    """Integer matrix as per-column {row: value} maps, in cols; no row count
+    is stored (a boundary's is the size of the degree below)."""
+    __slots__ = ("cols",)
 
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
+    def __init__(self, ncols: int):
         self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
 
     def entries(self):
@@ -239,11 +239,11 @@ class ChainComplex(namedtuple("ChainComplex", "boundaries")):
         return True
 
 
-def boundary(nrows: int, face_rows) -> SparseIntMatrix:
+def boundary(face_rows) -> SparseIntMatrix:
     """d_n, one column per generator of degree n, from the face rows of
     each: the row in degree n - 1 of each face d_i, which adds (-1)^i, or
     None for a degenerate face, which adds 0."""
-    M = SparseIntMatrix(nrows, 0)
+    M = SparseIntMatrix(0)
     for rows in face_rows:
         col: dict[int, int] = {}
         sign = 1
@@ -276,9 +276,9 @@ def normalized_chains(S: SimplicialSet,
                 ids.append([])
             ids[n].append(g)
     row_of = {g: r for level in ids for r, g in enumerate(level)}
-    return ChainComplex([boundary(len(lower), (
+    return ChainComplex([boundary(
         [None if word else row_of[base] for base, word in S.faces[g] or ()]
-        for g in upper)) for lower, upper in zip([[]] + ids, ids)])
+        for g in level) for level in ids])
 
 
 def validate(S: SimplicialSet) -> tuple[int, int, int] | None:

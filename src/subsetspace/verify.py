@@ -28,11 +28,6 @@ HYPOTHESES_NOT_MET = "hypotheses-not-met"
 # cells_enumerated is the count of the check's exp_k build, 0 without one
 Outcome = namedtuple("Outcome", "verdict homology cells_enumerated")
 
-# verdict is PASS or FAIL; bound is k + m - 2; homology is the
-# HomologyResult and cells_enumerated the count of the exp_k build
-ConnectivityClaim = namedtuple("ConnectivityClaim",
-                               "bound verdict homology cells_enumerated")
-
 
 def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
     """First degree <= bound where h is nonzero, or None."""
@@ -40,7 +35,7 @@ def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
 
 
 def theorem1_check(S: SimplicialSet, k: int,
-                   max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
+                   max_cells: int = DEFAULT_MAX_CELLS) -> Outcome:
     """Check that exp_k of a homogeneous wedge of (m+1)-spheres has vanishing
     reduced homology through degree k + m - 2.  S qualifies when it has one
     vertex and its other generators share a dimension d >= 1: their faces can
@@ -51,13 +46,12 @@ def theorem1_check(S: SimplicialSet, k: int,
     m = S.dim - 1
     bound = k + m - 2
     h, cells = expk_homology(S, k, reduced=True, max_cells=max_cells)
-    verdict = PASS if _first_nonzero_degree(h, bound) is None else FAIL
-    return ConnectivityClaim(bound=bound, verdict=verdict, homology=h,
-                             cells_enumerated=cells)
+    return Outcome(PASS if _first_nonzero_degree(h, bound) is None else FAIL,
+                   h, cells)
 
 
 def tuffley_check(S: SimplicialSet, k: int,
-                  max_cells: int = DEFAULT_MAX_CELLS) -> ConnectivityClaim:
+                  max_cells: int = DEFAULT_MAX_CELLS) -> Outcome:
     """For a wedge of circles, reduced homology of exp_k must be concentrated
     in degrees k-1 and k.  exp_k of a graph has dimension at most k, so this
     is vanishing through degree k - 2: the m = 0 case of theorem1_check.

@@ -37,6 +37,7 @@ HOMOLOGY = "src/subsetspace/homology.py"
 EXPK = "src/subsetspace/expk.py"
 SPACES = "src/subsetspace/spaces.py"
 VERIFY = "src/subsetspace/verify.py"
+CLI = "src/subsetspace/cli.py"
 KILLED = "killed"
 SPEED = "equivalent: speed or memory only"
 
@@ -84,7 +85,8 @@ MUTANTS = [
     ("level-count-check-ignores-level", VERIFY,
      "levels = range(k * S.dim + 1) if level is None else [level]",
      "levels = range(k * S.dim + 1)", KILLED),
-    # quotients every base, so tier-1 runs for minutes: killed by the timeout
+    # quotients every base: test_reduce_base.py's
+    # test_the_cap_is_tested_once_unless_the_base_reduces fails on it
     ("reduce-base-without-no-expansion-return", SPACES,
      "    if all(seed_of[g] == g for g in seed_of):\n        return S\n", "",
      KILLED),
@@ -96,6 +98,18 @@ MUTANTS = [
      "    if n < 1:\n"
      "        raise SimplicialError(\"cannot take a face of a vertex\")\n", "",
      KILLED),
+    ("theorem1-bound-plus-one", VERIFY,
+     "    bound = k + m - 2\n", "    bound = k + m - 1\n", KILLED),
+    ("cli-fail-verdict-exits-0", CLI,
+     "return EXIT_OK if verdict in (None, \"pass\") else EXIT_FAIL",
+     "return EXIT_OK", KILLED),
+    ("quote-without-40-character-cut", SIMPLICIAL,
+     "return repr(text) if len(text) <= 40 else f\"{text[:40]!r}...\"",
+     "return repr(text)", KILLED),
+    ("apply-face-cancels-bit-i-only", SIMPLICIAL,
+     "b = i - 1 if i and (W >> (i - 1)) & 3 == 1 else i", "b = i", KILLED),
+    ("snf-sweep-without-late-deferral", HOMOLOGY,
+     "            elif late:\n", "            elif True:\n", KILLED),
     # quadratic on a wedge's repeated face object, such as s150000's
     ("set-faces-without-id-dedup", SIMPLICIAL,
      "for base, word in {id(f): f for f in faces}.values():",
@@ -114,6 +128,13 @@ MUTANTS = [
      "            elif len(col) == 1:\n                work.append((*col, c))",
      "            if len(col) == 1:\n                work.append((*col, c))",
      SPEED),
+    # any least |v| is a valid pivot; the shortest row makes less fill-in
+    # (three random 300 x 300 matrices of 2% entries in {3, +-2, 4, +-6}:
+    # 20 s with it, 35 s without)
+    ("least-without-row-tie-break", HOMOLOGY,
+     "key=lambda r: (abs(rows[r][c]),\n"
+     "                                           len(rows[r]))), c",
+     "key=lambda r: abs(rows[r][c])), c", SPEED),
     # the suffix cut still prunes every subset that cannot cover
     ("subset-search-without-room-cut", EXPK,
      "            if (full ^ now).bit_count() > room:\n                continue\n",

@@ -297,6 +297,16 @@ def subset_space_euler(chi: int, k: int) -> int:
     return sum(generalized_binomial(chi, j) for j in range(1, k + 1))
 
 
+def expk_f_vector_reference(S: SimplicialSet, k: int) -> list[int]:
+    """The closed-form f-vector of exp_k S at every k, with each level's
+    simplex and subset counts recomputed for each (n, t): f_n = sum_t
+    (-1)^t C(n, t) sum_{j <= k} C(N(n - t), j), N(l) = sum_g C(l, dim g)."""
+    return [sum((-1) ** t * comb(n, t)
+                * sum(comb(sum(comb(n - t, d) for d in S.dim_of), j)
+                      for j in range(1, k + 1))
+                for t in range(n + 1)) for n in range(k * S.dim + 1)]
+
+
 def subset_space_f_vector(dims: list[int], k: int) -> list[int]:
     """f-vector of exp_k X from the dimensions of X's generators alone.
 
@@ -541,7 +551,7 @@ def random_model_complex(rng: random.Random):
                 row[j] -= q * row[i]
     boundaries = []
     for n in range(top + 1):
-        M = SparseIntMatrix(len(cells[n - 1]) if n else 0, len(cells[n]))
+        M = SparseIntMatrix(len(cells[n]))
         for r, row in enumerate(d[n]):
             for c, v in enumerate(row):
                 if v:
@@ -632,22 +642,28 @@ def complex_to_sset(facets) -> SimplicialSet:
 
 
 def chain_tables(C: ChainComplex):
-    """C as plain data that compares by value: its f-vector, and each
-    boundary's row count and columns."""
-    return C.f_vector(), [(M.nrows, M.cols) for M in C.boundaries]
+    """C as plain data that compares by value: its f-vector, which sizes
+    each boundary's rows, and each boundary's columns."""
+    return C.f_vector(), [M.cols for M in C.boundaries]
 
 
-def to_dense(M: SparseIntMatrix) -> list[list[int]]:
-    out = [[0] * len(M.cols) for _ in range(M.nrows)]
+def to_dense(M: SparseIntMatrix, nrows: int) -> list[list[int]]:
+    """M as nrows dense rows; a boundary d_n of a complex has f_{n-1}."""
+    out = [[0] * len(M.cols) for _ in range(nrows)]
     for r, c, v in M.entries():
         out[r][c] = v
     return out
 
 
+def dense_boundaries(C: ChainComplex) -> list[list[list[int]]]:
+    """Each boundary d_n of C as dense rows, f_{n-1} of them."""
+    f = C.f_vector()
+    return [to_dense(M, f[n - 1] if n else 0)
+            for n, M in enumerate(C.boundaries)]
+
+
 def from_dense(rows: list[list[int]]) -> SparseIntMatrix:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    M = SparseIntMatrix(nrows, ncols)
+    M = SparseIntMatrix(len(rows[0]) if rows else 0)
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if v:

@@ -19,7 +19,7 @@ from oracles import (betti_mod_p, chain_tables, expk_simplicial_set,
                      from_dense, homology_reference, minors_gcd,
                      random_model_complex, rank_over_q,
                      smith_normal_form_reference, sp2_sphere_reduced_homology,
-                     to_dense)
+                     dense_boundaries, to_dense)
 from test_acceptance import MATRIX_CASES
 
 
@@ -49,19 +49,19 @@ def test_reduced_homology_without_vertices():
     a generator: the empty complex and one with no 0-cells keep theirs."""
     h = homology(ChainComplex([]), reduced=True)
     assert (h.betti, h.torsion, h.f_vector) == ([], [], [])
-    C = ChainComplex([SparseIntMatrix(0, 0), SparseIntMatrix(0, 2)])
+    C = ChainComplex([SparseIntMatrix(0), SparseIntMatrix(2)])
     assert homology(C, reduced=True).betti == [0, 2]
 
 
 def test_snf_does_not_mutate_input():
     M = from_dense([[2, 4], [6, 8]])
-    before = to_dense(M)
+    before = to_dense(M, 2)
     smith_normal_form(M)
-    assert to_dense(M) == before
+    assert to_dense(M, 2) == before
     # a skipped column reads as zero and stays in the input
     res = smith_normal_form(M, {0})
     assert (res.rank, res.divisors) == (1, [4])
-    assert to_dense(M) == before
+    assert to_dense(M, 2) == before
 
 
 def test_snf_known_torsion():
@@ -110,7 +110,7 @@ def _random_sparse_matrix(rng, max_side=40, min_side=0, entries=None):
     zero_rows = set(rng.sample(range(nrows), rng.randint(0, nrows // 4)))
     zero_cols = set(rng.sample(range(ncols), rng.randint(0, ncols // 4)))
     density = rng.uniform(0.02, 0.3)
-    M = SparseIntMatrix(nrows, ncols)
+    M = SparseIntMatrix(ncols)
     for r in range(nrows):
         for c in range(ncols):
             if r in zero_rows or c in zero_cols or rng.random() > density:
@@ -177,7 +177,7 @@ def test_snf_unit_pivots_of_every_kind_are_cleared():
 
 
 def _zero_columns(M, cols):
-    Z = SparseIntMatrix(M.nrows, len(M.cols))
+    Z = SparseIntMatrix(len(M.cols))
     Z.cols = [{} if c in cols else dict(col) for c, col in enumerate(M.cols)]
     return Z
 
@@ -252,7 +252,7 @@ def test_snf_with_skip_matches_reference_on_zeroed_columns(case):
     res = smith_normal_form(M, skip)
     ref = smith_normal_form_reference(_zero_columns(M, skip))
     assert (res.rank, res.divisors) == (ref.rank, ref.divisors)
-    assert to_dense(M) == dense
+    assert to_dense(M, len(dense)) == dense
 
 
 def test_homology_hands_smith_normal_form_the_boundaries(monkeypatch):
@@ -348,8 +348,7 @@ def test_chains_exp1_equal_base_chains():
     C_base = normalized_chains(expk_simplicial_set(S, 1))
     C_exp = build_expk(S, 1).result
     assert C_base.f_vector() == C_exp.f_vector() == [1, 2]
-    for M, N in zip(C_base.boundaries, C_exp.boundaries):
-        assert to_dense(M) == to_dense(N)
+    assert dense_boundaries(C_base) == dense_boundaries(C_exp)
     assert chain_tables(C_exp) == chain_tables(normalized_chains(S))
 
 
@@ -372,9 +371,9 @@ def test_homology_figure_eight():
 
 
 def test_homology_rejects_broken_complex():
-    bad = ChainComplex([SparseIntMatrix(0, 1), from_dense([[1]])])
+    bad = ChainComplex([SparseIntMatrix(1), from_dense([[1]])])
     # d.d = 0 trivially here; break it with a second boundary
-    bad2 = ChainComplex([SparseIntMatrix(0, 1),
+    bad2 = ChainComplex([SparseIntMatrix(1),
                          from_dense([[1]]),
                          from_dense([[1]])])
     homology(bad)
@@ -404,16 +403,16 @@ def test_direct_sum_is_degreewise_sum():
     def mat(C, n):
         if n <= C.top:
             return C.boundaries[n]
-        return SparseIntMatrix(len(mat(C, n - 1).cols), 0)
+        return SparseIntMatrix(0)
 
     boundaries = []
     for n in range(top + 1):
         MA, MB = mat(A, n), mat(B, n)
-        M = SparseIntMatrix(MA.nrows + MB.nrows,
-                            len(MA.cols) + len(MB.cols))
+        M = SparseIntMatrix(len(MA.cols) + len(MB.cols))
         for r, c, v in MA.entries():
             M.cols[c][r] = v
-        off_r, off_c = MA.nrows, len(MA.cols)
+        off_r = len(mat(A, n - 1).cols) if n else 0  # f_{n-1} of A
+        off_c = len(MA.cols)
         for r, c, v in MB.entries():
             M.cols[c + off_c][r + off_r] = v
         boundaries.append(M)
@@ -448,8 +447,7 @@ def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
     for gens, d1 in [(None, [[-1, 1], [1, -1]]), ({0, 1, 2}, [[-1], [1]]),
                      ({0, 2, 3}, [[1], [-1]]), ({0, 2}, None)]:
         C = normalized_chains(O, gens)
-        assert [to_dense(M) for M in C.boundaries[1:]] == (
-            [d1] if d1 else [])
+        assert dense_boundaries(C)[1:] == ([d1] if d1 else [])
     assert homology(normalized_chains(O)).betti == [1, 1]
     S = wedge(WedgeSpec((2, 1, 2)))
     T = wedge(WedgeSpec((1, 2, 2)))
@@ -464,8 +462,7 @@ def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
         sub = normalized_chains(S, gens)
         assert sub.f_vector() == f_vector
         whole = normalized_chains(wedge(WedgeSpec(summands)))
-        assert [to_dense(M) for M in sub.boundaries] == [
-            to_dense(M) for M in whole.boundaries]
+        assert dense_boundaries(sub) == dense_boundaries(whole)
         assert homology(sub).groups_equal(homology(whole))
 
 
@@ -483,15 +480,19 @@ def test_a_chain_complex_is_its_boundaries():
         assert C.n_generators == size + 1
 
 
-def test_a_sparse_matrix_stores_its_rows_and_columns_only():
-    M = SparseIntMatrix(3, 2)
+def test_a_sparse_matrix_stores_its_columns_only():
+    """A boundary's row count is the size of the degree below, stored once
+    as that degree's column count."""
+    M = SparseIntMatrix(2)
     assert not hasattr(M, "__dict__")
-    assert (M.nrows, len(M.cols)) == (3, 2)
+    assert SparseIntMatrix.__slots__ == ("cols",)
+    assert M.cols == [{}, {}]
     M.cols.append({0: 1})
-    assert len(M.cols) == 3 and M.nnz() == 1 and to_dense(M) == [
+    assert len(M.cols) == 3 and M.nnz() == 1 and to_dense(M, 3) == [
         [0, 0, 1], [0, 0, 0], [0, 0, 0]]
-    with pytest.raises(AttributeError):
-        M.ncols = 3
+    for name in ("nrows", "ncols"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, 3)
 
 
 def _mod_p_mismatches() -> list[tuple[str, int, int]]:

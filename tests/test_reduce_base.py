@@ -16,7 +16,8 @@ from subsetspace.homology import expk_homology, homology
 from subsetspace.simplicial import SimplicialSet, validate
 from subsetspace.spaces import edgewise_subdivision, parse_space, reduce_base
 
-from oracles import complex_to_sset, subset_space_f_vector
+from oracles import (complex_to_sset, expk_f_vector_reference,
+                     subset_space_f_vector)
 from test_acceptance import MATRIX_CASES
 
 
@@ -168,3 +169,27 @@ def test_the_closed_form_f_vector_is_the_oracles_and_the_builds():
             built.append(full_build(name, k).result.f_vector())
     for (S, k), f in zip(cases, built):
         assert expk_f_vector(S, k) == subset_space_f_vector(S.dim_of, k) == f
+
+
+def test_the_closed_form_f_vector_counts_each_level_once():
+    """At k <= 4 it is the per-term reference and the oracle in generator
+    dimensions; at k = 1 it is S's f-vector, which a base with a whisker
+    on S^20000 reaches through S/K at once (the closed form alone would sum
+    about 2 * 10^8 big-integer terms)."""
+    bases = [S for S, _ in SHELF.values()]
+    bases += [parse_space(d)[1] for d in ("s1", "s2", "s3", "wedge:1,2",
+                                          "wedge:2,2", "circle:5")]
+    for S in bases:
+        for k in range(1, 5):
+            f = expk_f_vector(S, k)
+            assert f == expk_f_vector_reference(S, k)
+            assert f == subset_space_f_vector(S.dim_of, k)
+    assert expk_f_vector(SimplicialSet(), 2) == []
+    S = parse_space("s20000")[1]
+    w, e = S.add_generator(0), S.add_generator(1)
+    S.set_faces(e, [(w, 0), (0, 0)])
+    assert reduce_base(S) is not S
+    h, _ = expk_homology(S, 1, reduced=True)
+    assert h.f_vector == S.f_vector() == [2, 1] + [0] * 19998 + [1]
+    assert h.betti == [0] * 20000 + [1]
+    assert not any(h.torsion)

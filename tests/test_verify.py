@@ -27,19 +27,16 @@ def two_edge_path():
 
 def test_theorem1_graph_k3():
     claim = V.theorem1_check(wedge(WedgeSpec((1, 1))), 3)
-    assert claim.bound == 1
     assert claim.verdict == V.PASS
 
 
 def test_theorem1_sphere_k2():
     claim = V.theorem1_check(wedge(WedgeSpec((2,))), 2)
-    assert claim.bound == 1
     assert claim.verdict == V.PASS
 
 
 def test_theorem1_circle_k2_moebius():
     claim = V.theorem1_check(wedge(WedgeSpec((1,))), 2)
-    assert claim.bound == 0
     assert claim.verdict == V.PASS
     assert claim.homology.betti[1] == 1  # informational degree above bound
 
@@ -65,10 +62,22 @@ def test_theorem1_reads_m_off_the_space():
     for k in (2, 3):
         got = V.theorem1_check(S, k)
         want = V.theorem1_check(wedge(WedgeSpec((2,))), k)
-        assert got.bound == want.bound == k - 1
         assert got.verdict == want.verdict
         assert got.homology == want.homology
         assert got.cells_enumerated == want.cells_enumerated
+
+
+def test_every_check_returns_an_outcome():
+    """The five checks give the CLI one record: verdict, homology (None
+    without one) and cells_enumerated."""
+    for which in ("theorem1", "tuffley", "lemma1", "invariance", "oracle"):
+        args = cli.build_parser().parse_args(
+            ["verify", which, "--space", "s1", "--k", "2", "--seed", "0"])
+        res = cli.cmd_verify(which, args, sphere(1))
+        assert type(res) is V.Outcome, which
+        assert res.verdict == V.PASS
+        assert (res.homology is None) == (which in ("lemma1", "oracle"))
+    assert V.Outcome._fields == ("verdict", "homology", "cells_enumerated")
 
 
 def test_tuffley_is_the_m0_case_of_theorem1():
