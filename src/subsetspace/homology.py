@@ -11,6 +11,7 @@ import heapq
 from collections import namedtuple
 from math import gcd
 
+# perfbench/tracer.py and tests read all but SimplicialSet through here too
 from .simplicial import (ChainComplex, SimplicialSet, SparseIntMatrix,
                          normalized_chains)
 from .expk import DEFAULT_MAX_CELLS, build_expk, capped_cells, expk_f_vector
@@ -44,8 +45,8 @@ class HomologyResult(namedtuple("HomologyResult",
         top = max(len(self.betti), len(other.betti))
         return all(self.group(n) == other.group(n) for n in range(top))
 
-    def is_trivial_in(self, n: int) -> bool:
-        return self.group(n) == (0, [])
+    def vanishes_through(self, bound: int) -> bool:  # betti and torsion
+        return all(self.group(n) == (0, []) for n in range(bound + 1))
 
 
 def _least(rows: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
@@ -227,10 +228,6 @@ def homology(C: ChainComplex, reduced: bool = False) -> HomologyResult:
         betti[0] -= 1
     return HomologyResult(betti=betti, torsion=torsion, reduced=reduced,
                           f_vector=f_vector, euler=euler)
-
-
-def space_homology(S: SimplicialSet, reduced: bool = False) -> HomologyResult:
-    return homology(normalized_chains(S), reduced=reduced)
 
 
 def expk_homology(S: SimplicialSet, k: int, reduced: bool = False,

@@ -200,11 +200,6 @@ class SparseIntMatrix:
     def __init__(self, ncols: int):
         self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
 
-    def entries(self):
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                yield r, c, v
-
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
 
@@ -214,10 +209,6 @@ class ChainComplex(namedtuple("ChainComplex", "boundaries")):
     n-1, one column per generator of degree n (boundaries[0] is the zero
     map out of degree 0)."""
     __slots__ = ()
-
-    @property
-    def top(self) -> int:
-        return len(self.boundaries) - 1
 
     @property
     def n_generators(self) -> int:

@@ -16,8 +16,7 @@ from math import comb
 from .simplicial import SimplicialSet, close_under_faces
 from .expk import (DEFAULT_MAX_CELLS, build_expk, capped_cells, level_size,
                    projected_cells)
-from .homology import (HomologyResult, expk_homology, homology,
-                       normalized_chains)
+from .homology import expk_homology, homology, normalized_chains
 
 PASS = "pass"
 FAIL = "fail"
@@ -27,11 +26,6 @@ HYPOTHESES_NOT_MET = "hypotheses-not-met"
 # verdict is PASS or FAIL; homology is a HomologyResult or None;
 # cells_enumerated is the count of the check's exp_k build, 0 without one
 Outcome = namedtuple("Outcome", "verdict homology cells_enumerated")
-
-
-def _first_nonzero_degree(h: HomologyResult, bound: int) -> int | None:
-    """First degree <= bound where h is nonzero, or None."""
-    return next((i for i in range(bound + 1) if not h.is_trivial_in(i)), None)
 
 
 def theorem1_check(S: SimplicialSet, k: int,
@@ -46,8 +40,7 @@ def theorem1_check(S: SimplicialSet, k: int,
     m = S.dim - 1
     bound = k + m - 2
     h, cells = expk_homology(S, k, reduced=True, max_cells=max_cells)
-    return Outcome(PASS if _first_nonzero_degree(h, bound) is None else FAIL,
-                   h, cells)
+    return Outcome(PASS if h.vanishes_through(bound) else FAIL, h, cells)
 
 
 def tuffley_check(S: SimplicialSet, k: int,
@@ -82,8 +75,8 @@ def lemma1_check(Y: SimplicialSet, cover: list[set[int]], j: int) -> str:
         return HYPOTHESES_NOT_MET
 
     def vanishes(gens: set[int] | None, bound: int) -> bool:
-        h = homology(normalized_chains(Y, gens), reduced=True)
-        return _first_nonzero_degree(h, bound) is None
+        return homology(normalized_chains(Y, gens),
+                        reduced=True).vanishes_through(bound)
 
     # every s-fold intersection holds the nonempty total intersection
     r = len(cover)

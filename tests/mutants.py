@@ -98,6 +98,10 @@ MUTANTS = [
      "    if n < 1:\n"
      "        raise SimplicialError(\"cannot take a face of a vertex\")\n", "",
      KILLED),
+    ("vanishes-through-misses-top-degree", HOMOLOGY,
+     "for n in range(bound + 1))", "for n in range(bound))", KILLED),
+    ("vanishes-through-ignores-torsion", HOMOLOGY,
+     "self.group(n) == (0, [])", "self.group(n)[0] == 0", KILLED),
     ("theorem1-bound-plus-one", VERIFY,
      "    bound = k + m - 2\n", "    bound = k + m - 1\n", KILLED),
     ("cli-fail-verdict-exits-0", CLI,

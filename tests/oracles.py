@@ -340,7 +340,8 @@ def smith_normal_form_reference(M) -> SmithResult:
     elimination.
     """
     if isinstance(M, SparseIntMatrix):
-        items = list(M.entries())
+        items = [(r, c, v) for c, col in enumerate(M.cols)
+                 for r, v in col.items()]
     else:
         items = [(r, c, v) for r, row in enumerate(M)
                  for c, v in enumerate(row) if v]
@@ -641,6 +642,16 @@ def complex_to_sset(facets) -> SimplicialSet:
     return S
 
 
+def moore_space_z2() -> SimplicialSet:
+    """M(Z/2, 1) on one vertex v: a loop a, and a 2-simplex e with faces
+    (a, s_0 v, a), so that e's boundary runs twice around a."""
+    S = SimplicialSet()
+    v, a, e = (S.add_generator(d) for d in (0, 1, 2))
+    S.set_faces(a, [(v, 0), (v, 0)])
+    S.set_faces(e, [(a, 0), (v, 1), (a, 0)])
+    return S
+
+
 def chain_tables(C: ChainComplex):
     """C as plain data that compares by value: its f-vector, which sizes
     each boundary's rows, and each boundary's columns."""
@@ -650,8 +661,9 @@ def chain_tables(C: ChainComplex):
 def to_dense(M: SparseIntMatrix, nrows: int) -> list[list[int]]:
     """M as nrows dense rows; a boundary d_n of a complex has f_{n-1}."""
     out = [[0] * len(M.cols) for _ in range(nrows)]
-    for r, c, v in M.entries():
-        out[r][c] = v
+    for c, col in enumerate(M.cols):
+        for r, v in col.items():
+            out[r][c] = v
     return out
 
 

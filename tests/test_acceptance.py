@@ -71,8 +71,7 @@ def test_criterion_2_theorem1_matrix():
         case_ok = claim.verdict == V.PASS
         # the listed bound can exceed k+m-2 (observed extra vanishing);
         # assert vanishing through the listed bound as stated
-        case_ok = case_ok and all(claim.homology.is_trivial_in(i)
-                                  for i in range(bound + 1))
+        case_ok = case_ok and claim.homology.vanishes_through(bound)
         if not case_ok:
             print(f"  theorem1 case {dims} k={k} bound={bound}: FAIL")
         ok = ok and case_ok

@@ -91,7 +91,8 @@ def test_the_names_the_tracer_reads_are_there():
 
 # traced by perfbench/tracer.py, but deleted from src/: reported as absent
 DELETED = {("expk", "colimit_level_oracle"), ("expk", "degeneracy_set"),
-           ("expk", "strip_degeneracies"), ("homology", "restricted_chains")}
+           ("expk", "strip_degeneracies"), ("homology", "restricted_chains"),
+           ("homology", "space_homology")}
 
 
 def test_every_function_the_tracer_wraps_is_there():

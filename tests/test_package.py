@@ -1,8 +1,8 @@
 """Package-wide guards: the library imports only the standard library, so
 ``dependencies = []`` stays true, each module imports alone, so no import
 cycle hides behind an import order, the package binds no name of its own,
-so each module is reached by its own name, and importing the CLI stays
-cheap."""
+so each module is reached by its own name, importing the CLI stays cheap,
+and src/ defines no name that src/ never reads."""
 
 import ast
 import os
@@ -17,6 +17,11 @@ enumerate_level load_simplicial_set validate WedgeSpec sphere
 subdivided_circle wedge ExpkSpace ResourceCapError build_expk ChainComplex
 ChainComplexError HomologyResult SmithResult homology normalized_chains
 smith_normal_form space_homology __version__""".split()
+# defined in src/ but read only outside it: (module, name) -> its reader
+READ_OUTSIDE_SRC = {
+    ("simplicial", "SparseIntMatrix.nnz"): "perfbench/tracer.py",
+    ("spaces", "sphere"): "the README's s<m> spaces and the tests",
+}
 
 
 def test_src_imports_only_the_standard_library():
@@ -92,3 +97,41 @@ def test_cli_import_skips_dataclasses_and_verify():
         assert module in loaded
         unexpected = (heavy - allowed) & loaded
         assert not unexpected, sorted(unexpected)
+
+
+def unread_definitions(src: Path) -> list[tuple[str, str]]:
+    """(module, name) of each module-level def, class or assigned name, and
+    of each non-dunder method, that no module of src reads.  A module-level
+    name is read through a Name, an Attribute or an import; a class member
+    only through an Attribute."""
+    defined, members, names, attrs = [], [], set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Assign):
+                defined += [(path.stem, t.id) for t in node.targets
+                            if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(path.stem, node.name, m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return ([(mod, name) for mod, name in defined
+             if name not in names | attrs and not name.startswith("__")]
+            + [(mod, f"{cls}.{name}") for mod, cls, name in members
+               if name not in attrs])
+
+
+def test_src_defines_only_what_src_reads():
+    """A definition that only tests or tools read is a second route that no
+    command takes; the few that outside readers need are listed with the
+    reader, and each listed one must still be unread in src/."""
+    assert sorted(unread_definitions(SRC)) == sorted(READ_OUTSIDE_SRC)

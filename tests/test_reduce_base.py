@@ -12,11 +12,12 @@ import pytest
 from subsetspace import expk, homology as homology_module
 from subsetspace.expk import (ResourceCapError, build_expk, capped_cells,
                               expk_f_vector)
-from subsetspace.homology import expk_homology, homology
+from subsetspace.homology import expk_homology, homology, normalized_chains
 from subsetspace.simplicial import SimplicialSet, validate
 from subsetspace.spaces import edgewise_subdivision, parse_space, reduce_base
 
 from oracles import (complex_to_sset, expk_f_vector_reference,
+                     moore_space_z2, subset_space_euler,
                      subset_space_f_vector)
 from test_acceptance import MATRIX_CASES
 
@@ -193,3 +194,40 @@ def test_the_closed_form_f_vector_counts_each_level_once():
     assert h.f_vector == S.f_vector() == [2, 1] + [0] * 19998 + [1]
     assert h.betti == [0] * 20000 + [1]
     assert not any(h.torsion)
+
+
+def test_exp2_homology_depends_only_on_the_bases_homology():
+    """exp_2 X is SP^2 X, whose homology is a functor of H_*(X) (Dold,
+    "Homology of symmetric products and other functors of complexes",
+    Ann. of Math. 68, 1958): the 7-vertex torus and S^1 v S^1 v S^2 agree,
+    and so do the 6-vertex RP^2 and the one-vertex Moore space M(Z/2, 1)."""
+    torus = complex_to_sset(
+        [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7),
+                                       (i, (i + 2) % 7, (i + 3) % 7))])
+    moore = moore_space_z2()
+    for X, Y in [(torus, parse_space("wedge:1,1,2")[1]),
+                 (SHELF["RP2-6"][0], moore)]:
+        assert reduce_base(X) is not X
+        assert homology(normalized_chains(X)).groups_equal(
+            homology(normalized_chains(Y)))
+        hx, hy = expk_homology(X, 2)[0], expk_homology(Y, 2)[0]
+        assert hx.groups_equal(hy)
+    assert expk_homology(moore, 2)[0].group(1) == (0, [2])
+
+
+def test_tuffley_circle_through_the_reduced_base():
+    """exp_k of an n-gon has the reduced homology of S^(2 ceil(k/2) - 1)
+    (Tuffley, Algebr. Geom. Topol. 2002), computed on the one-edge circle
+    S/K, with exp_k S's f-vector from its generators' dimensions and euler
+    sum_j C(chi, j) at chi = 0."""
+    for n in range(3, 9):
+        S = parse_space(f"circle:{n}")[1]
+        for k in range(1, 9):
+            h, _ = expk_homology(S, k, reduced=True, max_cells=10 ** 30)
+            top = 2 * ((k + 1) // 2) - 1
+            assert h.f_vector == subset_space_f_vector(S.dim_of, k), (n, k)
+            assert h.betti == [int(i == top)
+                               for i in range(len(h.f_vector))], (n, k)
+            assert h.torsion == [[] for _ in h.f_vector], (n, k)
+            chi = sum((-1) ** i * f for i, f in enumerate(h.f_vector))
+            assert chi == h.euler == subset_space_euler(0, k), (n, k)

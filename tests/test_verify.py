@@ -7,10 +7,11 @@ from subsetspace.simplicial import (SimplicialError, SimplicialSet,
                                     simplicial_set_from_dict)
 from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
 from subsetspace.expk import ResourceCapError, build_expk
+from subsetspace.homology import homology, normalized_chains
 from subsetspace import cli
 from subsetspace import verify as V
 
-from oracles import expk_simplicial_set
+from oracles import expk_simplicial_set, moore_space_z2
 
 
 def two_edge_path():
@@ -92,7 +93,7 @@ def test_tuffley_circle_k3():
     res = V.tuffley_check(wedge(WedgeSpec((1,))), 3)
     assert res.verdict == V.PASS
     assert res.homology.betti[3] == 1
-    assert res.homology.is_trivial_in(2)
+    assert res.homology.vanishes_through(2)
 
 
 def test_tuffley_figure_eight_k2():
@@ -123,6 +124,18 @@ def test_lemma1_circle_cover_hypotheses_not_met():
     arc2 = {1, 2, 0, 4, 5}    # p1, p2, p0, e1, e2
     res = V.lemma1_check(S, [arc1, arc2], 1)
     assert res == V.HYPOTHESES_NOT_MET
+
+
+def test_torsion_keeps_the_homology_from_vanishing():
+    """M(Z/2, 1) has no reduced betti numbers but H_1 = Z/2, so its
+    homology vanishes through degree 0 only, and a cover by itself does not
+    meet lemma1's hypotheses at j = 1."""
+    moore = moore_space_z2()
+    h = homology(normalized_chains(moore), reduced=True)
+    assert (h.betti, h.torsion) == ([0, 0, 0], [[], [2], []])
+    assert h.vanishes_through(0) and not h.vanishes_through(1)
+    assert V.lemma1_check(moore, [{0, 1, 2}], 0) == V.PASS
+    assert V.lemma1_check(moore, [{0, 1, 2}], 1) == V.HYPOTHESES_NOT_MET
 
 
 def test_lemma1_rejects_non_closed_cover():
