@@ -1,7 +1,7 @@
 """Command-line front end: build spaces, run computations, emit reports.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 parse error,
-3 resource cap exceeded.
+3 resource cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -145,6 +145,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(json.dumps({"error": "resource-cap", **exc.report}),
               file=sys.stderr)
+        return EXIT_CAP
+    except (MemoryError, OverflowError):  # a summand too large to build
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (SimplicialError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

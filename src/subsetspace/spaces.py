@@ -5,37 +5,20 @@ tests, and the quotient of a base by a contractible subcomplex."""
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 
 from .simplicial import (SimplicialSet, SimplicialError, apply_face,
                          enumerate_level, quote, read_count)
 from .expk import DEFAULT_MAX_CELLS, ResourceCapError, level_size
 
 
-class WedgeSpec(namedtuple("WedgeSpec", "sphere_dims")):
-    """A wedge of spheres: one entry per summand of the tuple sphere_dims,
-    giving its dimension."""
-    __slots__ = ()
-
-    def __new__(cls, sphere_dims):
-        if not sphere_dims:
-            raise SimplicialError("wedge spec must have at least one summand")
-        if any(d < 1 for d in sphere_dims):
-            raise SimplicialError("sphere dimensions must be >= 1")
-        return super().__new__(cls, sphere_dims)
-
-
-def sphere(m: int) -> SimplicialSet:
-    """Minimal m-sphere: one vertex, one m-generator, every face of the
-    generator the fully degenerate vertex."""
-    return wedge(WedgeSpec((m,)))
-
-
-def wedge(spec: WedgeSpec) -> SimplicialSet:
-    """Wedge of minimal spheres sharing a single vertex."""
+def wedge(dims: tuple[int, ...]) -> SimplicialSet:
+    """Wedge of minimal spheres sharing a single vertex, one summand of
+    dimension m >= 1 for each entry m of dims; wedge((m,)) is the minimal
+    m-sphere, whose every face is the fully degenerate vertex."""
     S = SimplicialSet()
     v = S.add_generator(0)
-    for m in spec.sphere_dims:
+    for m in dims:
         g = S.add_generator(m)
         # every face is s_{m-2} ... s_1 s_0 v, the vertex's one (m-1)-simplex
         S.set_faces(g, [(v, (1 << (m - 1)) - 1)] * (m + 1))
@@ -154,7 +137,7 @@ def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
     """
     d = descriptor.strip().lower()
     if d[:1] == "s" and (m := read_count(d[1:])) is not None:
-        spec = WedgeSpec((m,))
+        dims = (m,)
     elif d.startswith(("wedge:", "circle:")):
         kind, _, body = d.partition(":")
         tokens = body.split(",") if kind == "wedge" else [body]
@@ -165,11 +148,13 @@ def parse_space(descriptor: str, max_cells: int = DEFAULT_MAX_CELLS
             if counts[0] > max_cells:
                 raise ResourceCapError(0, counts[0], counts[0], max_cells)
             return d, subdivided_circle(counts[0])
-        spec = WedgeSpec(tuple(counts))
+        dims = tuple(counts)
     else:
         raise SimplicialError(
             f"unrecognized space descriptor {quote(descriptor)}")
-    for m in spec.sphere_dims:
+    if 0 in dims:  # counts are >= 0
+        raise SimplicialError("sphere dimensions must be >= 1")
+    for m in dims:
         if m + 1 > max_cells:
             raise ResourceCapError(m, m + 1, m + 1, max_cells)
-    return d, wedge(spec)
+    return d, wedge(dims)

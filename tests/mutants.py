@@ -114,6 +114,38 @@ MUTANTS = [
      "b = i - 1 if i and (W >> (i - 1)) & 3 == 1 else i", "b = i", KILLED),
     ("snf-sweep-without-late-deferral", HOMOLOGY,
      "            elif late:\n", "            elif True:\n", KILLED),
+    ("homology-ignores-clearing", HOMOLOGY,
+     "smith_normal_form(M, set(snfs[-1].cleared))",
+     "smith_normal_form(M, set())", KILLED),
+    ("reduce-base-face-in-k-keeps-its-word", SPACES,
+     "R.set_faces(h, [(new[seed_of[b]], (1 << (n - 1)) - 1)",
+     "R.set_faces(h, [(new[seed_of[b]], w)", KILLED),
+    ("level-size-counts-one-word-too-many", EXPK,
+     "return sum(comb(n, d) for d in S.dim_of)",
+     "return sum(comb(n + 1, d) for d in S.dim_of)", KILLED),
+    ("expk-f-vector-without-sign", EXPK,
+     "(-1) ** t * comb(n, t) * subsets[n - t]",
+     "comb(n, t) * subsets[n - t]", KILLED),
+    ("parse-space-without-dimension-refusal", SPACES,
+     "    if 0 in dims:  # counts are >= 0\n"
+     "        raise SimplicialError(\"sphere dimensions must be >= 1\")\n",
+     "", KILLED),
+    ("parse-space-dimension-refusal-after-cap", SPACES,
+     "    if 0 in dims:  # counts are >= 0\n"
+     "        raise SimplicialError(\"sphere dimensions must be >= 1\")\n"
+     "    for m in dims:\n"
+     "        if m + 1 > max_cells:\n"
+     "            raise ResourceCapError(m, m + 1, m + 1, max_cells)\n",
+     "    for m in dims:\n"
+     "        if m + 1 > max_cells:\n"
+     "            raise ResourceCapError(m, m + 1, m + 1, max_cells)\n"
+     "    if 0 in dims:  # counts are >= 0\n"
+     "        raise SimplicialError(\"sphere dimensions must be >= 1\")\n",
+     KILLED),
+    ("cli-without-out-of-memory-exit", CLI,
+     "    except (MemoryError, OverflowError):  # a summand too large to build\n"
+     "        print(\"error: out of memory\", file=sys.stderr)\n"
+     "        return EXIT_CAP\n", "", KILLED),
     # quadratic on a wedge's repeated face object, such as s150000's
     ("set-faces-without-id-dedup", SIMPLICIAL,
      "for base, word in {id(f): f for f in faces}.values():",

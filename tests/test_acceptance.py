@@ -13,8 +13,8 @@ import pytest
 
 from subsetspace.simplicial import (apply_face, close_under_faces,
                                     enumerate_level, validate)
-from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
-                                parse_space, sphere, subdivided_circle, wedge)
+from subsetspace.spaces import (edgewise_subdivision, parse_space,
+                                subdivided_circle, wedge)
 from subsetspace.expk import build_expk
 from subsetspace.homology import normalized_chains, homology, smith_normal_form
 from subsetspace import verify as V
@@ -48,7 +48,7 @@ MATRIX_CASES = [
 
 
 def test_criterion_1_moebius_exact_table():
-    C = build_expk(sphere(1), 2).result
+    C = build_expk(wedge((1,)), 2).result
     h = homology(C)
     ok = (C.f_vector() == [1, 2, 1]
           and h.betti == [1, 1, 0]
@@ -67,7 +67,7 @@ def test_criterion_2_theorem1_matrix():
              ((2, 2), 2, 1), ((3,), 2, 2)]
     ok = True
     for dims, k, bound in cases:
-        claim = V.theorem1_check(wedge(WedgeSpec(dims)), k)
+        claim = V.theorem1_check(wedge(dims), k)
         case_ok = claim.verdict == V.PASS
         # the listed bound can exceed k+m-2 (observed extra vanishing);
         # assert vanishing through the listed bound as stated
@@ -82,7 +82,7 @@ def test_criterion_3_tuffley_concentration():
     ok = True
     for dims in [(1,), (1, 1), (1, 1, 1)]:
         for k in (2, 3, 4):
-            res = V.tuffley_check(wedge(WedgeSpec(dims)), k)
+            res = V.tuffley_check(wedge(dims), k)
             if res.verdict != V.PASS:
                 print(f"  tuffley case {dims} k={k}: FAIL")
                 ok = False
@@ -93,7 +93,7 @@ def test_criterion_4_triangulation_invariance():
     ok = True
     for k in (2, 3):
         for v in (3, 4):
-            res = V.invariance_check(sphere(1), subdivided_circle(v), k)
+            res = V.invariance_check(wedge((1,)), subdivided_circle(v), k)
             if res.verdict != V.PASS:
                 print(f"  invariance s1 vs circle:{v} k={k}: FAIL")
                 ok = False
@@ -171,8 +171,8 @@ def test_criterion_6_structural_properties():
 
     # exp_1 isomorphism on all builders, through the oracle's subsets, and
     # the k = 1 build's chains are the oracle's
-    for S in [sphere(1), sphere(2), sphere(3), wedge(WedgeSpec((1, 1))),
-              wedge(WedgeSpec((2, 2))), subdivided_circle(3),
+    for S in [wedge((1,)), wedge((2,)), wedge((3,)), wedge((1, 1)),
+              wedge((2, 2)), subdivided_circle(3),
               subdivided_circle(4)]:
         X = expk_simplicial_set(S, 1)
         if (find_isomorphism(X, S) is None
@@ -184,7 +184,7 @@ def test_criterion_6_structural_properties():
     # the closed-form strip agrees with the face-by-face stripper in every
     # order, on >= 1000 randomized subsets
     rng = random.Random(606)
-    spaces = [wedge(WedgeSpec((1, 1))), sphere(2), subdivided_circle(3)]
+    spaces = [wedge((1, 1)), wedge((2,)), subdivided_circle(3)]
     for _ in range(1000):
         S = rng.choice(spaces)
         n = rng.randint(1, 2 * S.dim)
@@ -239,11 +239,10 @@ def test_criterion_7_lemma1_implication_suite():
 
     # randomized generator-closed covers, no implication violation
     rng = random.Random(808)
-    spaces = [wedge(WedgeSpec((1, 1))), wedge(WedgeSpec((2,))),
-              wedge(WedgeSpec((1, 1, 1))),
-              expk_simplicial_set(sphere(1), 2),
-              expk_simplicial_set(wedge(WedgeSpec((1, 1))), 2),
-              expk_simplicial_set(sphere(2), 2)]
+    spaces = [wedge((1, 1)), wedge((2,)), wedge((1, 1, 1)),
+              expk_simplicial_set(wedge((1,)), 2),
+              expk_simplicial_set(wedge((1, 1)), 2),
+              expk_simplicial_set(wedge((2,)), 2)]
     met = 0
     for _ in range(200):
         Y = rng.choice(spaces)

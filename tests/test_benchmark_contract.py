@@ -23,8 +23,7 @@ from pathlib import Path
 
 from subsetspace.cli import cmd_verify, main
 from subsetspace.expk import build_expk
-from subsetspace.homology import SparseIntMatrix
-from subsetspace.simplicial import SimplicialSet
+from subsetspace.homology import ChainComplex, SparseIntMatrix
 from subsetspace.spaces import parse_space
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,7 +70,8 @@ def test_the_cli_module_entry_point_prints_the_recorded_output():
 def test_the_names_the_tracer_reads_are_there():
     """The tracer names a cmd_verify span verify.<which> from its first
     argument, reads cells_enumerated and result.n_generators of every
-    build_expk return (at k = 1 the base itself), and nnz() of a matrix."""
+    build_expk return (a ChainComplex at every k, k = 1 included), and
+    nnz() of a matrix."""
     assert next(iter(inspect.signature(cmd_verify).parameters)) == "which"
     args = argparse.Namespace(k=2, level=None, seed=0, max_cells=200_000)
     for which, space, cells in [("theorem1", "s2", 43), ("tuffley", "s1", 10),
@@ -85,7 +85,8 @@ def test_the_names_the_tracer_reads_are_there():
         space = build_expk(parse_space("s1")[1], k)
         assert space.cells_enumerated == cells
         assert space.result.n_generators == generators
-    assert isinstance(SimplicialSet.n_generators, property)
+        assert type(space.result) is ChainComplex
+    assert isinstance(ChainComplex.n_generators, property)
     assert callable(SparseIntMatrix.nnz)
 
 

@@ -13,8 +13,7 @@ import pytest
 from subsetspace import cli
 from subsetspace.cli import main
 from subsetspace.expk import ResourceCapError, build_expk
-from subsetspace.spaces import (WedgeSpec, parse_space, subdivided_circle,
-                                wedge)
+from subsetspace.spaces import parse_space, subdivided_circle, wedge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,7 +117,7 @@ def test_verify_invariance(capsys):
 def test_verify_invariance_can_fail(monkeypatch, capsys):
     # a partner of another homotopy type than the space's
     monkeypatch.setattr(cli, "edgewise_subdivision",
-                        lambda S, max_cells: wedge(WedgeSpec((1, 1))))
+                        lambda S, max_cells: wedge((1, 1)))
     code, out, _ = run_cli(capsys, "verify", "invariance", "--space", "s1",
                            "--k", "2")
     assert code == 1
@@ -435,6 +434,23 @@ def test_sphere_summand_over_the_cap_is_refused_before_it_is_built(capsys):
     assert code == 0 and json.loads(out)["f_vector"] == [1, 0, 1]
 
 
+def test_a_summand_too_large_to_build_exits_3(capsys, monkeypatch):
+    """A summand under a cap raised past its size can still be too large
+    to build: its face word 1 << (m - 1) overflows, or memory runs out.
+    Either ends in exit 3 with one line on stderr, not a traceback."""
+    code, out, err = run_cli(capsys, "homology", "--space",
+                             "s100000000000000000000", "--k", "1",
+                             "--max-cells", "1" + "0" * 30)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "expk_homology", exhausted)
+    code, out, err = run_cli(capsys, "homology", "--space", "s1", "--k", "2")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_env_var_does_not_set_the_cap(capsys, monkeypatch):
     # the cap comes only from --max-cells (test_resource_cap_exit_code)
     monkeypatch.setenv("SUBSETSPACE_MAX_CELLS", "4")
@@ -447,7 +463,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
                                                   collecting):
     # main pauses the cyclic collector for the call, on every way out
     monkeypatch.setattr(cli, "edgewise_subdivision",
-                        lambda S, max_cells: wedge(WedgeSpec((1, 1))))
+                        lambda S, max_cells: wedge((1, 1)))
     calls = [(0, ["homology", "--space", "s1", "--k", "2"]),
              (1, ["verify", "invariance", "--space", "s1", "--k", "2"]),
              (2, ["homology", "--space", "bogus", "--k", "2"]),

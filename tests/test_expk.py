@@ -11,8 +11,8 @@ from subsetspace import verify as V
 from subsetspace.simplicial import (SimplicialError, SimplicialSet,
                                     apply_face, degeneracy_words,
                                     enumerate_level, validate)
-from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
-                                parse_space, sphere, subdivided_circle, wedge)
+from subsetspace.spaces import (edgewise_subdivision, parse_space,
+                                subdivided_circle, wedge)
 from subsetspace.expk import ResourceCapError, build_expk, level_size
 from subsetspace.homology import (SmithResult, expk_homology, homology,
                                   normalized_chains)
@@ -28,7 +28,7 @@ from test_acceptance import MATRIX_CASES
 
 
 def circle():
-    return sphere(1)
+    return wedge((1,))
 
 
 def test_strip_single_degenerate_vertex():
@@ -59,7 +59,7 @@ def test_strip_mixed_pair():
 
 
 def test_strip_confluence_randomized():
-    S = wedge(WedgeSpec((1, 1)))
+    S = wedge((1, 1))
     rng = random.Random(2024)
     pool = enumerate_level(S, 2) + enumerate_level(S, 3)
     for _ in range(300):
@@ -253,7 +253,7 @@ def test_build_is_the_normalized_chains_of_the_oracles_exp_k():
 
 
 def test_f_vector_closed_form_s3k3():
-    S = sphere(3)
+    S = wedge((3,))
     assert (build_expk(S, 3).result.f_vector()
             == subset_space_f_vector(S.dim_of, 3))
 
@@ -284,7 +284,7 @@ def test_k1_build_is_the_base_itself(monkeypatch):
     monkeypatch.setattr(expk, "enumerate_level", refuse)
     monkeypatch.setattr(expk, "apply_face", refuse)
     bases = [parse_space(desc)[1] for desc, _ in MATRIX_CASES]
-    for S in bases + [wedge(WedgeSpec((2, 1, 2)))]:
+    for S in bases + [wedge((2, 1, 2))]:
         space = build_expk(S, 1)
         assert chain_tables(space.result) == chain_tables(
             normalized_chains(S))
@@ -322,8 +322,8 @@ def test_exp2_circle_rejects_degenerate_level2_pair():
 def test_exp1_is_identity_on_all_builders():
     """exp_1 S, built from the tuple model through its subsets, is
     isomorphic to S, and its chains are the k = 1 build's."""
-    for S in [circle(), sphere(2), sphere(3), wedge(WedgeSpec((1, 1))),
-              wedge(WedgeSpec((2, 2))), subdivided_circle(3)]:
+    for S in [circle(), wedge((2,)), wedge((3,)), wedge((1, 1)),
+              wedge((2, 2)), subdivided_circle(3)]:
         X = expk_simplicial_set(S, 1)
         assert find_isomorphism(X, S) is not None
         assert chain_tables(normalized_chains(X)) == chain_tables(
@@ -333,7 +333,7 @@ def test_exp1_is_identity_on_all_builders():
 def test_exp1_of_a_300_sphere():
     """exp_1 S^300 = S^300: its faces come from words of length up to 300,
     and its reduced homology is Z in degree 300 alone."""
-    h = homology(build_expk(sphere(300), 1).result, reduced=True)
+    h = homology(build_expk(wedge((300,)), 1).result, reduced=True)
     assert h.betti == [0] * 300 + [1]
     assert not any(h.torsion)
 
@@ -341,7 +341,7 @@ def test_exp1_of_a_300_sphere():
 def test_exp1_homology_of_a_20000_sphere():
     """exp_1 S^20000 is S^20000, so its homology costs no build and no
     quadratic face check: reduced, Z in degree 20000 alone."""
-    h, _ = expk_homology(sphere(20000), 1, True)
+    h, _ = expk_homology(wedge((20000,)), 1, True)
     assert h.betti == [0] * 20000 + [1]
     assert not any(h.torsion)
 
@@ -352,14 +352,14 @@ def test_exp3_circle_dimension_and_validity():
 
 
 def test_dimension_bound():
-    for S, k in [(circle(), 2), (circle(), 3), (sphere(2), 2)]:
+    for S, k in [(circle(), 2), (circle(), 3), (wedge((2,)), 2)]:
         assert len(build_expk(S, k).result.boundaries) - 1 <= k * S.dim
 
 
 def test_monotone_inclusion():
     """Non-degenerate generators of exp_k embed in exp_{k+1} with the same
     faces."""
-    S = wedge(WedgeSpec((1, 1)))
+    S = wedge((1, 1))
     for k in (1, 2):
         small = expk_simplicial_set(S, k)
         big = expk_simplicial_set(S, k + 1)
@@ -394,8 +394,8 @@ def test_oracle_circle_level1():
 
 
 def test_oracle_class_count_formula():
-    for S, k, n in [(circle(), 2, 2), (sphere(2), 3, 2),
-                    (wedge(WedgeSpec((1, 1))), 2, 1),
+    for S, k, n in [(circle(), 2, 2), (wedge((2,)), 3, 2),
+                    (wedge((1, 1)), 2, 1),
                     (subdivided_circle(3), 2, 1)]:
         m = len(enumerate_level(S, n))
         space = build_expk(S, k)
@@ -408,14 +408,14 @@ def test_oracle_class_count_formula():
 def test_oracle_matches_subset_count():
     """exp_k S's level size is the itertools count of the subsets of size
     <= k of the enumerated level, and level_size(S, n) is |S_n|."""
-    for S, k, n in [(circle(), 2, 1), (circle(), 2, 2), (sphere(2), 3, 2),
-                    (wedge(WedgeSpec((1, 1))), 2, 1),
+    for S, k, n in [(circle(), 2, 1), (circle(), 2, 2), (wedge((2,)), 3, 2),
+                    (wedge((1, 1)), 2, 1),
                     (subdivided_circle(3), 2, 1)]:
         level = enumerate_level(S, n)
         subsets = sum(1 for size in range(1, k + 1)
                       for _ in combinations(level, size))
         assert level_size(expk_simplicial_set(S, k), n) == subsets
-    for S in [circle(), sphere(2), wedge(WedgeSpec((1, 2))),
+    for S in [circle(), wedge((2,)), wedge((1, 2)),
               subdivided_circle(3)]:
         for n in range(5):
             assert level_size(S, n) == len(enumerate_level(S, n))
@@ -434,16 +434,16 @@ def test_oracle_checks_cap_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(expk, "enumerate_level", recorder)
     with pytest.raises(ResourceCapError):
-        V.level_count_check(wedge(WedgeSpec((1, 1, 1))), 4, 4, max_cells=100)
+        V.level_count_check(wedge((1, 1, 1)), 4, 4, max_cells=100)
     assert calls == []
-    assert V.level_count_check(sphere(2), 2, 400) == (V.PASS, None, 43)
+    assert V.level_count_check(wedge((2,)), 2, 400) == (V.PASS, None, 43)
     with pytest.raises(SimplicialError, match="dimension must be >= 0"):
-        V.level_count_check(sphere(2), 2, -1)
+        V.level_count_check(wedge((2,)), 2, -1)
 
 
 def test_oracle_resource_cap():
     """The check refuses exactly where build_expk does, with its report."""
-    S = wedge(WedgeSpec((1, 1, 1)))
+    S = wedge((1, 1, 1))
     with pytest.raises(ResourceCapError) as built:
         build_expk(S, 4, max_cells=100)
     with pytest.raises(ResourceCapError) as checked:
@@ -458,7 +458,7 @@ def test_records_compare_and_hash_as_their_field_tuples():
     sorts as that pair; the records are immutable and carry no __dict__,
     ExpkSpace holds only the complex and its count, and SmithResult's
     default cleared is empty."""
-    S = wedge(WedgeSpec((1, 2)))
+    S = wedge((1, 2))
     for n in range(5):
         level = enumerate_level(S, n)
         assert all(type(x) is tuple and list(map(type, x)) == [int, int]
@@ -466,9 +466,7 @@ def test_records_compare_and_hash_as_their_field_tuples():
         shuffled = random.Random(n).sample(level, len(level))
         assert sorted(shuffled) == level
     space = build_expk(S, 2)
-    records = [(WedgeSpec((1,)), "sphere_dims"),
-               (space, "result"),
-               (homology(space.result), "betti")]
+    records = [(space, "result"), (homology(space.result), "betti")]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         with pytest.raises(AttributeError):
@@ -492,9 +490,9 @@ def test_records_compare_and_hash_as_their_field_tuples():
         "edge-without-faces", "vertex-with-faces", "wedge-over-int-limit",
         "circle-over-int-limit"])
 def test_each_guard_refuses_its_input(call, refusal):
-    """Each refusal on the circle S = sphere(1) (vertex 0, edge 1): a guard
+    """Each refusal on the circle S = wedge((1,)) (vertex 0, edge 1): a guard
     that raises gives its message, and validate its first violation."""
-    S = sphere(1)
+    S = wedge((1,))
     if isinstance(refusal, str):
         with pytest.raises((SimplicialError, ValueError), match=refusal):
             call(S)

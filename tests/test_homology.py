@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from subsetspace.simplicial import (SimplicialError, SimplicialSet,
                                     simplicial_set_from_dict)
-from subsetspace.spaces import (WedgeSpec, parse_space, sphere,
-                                subdivided_circle, wedge)
+from subsetspace.spaces import parse_space, subdivided_circle, wedge
 from subsetspace.expk import build_expk
 from subsetspace.homology import (ChainComplex, ChainComplexError,
                                   SparseIntMatrix, homology,
@@ -258,7 +257,7 @@ def test_homology_hands_smith_normal_form_the_boundaries(monkeypatch):
     """Clearing passes the cleared columns as skip: every matrix handed to
     smith_normal_form is one of the complex's boundaries, each once."""
     import subsetspace.homology as homology_module
-    C = build_expk(sphere(3), 3).result
+    C = build_expk(wedge((3,)), 3).result
     calls = []
 
     def recording(M, skip=frozenset()):
@@ -317,7 +316,7 @@ def test_tuffley_circle_oracle(desc, kmax):
 def test_sp2_sphere_oracle(n):
     """exp_2 S^n = SP^2 S^n, whose reduced homology follows from
     SP^2 S^n / S^n = Sigma^{n+1} RP^{n-1}."""
-    h = homology(build_expk(sphere(n), 2).result, reduced=True)
+    h = homology(build_expk(wedge((n,)), 2).result, reduced=True)
     betti, torsion = sp2_sphere_reduced_homology(n)
     pad = len(betti) - len(h.betti)
     assert pad >= 0
@@ -326,14 +325,14 @@ def test_sp2_sphere_oracle(n):
 
 
 def test_chains_minimal_sphere_boundaries_vanish():
-    C = normalized_chains(sphere(2))
+    C = normalized_chains(wedge((2,)))
     assert all(M.nnz() == 0 for M in C.boundaries)
     h = homology(C)
     assert h.betti == [1, 0, 1]
 
 
 def test_chains_exp2_circle_boundary():
-    C = build_expk(sphere(1), 2).result
+    C = build_expk(wedge((1,)), 2).result
     assert C.f_vector() == [1, 2, 1]
     # d(top cell) = 2b - a where a = {e} and b = {e, s_0 v}
     col = C.boundaries[2].cols[0]
@@ -344,7 +343,7 @@ def test_chains_exp2_circle_boundary():
 def test_chains_exp1_equal_base_chains():
     """The k = 1 build's chains are those of exp_1 S built through its
     subsets by the oracle, and those of S."""
-    S = wedge(WedgeSpec((1, 1)))
+    S = wedge((1, 1))
     C_base = normalized_chains(expk_simplicial_set(S, 1))
     C_exp = build_expk(S, 1).result
     assert C_base.f_vector() == C_exp.f_vector() == [1, 2]
@@ -353,7 +352,7 @@ def test_chains_exp1_equal_base_chains():
 
 
 def test_homology_exp2_circle_is_moebius():
-    h = homology(build_expk(sphere(1), 2).result)
+    h = homology(build_expk(wedge((1,)), 2).result)
     assert h.betti == [1, 1, 0]
     assert h.torsion == [[], [], []]
     assert h.euler == 0
@@ -361,13 +360,13 @@ def test_homology_exp2_circle_is_moebius():
 
 def test_homology_minimal_spheres():
     for m in (1, 2, 3):
-        h = homology(normalized_chains(sphere(m)), reduced=True)
+        h = homology(normalized_chains(wedge((m,))), reduced=True)
         assert h.betti == [0] * m + [1]
         assert all(not t for t in h.torsion)
 
 
 def test_homology_figure_eight():
-    h = homology(normalized_chains(wedge(WedgeSpec((1, 1)))))
+    h = homology(normalized_chains(wedge((1, 1))))
     assert h.betti == [1, 2]
 
 
@@ -383,11 +382,11 @@ def test_homology_rejects_broken_complex():
 
 
 def test_euler_identity_everywhere():
-    spaces = [sphere(1), sphere(2), wedge(WedgeSpec((1, 1, 1))),
+    spaces = [wedge((1,)), wedge((2,)), wedge((1, 1, 1)),
               subdivided_circle(4)]
     complexes = [normalized_chains(S) for S in spaces] + [
-        build_expk(sphere(1), 3).result,
-        build_expk(wedge(WedgeSpec((1, 1))), 2).result]
+        build_expk(wedge((1,)), 3).result,
+        build_expk(wedge((1, 1)), 2).result]
     for C in complexes:
         h = homology(C)
         assert h.euler == sum((-1) ** n * f for n, f in enumerate(h.f_vector))
@@ -397,8 +396,8 @@ def test_euler_identity_everywhere():
 def test_direct_sum_is_degreewise_sum():
     """Block-diagonal assembly of two complexes adds betti and concatenates
     torsion degree-wise."""
-    A = build_expk(sphere(1), 2).result
-    B = normalized_chains(sphere(2))
+    A = build_expk(wedge((1,)), 2).result
+    B = normalized_chains(wedge((2,)))
     top = max(len(A.boundaries), len(B.boundaries)) - 1
 
     def mat(C, n):
@@ -451,8 +450,8 @@ def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
         C = normalized_chains(O, gens)
         assert dense_boundaries(C)[1:] == ([d1] if d1 else [])
     assert homology(normalized_chains(O)).betti == [1, 1]
-    S = wedge(WedgeSpec((2, 1, 2)))
-    T = wedge(WedgeSpec((1, 2, 2)))
+    S = wedge((2, 1, 2))
+    T = wedge((1, 2, 2))
     assert S.dim_of == [0, 2, 1, 2]
     assert normalized_chains(S).f_vector() == [1, 1, 2]
     for k in (1, 2):
@@ -463,7 +462,7 @@ def test_chains_of_a_base_whose_ids_are_not_in_dimension_order():
                                      ({0, 2}, [1, 1], (1,))]:
         sub = normalized_chains(S, gens)
         assert sub.f_vector() == f_vector
-        whole = normalized_chains(wedge(WedgeSpec(summands)))
+        whole = normalized_chains(wedge(summands))
         assert dense_boundaries(sub) == dense_boundaries(whole)
         assert homology(sub).groups_equal(homology(whole))
 
@@ -472,7 +471,7 @@ def test_a_chain_complex_is_its_boundaries():
     """A degree's size is its boundary's column count, stored nowhere
     else: a column appended to d_n adds one generator in degree n."""
     assert ChainComplex._fields == ("boundaries",)
-    C = build_expk(sphere(1), 2).result
+    C = build_expk(wedge((1,)), 2).result
     f = C.f_vector()
     for n in range(len(C.boundaries)):
         size = C.n_generators

@@ -20,7 +20,6 @@ smith_normal_form space_homology __version__""".split()
 # defined in src/ but read only outside it: (module, name) -> its reader
 READ_OUTSIDE_SRC = {
     ("simplicial", "SparseIntMatrix.nnz"): "perfbench/tracer.py",
-    ("spaces", "sphere"): "the README's s<m> spaces and the tests",
 }
 
 

@@ -9,7 +9,7 @@ from subsetspace.simplicial import (SimplicialError, SimplicialSet,
                                     degeneracy_words, enumerate_level,
                                     simplicial_set_from_dict, validate,
                                     word_is_valid)
-from subsetspace.spaces import sphere, subdivided_circle, wedge, WedgeSpec
+from subsetspace.spaces import subdivided_circle, wedge
 
 from oracles import (all_degenerate_tuples, compose_tuple, d_on_tuple,
                      degenerate, eval_word, find_isomorphism, s_on_tuple,
@@ -70,21 +70,21 @@ def test_compose_normal_form_confluence(ops, base_dim):
 
 
 def test_apply_face_d0_s0_vertex():
-    S = sphere(1)
+    S = wedge((1,))
     v = (0, 0)
     x = degenerate(v, 0)
     assert apply_face(x, 0, S) == v
 
 
 def test_apply_face_d2_s1_edge():
-    S = sphere(1)
+    S = wedge((1,))
     e = (1, 0)
     assert apply_face(degenerate(e, 1), 2, S) == e
 
 
 def test_apply_face_through_word_to_base():
     # minimal circle: d_0(s_1 e) = s_0(d_0 e) = s_0 v
-    S = sphere(1)
+    S = wedge((1,))
     x = degenerate((1, 0), 1)
     assert apply_face(x, 0, S) == (0, word_mask((0,)))
 
@@ -92,7 +92,7 @@ def test_apply_face_through_word_to_base():
 def test_apply_face_on_a_deep_degenerate_vertex():
     """d_i of s_{n-1} ... s_0 v is s_{n-2} ... s_0 v for every i, at n = 300:
     each d_i cancels one operator."""
-    S = sphere(1)
+    S = wedge((1,))
     n = 300
     x = (0, word_mask(tuple(range(n - 1, -1, -1))))
     for i in range(n + 1):
@@ -139,7 +139,7 @@ def test_apply_face_matches_tuple_model():
 
 
 def test_face_indices_out_of_range():
-    S = sphere(1)
+    S = wedge((1,))
     # refused before the face table is read, which a vertex lacks
     with pytest.raises(SimplicialError,
                        match="^cannot take a face of a vertex$"):
@@ -148,8 +148,8 @@ def test_face_indices_out_of_range():
         apply_face((1, 0), 2, S)
 
 
-@pytest.mark.parametrize("space", [sphere(1), sphere(2), sphere(3),
-                                   wedge(WedgeSpec((1, 2))),
+@pytest.mark.parametrize("space", [wedge((1,)), wedge((2,)), wedge((3,)),
+                                   wedge((1, 2)),
                                    subdivided_circle(3)])
 def test_simplicial_identity_on_all_levels(space):
     for n in range(1, space.dim + 3):
@@ -164,7 +164,7 @@ def test_simplicial_identity_on_all_levels(space):
 
 
 def test_enumerate_level_circle():
-    S = sphere(1)
+    S = wedge((1,))
     lvl1 = enumerate_level(S, 1)
     assert [(g, word_tuple(w)) for g, w in lvl1] == [(0, (0,)), (1, ())]
     lvl2 = enumerate_level(S, 2)
@@ -173,13 +173,13 @@ def test_enumerate_level_circle():
 
 
 def test_enumerate_level_two_sphere():
-    assert len(enumerate_level(sphere(2), 2)) == 2
+    assert len(enumerate_level(wedge((2,)), 2)) == 2
 
 
 def test_enumerate_level_counts_closed_form():
     # wedge (2, 1) has its 2-cell's id below its 1-cell's
-    for space in [sphere(1), sphere(3), wedge(WedgeSpec((1, 1, 2))),
-                  wedge(WedgeSpec((2, 1)))]:
+    for space in [wedge((1,)), wedge((3,)), wedge((1, 1, 2)),
+                  wedge((2, 1))]:
         for n in range(0, 6):
             expected = sum(comb(n, n - space.dim_of[g])
                            for g in range(space.n_generators)
@@ -241,7 +241,7 @@ def test_set_faces_refusals_keep_their_messages_and_order():
 
 
 def test_validate_builders_pass():
-    for space in [sphere(1), sphere(2), sphere(3), subdivided_circle(4)]:
+    for space in [wedge((1,)), wedge((2,)), wedge((3,)), subdivided_circle(4)]:
         assert validate(space) is None
 
 
@@ -262,7 +262,7 @@ def test_json_ingestion_minimal_circle():
     })
     assert validate(S) is None
     assert S.f_vector() == [1, 1]
-    assert find_isomorphism(S, sphere(1)) is not None
+    assert find_isomorphism(S, wedge((1,))) is not None
 
 
 def test_json_ingestion_degenerate_faces():
@@ -270,7 +270,7 @@ def test_json_ingestion_degenerate_faces():
         "generators": [["v"], [], ["c"]],
         "faces": {"c": ["s_0 v", "s_0 v", "s_0 v"]},
     })
-    assert find_isomorphism(S, sphere(2)) is not None
+    assert find_isomorphism(S, wedge((2,))) is not None
 
 
 def test_json_ingestion_rejects_non_normal_words():
@@ -308,5 +308,5 @@ def test_json_ingestion_rejects_missing_faces():
 
 
 def test_isomorphism_distinguishes_spaces():
-    assert find_isomorphism(sphere(1), sphere(2)) is None
-    assert find_isomorphism(wedge(WedgeSpec((1, 1))), sphere(1)) is None
+    assert find_isomorphism(wedge((1,)), wedge((2,))) is None
+    assert find_isomorphism(wedge((1, 1)), wedge((1,))) is None

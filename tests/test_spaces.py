@@ -1,9 +1,10 @@
 import pytest
 
+from subsetspace.cli import main
 from subsetspace.simplicial import (SimplicialError,
                                     simplicial_set_from_dict, validate)
-from subsetspace.spaces import (WedgeSpec, edgewise_subdivision,
-                                parse_space, sphere, subdivided_circle, wedge)
+from subsetspace.spaces import (edgewise_subdivision, parse_space,
+                                subdivided_circle, wedge)
 from subsetspace.homology import homology, normalized_chains
 
 from oracles import find_isomorphism, word_mask
@@ -11,51 +12,70 @@ from test_acceptance import MATRIX_CASES
 
 
 def test_sphere_one():
-    S = sphere(1)
+    S = wedge((1,))
     assert S.f_vector() == [1, 1]
     assert S.faces[1] == [(0, 0), (0, 0)]
 
 
 def test_sphere_two_f_vector():
-    assert sphere(2).f_vector() == [1, 0, 1]
+    assert wedge((2,)).f_vector() == [1, 0, 1]
 
 
 def test_sphere_three_faces_fully_degenerate():
-    S = sphere(3)
+    S = wedge((3,))
     assert validate(S) is None
     assert all(f == (0, word_mask((1, 0)))
                for f in S.faces[1])
 
 
-def test_sphere_rejects_dimension_zero():
-    with pytest.raises(SimplicialError):
-        sphere(0)
-
-
 def test_wedge_figure_eight():
-    S = wedge(WedgeSpec((1, 1)))
+    S = wedge((1, 1))
     assert S.f_vector() == [1, 2]
 
 
 def test_wedge_two_spheres_count():
-    assert wedge(WedgeSpec((2, 2))).n_generators == 3
+    assert wedge((2, 2)).n_generators == 3
 
 
 def test_single_wedge_is_sphere():
-    assert find_isomorphism(wedge(WedgeSpec((1,))), sphere(1)) is not None
+    # the minimal circle and 2-sphere, written out by hand in JSON
+    for m, faces in ((1, ["v", "v"]), (2, ["s_0 v"] * 3)):
+        S = simplicial_set_from_dict({"generators": [["v"]] + [[]] * (m - 1)
+                                      + [["c"]], "faces": {"c": faces}})
+        assert find_isomorphism(wedge((m,)), S) is not None
 
 
 def test_wedge_is_symmetric():
-    A = wedge(WedgeSpec((1, 2, 2)))
-    B = wedge(WedgeSpec((2, 1, 2)))
+    A = wedge((1, 2, 2))
+    B = wedge((2, 1, 2))
     assert find_isomorphism(A, B) is not None
 
 
+def test_sphere_rejects_dimension_zero():
+    with pytest.raises(SimplicialError,
+                       match="^sphere dimensions must be >= 1$"):
+        parse_space("s0")
+
+
 def test_wedge_spec_validation():
-    with pytest.raises(SimplicialError):
-        WedgeSpec(())
-    with pytest.raises(SimplicialError):
-        WedgeSpec((0, 1))
+    # an empty wedge is a malformed descriptor; a 0 summand is refused
+    with pytest.raises(SimplicialError, match="^bad wedge descriptor"):
+        parse_space("wedge:")
+    with pytest.raises(SimplicialError,
+                       match="^sphere dimensions must be >= 1$"):
+        parse_space("wedge:0,1")
+
+
+def test_parse_space_refuses_dimension_zero_before_the_cap(capsys):
+    """parse_space, where a descriptor arrives, refuses a sphere of
+    dimension 0 before it tests any summand against the cap: the 300000
+    summand is over the default cap, yet the call exits 2, not 3."""
+    with pytest.raises(SimplicialError,
+                       match="^sphere dimensions must be >= 1$"):
+        parse_space("wedge:1,0,300000")
+    assert main(["homology", "--space", "wedge:1,0,300000", "--k", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: sphere dimensions must be "
+                                       ">= 1\n")
 
 
 def test_subdivided_circle_homology():
@@ -76,8 +96,8 @@ def test_subdivided_circle_minimum_size():
 
 
 def test_all_builders_validate():
-    for S in [sphere(1), sphere(2), sphere(4), wedge(WedgeSpec((1, 1, 1))),
-              wedge(WedgeSpec((2, 3))), subdivided_circle(5)]:
+    for S in [wedge((1,)), wedge((2,)), wedge((4,)), wedge((1, 1, 1)),
+              wedge((2, 3)), subdivided_circle(5)]:
         assert validate(S) is None
 
 

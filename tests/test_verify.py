@@ -5,7 +5,7 @@ import pytest
 
 from subsetspace.simplicial import (SimplicialError, SimplicialSet,
                                     simplicial_set_from_dict)
-from subsetspace.spaces import WedgeSpec, sphere, subdivided_circle, wedge
+from subsetspace.spaces import subdivided_circle, wedge
 from subsetspace.expk import ResourceCapError, build_expk
 from subsetspace.homology import homology, normalized_chains
 from subsetspace import cli
@@ -27,24 +27,24 @@ def two_edge_path():
 
 
 def test_theorem1_graph_k3():
-    claim = V.theorem1_check(wedge(WedgeSpec((1, 1))), 3)
+    claim = V.theorem1_check(wedge((1, 1)), 3)
     assert claim.verdict == V.PASS
 
 
 def test_theorem1_sphere_k2():
-    claim = V.theorem1_check(wedge(WedgeSpec((2,))), 2)
+    claim = V.theorem1_check(wedge((2,)), 2)
     assert claim.verdict == V.PASS
 
 
 def test_theorem1_circle_k2_moebius():
-    claim = V.theorem1_check(wedge(WedgeSpec((1,))), 2)
+    claim = V.theorem1_check(wedge((1,)), 2)
     assert claim.verdict == V.PASS
     assert claim.homology.betti[1] == 1  # informational degree above bound
 
 
 def test_theorem1_requires_homogeneous_wedge():
     with pytest.raises(ValueError):
-        V.theorem1_check(wedge(WedgeSpec((1, 2))), 2)
+        V.theorem1_check(wedge((1, 2)), 2)
     # one vertex with generators in dimensions 1 and 2
     mixed = SimplicialSet()
     v = mixed.add_generator(0)
@@ -62,7 +62,7 @@ def test_theorem1_reads_m_off_the_space():
                                   "faces": {"c": ["s_0 v"] * 3}})
     for k in (2, 3):
         got = V.theorem1_check(S, k)
-        want = V.theorem1_check(wedge(WedgeSpec((2,))), k)
+        want = V.theorem1_check(wedge((2,)), k)
         assert got.verdict == want.verdict
         assert got.homology == want.homology
         assert got.cells_enumerated == want.cells_enumerated
@@ -74,7 +74,7 @@ def test_every_check_returns_an_outcome():
     for which in ("theorem1", "tuffley", "lemma1", "invariance", "oracle"):
         args = cli.build_parser().parse_args(
             ["verify", which, "--space", "s1", "--k", "2", "--seed", "0"])
-        res = cli.cmd_verify(which, args, sphere(1))
+        res = cli.cmd_verify(which, args, wedge((1,)))
         assert type(res) is V.Outcome, which
         assert res.verdict == V.PASS
         assert (res.homology is None) == (which in ("lemma1", "oracle"))
@@ -82,7 +82,7 @@ def test_every_check_returns_an_outcome():
 
 
 def test_tuffley_is_the_m0_case_of_theorem1():
-    S = wedge(WedgeSpec((1, 1)))
+    S = wedge((1, 1))
     assert V.tuffley_check(S, 3) == V.theorem1_check(S, 3)
     # one dimension, but not one vertex: tuffley_check refuses it itself
     with pytest.raises(ValueError, match="tuffley_check needs a wedge of"):
@@ -90,25 +90,25 @@ def test_tuffley_is_the_m0_case_of_theorem1():
 
 
 def test_tuffley_circle_k3():
-    res = V.tuffley_check(wedge(WedgeSpec((1,))), 3)
+    res = V.tuffley_check(wedge((1,)), 3)
     assert res.verdict == V.PASS
     assert res.homology.betti[3] == 1
     assert res.homology.vanishes_through(2)
 
 
 def test_tuffley_figure_eight_k2():
-    assert V.tuffley_check(wedge(WedgeSpec((1, 1))), 2).verdict == V.PASS
+    assert V.tuffley_check(wedge((1, 1)), 2).verdict == V.PASS
 
 
 def test_tuffley_k1_circle():
-    res = V.tuffley_check(wedge(WedgeSpec((1,))), 1)
+    res = V.tuffley_check(wedge((1,)), 1)
     assert res.verdict == V.PASS
     assert res.homology.betti == [0, 1]
 
 
 def test_tuffley_rejects_higher_spheres():
     with pytest.raises(ValueError, match="wedge of circles"):
-        V.tuffley_check(wedge(WedgeSpec((2,))), 2)  # sphere(2)
+        V.tuffley_check(wedge((2,)), 2)  # the minimal 2-sphere
 
 
 def test_lemma1_path_cover_passes():
@@ -152,9 +152,9 @@ def test_lemma1_rejects_incomplete_cover():
 
 def test_lemma1_randomized_implication_holds():
     rng = random.Random(11)
-    spaces = [wedge(WedgeSpec((1, 1))), wedge(WedgeSpec((2,))),
-              expk_simplicial_set(sphere(1), 2),
-              expk_simplicial_set(wedge(WedgeSpec((1, 1))), 2)]
+    spaces = [wedge((1, 1)), wedge((2,)),
+              expk_simplicial_set(wedge((1,)), 2),
+              expk_simplicial_set(wedge((1, 1)), 2)]
     for _ in range(60):
         Y = rng.choice(spaces)
         res = V.lemma1_check(Y, *V.random_lemma1_instance(Y, rng))
@@ -162,7 +162,7 @@ def test_lemma1_randomized_implication_holds():
 
 
 def test_theorem1_two_sphere_wedge_k3_stretch():
-    claim = V.theorem1_check(wedge(WedgeSpec((2, 2))), 3)
+    claim = V.theorem1_check(wedge((2, 2)), 3)
     assert claim.verdict == V.PASS
     # exact arithmetic matters here: 2-torsion appears above the bound
     assert claim.homology.torsion[4] == [2, 2]
@@ -170,17 +170,17 @@ def test_theorem1_two_sphere_wedge_k3_stretch():
 
 def test_invariance_curated_pairs():
     for v in (3, 4):
-        res = V.invariance_check(sphere(1), subdivided_circle(v), 2)
+        res = V.invariance_check(wedge((1,)), subdivided_circle(v), 2)
         assert res.verdict == V.PASS
 
 
 def test_invariance_identity():
-    S = wedge(WedgeSpec((1, 1)))
+    S = wedge((1, 1))
     assert V.invariance_check(S, S, 2).verdict == V.PASS
 
 
 def test_invariance_detects_different_types():
-    assert V.invariance_check(sphere(1), wedge(WedgeSpec((1, 1))),
+    assert V.invariance_check(wedge((1,)), wedge((1, 1)),
                               2).verdict == V.FAIL
 
 
@@ -195,7 +195,7 @@ def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
         return space
 
     monkeypatch.setattr(V, "build_expk", broken)
-    S = sphere(1)
+    S = wedge((1,))
     assert build_expk(S, 2).result.f_vector() == [1, 2, 1]
     for level in (0, 1):
         assert V.level_count_check(S, 2, level)[0] == V.PASS
@@ -211,7 +211,7 @@ def test_level_count_at_k1_builds_nothing(monkeypatch, capsys):
     count and builds no chains: it passes with the cells of exp_1 S, tests
     the cap before it refuses a negative level, and the CLI exits 0."""
     cases = [(S, build_expk(S, 1).cells_enumerated)
-             for S in (sphere(2), subdivided_circle(3), two_edge_path()[0])]
+             for S in (wedge((2,)), subdivided_circle(3), two_edge_path()[0])]
 
     def no_build(*args, **kwargs):
         raise AssertionError("chains built at k = 1")
@@ -222,9 +222,9 @@ def test_level_count_at_k1_builds_nothing(monkeypatch, capsys):
         for level in (0, 1, 2, 5, None):
             assert V.level_count_check(S, 1, level) == (V.PASS, None, cells)
     with pytest.raises(ResourceCapError):
-        V.level_count_check(wedge(WedgeSpec((1,) * 9)), 1, -1, max_cells=5)
+        V.level_count_check(wedge((1,) * 9), 1, -1, max_cells=5)
     with pytest.raises(SimplicialError, match="dimension must be >= 0"):
-        V.level_count_check(sphere(2), 1, -1)
+        V.level_count_check(wedge((2,)), 1, -1)
     assert cli.main(["verify", "oracle", "--space", "s150", "--k", "1",
                      "--seed", "0"]) == 0
     assert '"verdict": "pass"' in capsys.readouterr().out
@@ -247,7 +247,7 @@ def test_lemma1_fails_when_only_the_whole_space_has_homology(monkeypatch,
 
     monkeypatch.setattr(V, "normalized_chains", tagged_chains)
     monkeypatch.setattr(V, "homology", bumped_homology)
-    S = wedge(WedgeSpec((1, 1)))  # generators v, a, b
+    S = wedge((1, 1))  # generators v, a, b
     res = V.lemma1_check(S, [{0, 1}, {0, 2}], 0)
     assert res == V.FAIL
     assert cli.main(["verify", "lemma1", "--space", "wedge:1,1", "--k", "2",
