@@ -1,7 +1,7 @@
 """Command-line front end: build spaces, run computations, emit reports.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 parse error,
-3 resource cap exceeded or out of memory.
+3 resource cap exceeded or out of memory, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # a shell's status for a writer that SIGPIPE ends
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -141,6 +142,7 @@ def main(argv=None) -> int:
                "verdict": verdict,
                "elapsed_ms": 0 if args.seed is not None else elapsed,
                "cells_enumerated": cells}, args.format)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return EXIT_OK if verdict in (None, "pass") else EXIT_FAIL
     except ResourceCapError as exc:
         print(json.dumps({"error": "resource-cap", **exc.report}),
@@ -149,6 +151,8 @@ def main(argv=None) -> int:
     except (MemoryError, OverflowError):  # a summand too large to build
         print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:  # not a parse error: say nothing
+        return EXIT_PIPE
     except (SimplicialError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -160,7 +164,9 @@ def main(argv=None) -> int:
 def run() -> int:
     """The process entry: main(), start-up's heap frozen out of exit's GC."""
     gc.freeze()
-    return main()
+    if (status := main()) == EXIT_PIPE:  # exit's flush then writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

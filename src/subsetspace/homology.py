@@ -237,15 +237,11 @@ def expk_homology(S: SimplicialSet, k: int, reduced: bool = False,
     once S's levels pass the cap.  |S| -> |S/K| is a homotopy equivalence
     (Hatcher, Algebraic Topology, Prop. 0.17), and exp_k keeps it one
     (Handel, Houston J. Math. 26, 2000), so the groups and euler hold for
-    exp_k S.  When S/K is not S, the f-vector is exp_k S's closed form, and
-    the groups are padded with zeros to its length; S's cap is tested
-    first, so its first level over the cap is the one reported."""
-    R = reduce_base(S)
-    if R is S:
-        space = build_expk(S, k, max_cells)
-        return homology(space.result, reduced), space.cells_enumerated
+    exp_k S.  The f-vector is exp_k S's closed form, and the groups are
+    padded with zeros to its length (a no-op when S/K is S); S's cap is
+    tested first, so its first level over the cap is the one reported."""
     cells = capped_cells(S, k, max_cells)
-    h = homology(build_expk(R, k, max_cells).result, reduced)
+    h = homology(build_expk(reduce_base(S), k, max_cells).result, reduced)
     f = expk_f_vector(S, k)
     pad = range(len(f) - len(h.betti))
     return h._replace(f_vector=f, betti=h.betti + [0 for _ in pad],

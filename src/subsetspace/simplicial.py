@@ -124,10 +124,6 @@ class SimplicialSet:
     def dim(self) -> int:
         return max(self.dim_of, default=-1)
 
-    @property
-    def n_generators(self) -> int:
-        return len(self.dim_of)
-
     def f_vector(self) -> list[int]:
         return [self.dim_of.count(n) for n in range(self.dim + 1)]
 
@@ -257,7 +253,7 @@ def normalized_chains(S: SimplicialSet,
     subset); a set not closed under faces raises SimplicialError.
     """
     if gens is None:
-        gens = range(S.n_generators)
+        gens = range(len(S.dim_of))
     elif close_under_faces(S, gens) != gens:
         raise SimplicialError("generator set is not closed under faces")
     ids: list[list[int]] = [[]]  # per degree, up to the largest in gens
@@ -277,7 +273,7 @@ def validate(S: SimplicialSet) -> tuple[int, int, int] | None:
     generator: the first violation (generator, i, j), or None.  A generator
     whose face table is missing (or, for a vertex, present) gives (g, 0, 0).
     """
-    for g in range(S.n_generators):
+    for g in range(len(S.dim_of)):
         n = S.dim_of[g]
         if (n >= 1) != (S.faces[g] is not None):
             return g, 0, 0

@@ -14,8 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .simplicial import SimplicialSet, close_under_faces
-from .expk import (DEFAULT_MAX_CELLS, build_expk, capped_cells, level_size,
-                   projected_cells)
+from .expk import DEFAULT_MAX_CELLS, build_expk, level_size, projected_cells
 from .homology import expk_homology, homology, normalized_chains
 
 PASS = "pass"
@@ -69,7 +68,7 @@ def lemma1_check(Y: SimplicialSet, cover: list[set[int]], j: int) -> str:
     for idx, U in enumerate(cover):
         if close_under_faces(Y, U) != U:
             raise ValueError(f"cover member {idx} is not generator-closed")
-    if set().union(*cover) != set(range(Y.n_generators)):
+    if set().union(*cover) != set(range(len(Y.dim_of))):
         raise ValueError("cover does not exhaust the space")
     if not set.intersection(*cover):
         return HYPOTHESES_NOT_MET
@@ -94,7 +93,7 @@ def random_lemma1_instance(Y: SimplicialSet,
     """(cover, j): a random generator-closed cover of Y (2 or 3 members) and
     a random vanishing parameter, drawn with rng's choice, random and
     randrange."""
-    n = Y.n_generators
+    n = len(Y.dim_of)
     r = rng.choice([2, 3])
     cover = []
     for _ in range(r):
@@ -129,14 +128,10 @@ def level_count_check(S: SimplicialSet, k: int, level: int | None = None,
     the built count b, so it gives b exactly when the full count is b.
     Without a level every n <= k * dim S is checked: by Moebius inversion
     these fix every f_j, so every higher level agrees too."""
-    if k == 1:  # exp_1 S is S: its own counts, and no build
-        cells, f = capped_cells(S, 1, max_cells), S.f_vector()
-    else:
-        space = build_expk(S, k, max_cells=max_cells)
-        cells, f = space.cells_enumerated, space.result.f_vector()
-    f = [(j, fj) for j, fj in enumerate(f) if fj]
+    space = build_expk(S, k, max_cells=max_cells)
+    f = [(j, fj) for j, fj in enumerate(space.result.f_vector()) if fj]
     levels = range(k * S.dim + 1) if level is None else [level]
     sizes = [(level_size(S, n),  # which refuses n < 0 first
               sum(fj * comb(n, j) for j, fj in f)) for n in levels]
     ok = all(projected_cells(m, k, b) == b for m, b in sizes)
-    return Outcome(PASS if ok else FAIL, None, cells)
+    return Outcome(PASS if ok else FAIL, None, space.cells_enumerated)

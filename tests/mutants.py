@@ -29,8 +29,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 90
 SKIP = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
+# every tests/test_*.py, the focused unit files first: -x stops a killed
+# mutant at its first failure, so the files that kill most mutants run early
+TIER1_FILES = ["test_simplicial.py", "test_spaces.py", "test_verify.py",
+               "test_reduce_base.py", "test_expk.py", "test_homology.py",
+               "test_acceptance.py", "test_benchmark_contract.py",
+               "test_cli.py", "test_golden_cli.py", "test_package.py"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors",
+         *(f"tests/{name}" for name in TIER1_FILES)]
 
 SIMPLICIAL = "src/subsetspace/simplicial.py"
 HOMOLOGY = "src/subsetspace/homology.py"
@@ -65,7 +72,7 @@ MUTANTS = [
      "        raise SimplicialError(f\"generator {base} has no face table\")\n",
      "", KILLED),
     ("lemma1-without-union-check", VERIFY,
-     "if set().union(*cover) != set(range(Y.n_generators)):", "if False:",
+     "if set().union(*cover) != set(range(len(Y.dim_of))):", "if False:",
      KILLED),
     ("lemma1-without-closed-member-check", VERIFY,
      "if close_under_faces(Y, U) != U:", "if False:", KILLED),
@@ -86,7 +93,7 @@ MUTANTS = [
      "levels = range(k * S.dim + 1) if level is None else [level]",
      "levels = range(k * S.dim + 1)", KILLED),
     # quotients every base: test_reduce_base.py's
-    # test_the_cap_is_tested_once_unless_the_base_reduces fails on it
+    # test_a_one_vertex_base_is_its_own_reduction fails on it
     ("reduce-base-without-no-expansion-return", SPACES,
      "    if all(seed_of[g] == g for g in seed_of):\n        return S\n", "",
      KILLED),
@@ -142,6 +149,21 @@ MUTANTS = [
      "    if 0 in dims:  # counts are >= 0\n"
      "        raise SimplicialError(\"sphere dimensions must be >= 1\")\n",
      KILLED),
+    ("expk-homology-builds-s-not-s-mod-k", HOMOLOGY,
+     "build_expk(reduce_base(S), k, max_cells)", "build_expk(S, k, max_cells)",
+     KILLED),
+    ("level-count-check-reads-s-at-k1", VERIFY,
+     "enumerate(space.result.f_vector())",
+     "enumerate(space.result.f_vector() if k > 1 else S.f_vector())", KILLED),
+    ("cli-closed-pipe-is-a-parse-error", CLI,
+     "    except BrokenPipeError:  # not a parse error: say nothing\n"
+     "        return EXIT_PIPE\n", "", KILLED),
+    ("cli-without-stdout-flush", CLI,
+     "        sys.stdout.flush()  # a closed pipe raises here, not at exit\n",
+     "", KILLED),
+    ("cli-run-without-devnull-stdout", CLI,
+     "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+     "        pass\n", KILLED),
     ("cli-without-out-of-memory-exit", CLI,
      "    except (MemoryError, OverflowError):  # a summand too large to build\n"
      "        print(\"error: out of memory\", file=sys.stderr)\n"
@@ -221,6 +243,10 @@ def run_mutant(file: str | None = None, old: str = "", new: str = ""
 
 
 def main(argv: list[str]) -> int:
+    on_disk = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
+    if on_disk != sorted(TIER1_FILES):
+        print(f"TIER1_FILES is not tests/test_*.py: {on_disk}")
+        return 2
     chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
     for name, file, old, _, _ in MUTANTS:  # every mutant must still apply
         count = (ROOT / file).read_text().count(old)

@@ -592,7 +592,7 @@ def find_isomorphism(A: SimplicialSet, B: SimplicialSet) -> dict[int, int] | Non
     pruning on face compatibility (faces only reference lower dimensions)."""
     if A.f_vector() != B.f_vector():
         return None
-    order = sorted(range(A.n_generators), key=lambda g: (A.dim_of[g], g))
+    order = sorted(range(len(A.dim_of)), key=lambda g: (A.dim_of[g], g))
     mapping: dict[int, int] = {}
     used: set[int] = set()
 

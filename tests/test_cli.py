@@ -24,15 +24,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_child(*argv, **env_vars):
+def run_cli_child(*argv, stdout=subprocess.PIPE, **env_vars):
     """``python -m subsetspace.cli`` on this checkout's src/, in a child
-    process with ``env_vars`` added to its environment."""
+    process with ``env_vars`` added to its environment; its stdout goes to
+    ``stdout`` (captured by default) and its stderr is captured."""
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "subsetspace.cli", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=30, env=env)
 
 
 def test_homology_moebius(capsys):
@@ -387,6 +389,11 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
     applies the same default cap."""
     report = {"level": 0, "level_size": 300_000, "projected_cells": 300_000,
               "cap": 200_000}
+    # first: without the parser's cap, the CLI calls below differ only in
+    # time, and verify lemma1 runs for minutes once the others beat 0.5 s
+    with pytest.raises(ResourceCapError) as parsed:
+        parse_space("circle:300000")
+    assert parsed.value.report == report
     for argv in (["homology"], ["verify", "oracle", "--level", "0"],
                  ["verify", "lemma1"]):
         started = time.perf_counter()
@@ -395,9 +402,6 @@ def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):
         assert time.perf_counter() - started < 0.5, argv
         assert (code, out) == (3, ""), argv
         assert json.loads(err) == {"error": "resource-cap", **report}
-    with pytest.raises(ResourceCapError) as parsed:
-        parse_space("circle:300000")
-    assert parsed.value.report == report
     for k in (1, 2, 3):
         with pytest.raises(ResourceCapError) as built:
             build_expk(subdivided_circle(7), k, max_cells=6)
@@ -449,6 +453,23 @@ def test_a_summand_too_large_to_build_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "expk_homology", exhausted)
     code, out, err = run_cli(capsys, "homology", "--space", "s1", "--k", "2")
     assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_141_in_silence(unbuffered):
+    """A reader that closed stdout before the CLI writes is no parse error:
+    the CLI exits 141, a shell's status for a writer that SIGPIPE ends,
+    with nothing on stderr, whether its stdout is buffered or not (an
+    empty PYTHONUNBUFFERED leaves it buffered)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli_child("homology", "--space", "s2", "--k", "3",
+                             stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_env_var_does_not_set_the_cap(capsys, monkeypatch):

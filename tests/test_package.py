@@ -19,6 +19,7 @@ ChainComplexError HomologyResult SmithResult homology normalized_chains
 smith_normal_form space_homology __version__""".split()
 # defined in src/ but read only outside it: (module, name) -> its reader
 READ_OUTSIDE_SRC = {
+    ("simplicial", "ChainComplex.n_generators"): "perfbench/tracer.py",
     ("simplicial", "SparseIntMatrix.nnz"): "perfbench/tracer.py",
 }
 

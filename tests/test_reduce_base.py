@@ -76,7 +76,7 @@ def euler(S) -> int:
 
 def components(S) -> int:
     """The components of S, by union-find over generators and face bases."""
-    parent = list(range(S.n_generators))
+    parent = list(range(len(S.dim_of)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -103,29 +103,38 @@ def test_homology_on_the_reduced_base_is_the_full_builds(name):
                 full.cells_enumerated), (k, reduced)
 
 
-def test_the_cap_is_tested_once_unless_the_base_reduces(monkeypatch):
-    """expk_homology tests S's cap once, in build_expk, when S/K is S.
-    Otherwise it tests S's cap and then S/K's, so an over-cap S is refused
-    at its own first level over the cap, also where S/K passes."""
-    calls = []
+def test_the_cap_is_tested_on_s_before_s_mod_k_is_built(monkeypatch):
+    """expk_homology tests S's cap first and then builds exp_k(S/K), whose
+    build tests S/K's cap, so an over-cap S is refused at its own first
+    level over the cap, also where S/K passes."""
+    calls, built = [], []
 
     def counting(S, k, max_cells):
         calls.append(S)
         return capped_cells(S, k, max_cells)
 
+    def building(S, k, max_cells):
+        built.append(S)
+        return build_expk(S, k, max_cells)
+
     monkeypatch.setattr(expk, "capped_cells", counting)
     monkeypatch.setattr(homology_module, "capped_cells", counting)
+    monkeypatch.setattr(homology_module, "build_expk", building)
     S = parse_space("s2")[1]
     assert expk_homology(S, 3)[1] == capped_cells(S, 3, 200_000)
-    assert calls == [S]
+    assert calls == [S, S] and built == [S]
     T = SHELF["K4"][0]
     calls.clear()
+    built.clear()
     expk_homology(T, 3)
-    assert calls[0] is T and len(calls) == 2
+    R = reduce_base(T)
+    assert calls[0] is T and calls[1:] == built and len(built) == 1
+    assert built[0] is not T
+    assert (built[0].dim_of, built[0].faces) == (R.dim_of, R.faces)
     with pytest.raises(ResourceCapError) as refused:
         expk_homology(T, 3, max_cells=200)
     assert refused.value.report["level"] == 2
-    assert capped_cells(reduce_base(T), 3, 200) == 253
+    assert capped_cells(R, 3, 200) == 253
 
 
 def test_the_reduced_base_keeps_euler_and_one_vertex_per_component():

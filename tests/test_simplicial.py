@@ -182,7 +182,7 @@ def test_enumerate_level_counts_closed_form():
                   wedge((2, 1))]:
         for n in range(0, 6):
             expected = sum(comb(n, n - space.dim_of[g])
-                           for g in range(space.n_generators)
+                           for g in range(len(space.dim_of))
                            if space.dim_of[g] <= n)
             level = enumerate_level(space, n)
             assert len(level) == expected

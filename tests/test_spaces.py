@@ -34,7 +34,7 @@ def test_wedge_figure_eight():
 
 
 def test_wedge_two_spheres_count():
-    assert wedge((2, 2)).n_generators == 3
+    assert len(wedge((2, 2)).dim_of) == 3
 
 
 def test_single_wedge_is_sphere():

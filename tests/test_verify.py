@@ -187,8 +187,8 @@ def test_invariance_detects_different_types():
 def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     """The check reads the build: with its last, top-dimensional generator
     removed from its chains, exp_2 S^1 fails at levels >= 2 and at every
-    level, and the CLI exits 1; a level below that generator's dimension
-    still passes."""
+    level, and so does exp_1 S^1 at levels >= 1, and the CLI exits 1; a
+    level below that generator's dimension still passes."""
     def broken(S, k, max_cells):
         space = build_expk(S, k, max_cells)
         space.result.boundaries[-1].cols.pop()
@@ -197,27 +197,22 @@ def test_level_count_fails_on_a_broken_build(monkeypatch, capsys):
     monkeypatch.setattr(V, "build_expk", broken)
     S = wedge((1,))
     assert build_expk(S, 2).result.f_vector() == [1, 2, 1]
-    for level in (0, 1):
-        assert V.level_count_check(S, 2, level)[0] == V.PASS
-    for level in (2, 3, None):
-        assert V.level_count_check(S, 2, level)[0] == V.FAIL
-    assert cli.main(["verify", "oracle", "--space", "s1", "--k", "2",
-                     "--seed", "0"]) == 1
-    assert '"verdict": "fail"' in capsys.readouterr().out
+    for k, top in ((2, 2), (1, 1)):
+        for level in range(top):
+            assert V.level_count_check(S, k, level)[0] == V.PASS
+        for level in (top, top + 1, None):
+            assert V.level_count_check(S, k, level)[0] == V.FAIL
+        assert cli.main(["verify", "oracle", "--space", "s1", "--k", str(k),
+                         "--seed", "0"]) == 1
+        assert '"verdict": "fail"' in capsys.readouterr().out
 
 
-def test_level_count_at_k1_builds_nothing(monkeypatch, capsys):
-    """exp_1 S is S, so at k = 1 the check reads S's own f-vector and cap
-    count and builds no chains: it passes with the cells of exp_1 S, tests
-    the cap before it refuses a negative level, and the CLI exits 0."""
+def test_level_count_at_k1_reads_the_build(capsys):
+    """exp_1 S is S, and at k = 1 the check counts the levels of its build,
+    S's own chains: it passes with the cells of exp_1 S, tests the cap
+    before it refuses a negative level, and the CLI exits 0."""
     cases = [(S, build_expk(S, 1).cells_enumerated)
              for S in (wedge((2,)), subdivided_circle(3), two_edge_path()[0])]
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("chains built at k = 1")
-
-    monkeypatch.setattr(V, "build_expk", no_build)
-    monkeypatch.setattr(V, "normalized_chains", no_build)
     for S, cells in cases:
         for level in (0, 1, 2, 5, None):
             assert V.level_count_check(S, 1, level) == (V.PASS, None, cells)
