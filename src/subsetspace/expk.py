@@ -1,25 +1,23 @@
 """The finite subset functor on finite simplicial sets, as chains.
 
-Primary construction: levelwise subsets of size <= k of the simplices of S,
-on integer level indices.  A simplex lies in the image of s_i exactly when i
-is in its normal-form word (a bitmask), so a subset is non-degenerate when
-the complements of its elements' words cover [n]: a pruned depth-first
-search finds these subsets, and they are the generators of the normalized
-chains of exp_k S.  A generator's face d_i is the set of its elements' d_i;
-it is a generator of level n - 1 or degenerate, and a degenerate face adds
-nothing to the boundary, so it is never put in normal form.
+exp_k S is built level by level, on integer level indices.  A simplex lies
+in the image of s_i exactly when i is in its normal-form word (a bitmask),
+so a subset is non-degenerate when the complements of its elements' words
+cover [n]: a pruned depth-first search finds these subsets, and they are
+the generators of the normalized chains of exp_k S.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial, reduce
 from math import comb
 from operator import or_
 
 from .simplicial import (ChainComplex, SimplicialSet, SimplicialError,
-                         apply_face, boundary, enumerate_level,
-                         normalized_chains)
+                         SparseIntMatrix, apply_face, boundary,
+                         enumerate_level, normalized_chains)
 
 DEFAULT_MAX_CELLS = 200_000
 
@@ -81,8 +79,8 @@ def expk_f_vector(S: SimplicialSet, k: int) -> list[int]:
     exp_1 S is S, whose f-vector it is."""
     if k == 1:
         return S.f_vector()
-    subsets = [sum(comb(level_size(S, n), j) for j in range(1, k + 1))
-               for n in range(k * S.dim + 1)]
+    subsets = [sum(comb(m, j) for j in range(1, min(k, m) + 1))
+               for m in (level_size(S, n) for n in range(k * S.dim + 1))]
     return [sum((-1) ** t * comb(n, t) * subsets[n - t] for t in range(n + 1))
             for n in range(len(subsets))]
 
@@ -121,23 +119,15 @@ def _nondegenerate_subsets(comps: list[int], full: int, k: int,
     return found
 
 
-def build_expk(S: SimplicialSet, k: int,
-               max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
-    """The normalized chains of exp_k S, built once every level n <= k *
-    dim(S) has passed the cell cap; at k = 1, exp_1 S is S ({x} -> x) and
-    they are normalized_chains(S).  Else level by level, on level indices:
-    level n's generators are its non-degenerate subsets, the columns of
-    d_n in search order, each keyed by the OR of its indices' bits.  Face
-    d_i of a subset has for key the OR of its elements' d_i bits in level
-    n - 1; it is level n - 1's generator with that key, or degenerate when
-    no generator has it: level n - 1's generators are all of its
-    non-degenerate subsets of size <= k, and a key names one subset."""
-    if k < 1:
-        raise SimplicialError("k must be >= 1")
-    cells = capped_cells(S, k, max_cells)
-    if k == 1:
-        return ExpkSpace(result=normalized_chains(S), cells_enumerated=cells)
-    boundaries = []
+def expk_levels(S: SimplicialSet, k: int) -> Iterator[
+        tuple[list[tuple[int, int]], list[tuple[int, ...]], SparseIntMatrix]]:
+    """(level, subsets, d_n) per level n <= k * dim(S) of exp_k S, each built
+    when asked for, with no cell cap test: level is S's n-simplices, subsets
+    its non-degenerate index subsets in column order, each keyed by the OR
+    of its indices' bits, and d_n their boundary.  Face d_i's key is the OR
+    of the elements' d_i bits in level n - 1, whose generators are all its
+    non-degenerate subsets of size <= k: it names the face, or none when the
+    face is degenerate and adds nothing (it is never put in normal form)."""
     row_of: dict[int, int] = {}  # key -> row, over level n - 1's generators
     below: dict[tuple[int, int], int] = {}  # level n - 1: simplex -> index
     join = partial(map, or_)
@@ -150,10 +140,20 @@ def build_expk(S: SimplicialSet, k: int,
         faces = range(n + 1) if n else ()
         bits = [[1 << below[apply_face(x, i, S)] for i in faces]
                 for x in level]
-        boundaries.append(boundary(
+        yield level, subsets, boundary(
             map(row_of.get, reduce(join, map(bits.__getitem__, idxs)))
-            for idxs in subsets))
+            for idxs in subsets)
         row_of = {reduce(or_, map((1).__lshift__, idxs)): r
                   for r, idxs in enumerate(subsets)}
         below = {x: a for a, x in enumerate(level)}
-    return ExpkSpace(result=ChainComplex(boundaries), cells_enumerated=cells)
+
+
+def build_expk(S: SimplicialSet, k: int,
+               max_cells: int = DEFAULT_MAX_CELLS) -> ExpkSpace:
+    """exp_k S's ExpkSpace, built once its levels pass the cell cap."""
+    if k < 1:
+        raise SimplicialError("k must be >= 1")
+    cells = capped_cells(S, k, max_cells)
+    if k == 1:
+        return ExpkSpace(normalized_chains(S), cells)
+    return ExpkSpace(ChainComplex([d for _, _, d in expk_levels(S, k)]), cells)

@@ -168,6 +168,15 @@ MUTANTS = [
      "    except (MemoryError, OverflowError):  # a summand too large to build\n"
      "        print(\"error: out of memory\", file=sys.stderr)\n"
      "        return EXIT_CAP\n", "", KILLED),
+    ("expk-levels-enumerates-every-level-first", EXPK,
+     "    for n in range(k * S.dim + 1):\n"
+     "        level = enumerate_level(S, n)\n",
+     "    levels = [enumerate_level(S, n) for n in range(k * S.dim + 1)]\n"
+     "    for n, level in enumerate(levels):\n", KILLED),
+    # linear in k on a dimension-0 base, whose one level caps nothing
+    ("expk-f-vector-sums-every-j-up-to-k", EXPK,
+     "for j in range(1, min(k, m) + 1))", "for j in range(1, k + 1))",
+     KILLED),
     # quadratic on a wedge's repeated face object, such as s150000's
     ("set-faces-without-id-dedup", SIMPLICIAL,
      "for base, word in {id(f): f for f in faces}.values():",

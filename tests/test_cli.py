@@ -24,17 +24,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_child(*argv, stdout=subprocess.PIPE, **env_vars):
+def run_cli_child(*argv, stdout=subprocess.PIPE, timeout=30, **env_vars):
     """``python -m subsetspace.cli`` on this checkout's src/, in a child
     process with ``env_vars`` added to its environment; its stdout goes to
-    ``stdout`` (captured by default) and its stderr is captured."""
+    ``stdout`` (captured by default) and its stderr is captured.  A child
+    still running after ``timeout`` seconds is killed, and TimeoutExpired
+    fails the caller."""
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "subsetspace.cli", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=30, env=env)
+                          timeout=timeout, env=env)
 
 
 def test_homology_moebius(capsys):
@@ -379,6 +381,23 @@ def test_oracle_on_a_vertex_file_at_a_huge_k_is_quick(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert (payload["verdict"], payload["cells_enumerated"]) == ("pass", 1)
+
+
+def test_homology_on_a_vertex_file_at_a_huge_k_is_quick(tmp_path):
+    """homology's f-vector of exp_k S sums C(m, j) over j <= min(k, m) at a
+    level of m simplices, so on a vertex-only file k = 10^12 returns at
+    once: the discrete points' nonempty subsets.  A sum over every j <= k
+    took about 4 s per 10^7 of k, and the child's timeout stops it."""
+    for names, count in [(["v"], 1), (["a", "b", "c"], 7)]:
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"generators": [names]}))
+        proc = run_cli_child("homology", "--file", str(path),
+                             "--k", str(10 ** 12), "--seed", "0", timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert (payload["f_vector"], payload["betti"], payload["euler"],
+                payload["cells_enumerated"]) == ([count], [count], count,
+                                                 count)
 
 
 def test_circle_over_the_cap_is_refused_before_it_is_built(capsys):

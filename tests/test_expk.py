@@ -1,19 +1,21 @@
 import gc
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
 
 from subsetspace import expk
 from subsetspace import verify as V
-from subsetspace.simplicial import (SimplicialError, SimplicialSet,
-                                    apply_face, degeneracy_words,
-                                    enumerate_level, validate)
+from subsetspace.simplicial import (ChainComplex, SimplicialError,
+                                    SimplicialSet, apply_face,
+                                    degeneracy_words, enumerate_level,
+                                    validate)
 from subsetspace.spaces import (edgewise_subdivision, parse_space,
                                 subdivided_circle, wedge)
-from subsetspace.expk import ResourceCapError, build_expk, level_size
+from subsetspace.expk import (ResourceCapError, build_expk, expk_levels,
+                             level_size)
 from subsetspace.homology import (SmithResult, expk_homology, homology,
                                   normalized_chains)
 
@@ -290,6 +292,48 @@ def test_k1_build_is_the_base_itself(monkeypatch):
             normalized_chains(S))
         assert space.cells_enumerated == sum(level_size(S, n)
                                              for n in range(S.dim + 1))
+
+
+def test_levels_are_the_builds_boundaries_and_the_oracles_subsets():
+    """expk_levels yields build_expk's boundaries level by level, and its
+    subsets, read through their level, are the unpruned search's
+    generators in id order, on every matrix case."""
+    for desc, k in MATRIX_CASES:
+        S = parse_space(desc)[1]
+        levels = list(expk_levels(S, k))
+        assert [d.cols for _, _, d in levels] == [
+            d.cols for d in build_expk(S, k).result.boundaries], (desc, k)
+        assert [tuple(level[a] for a in idxs) for level, subsets, _ in levels
+                for idxs in subsets] == expk_subsets(S, k), (desc, k)
+
+
+def test_k1_levels_are_the_base_itself():
+    """At k = 1 the level loop builds S's own normalized chains, which
+    build_expk's k = 1 return hands back without it; wedge(2, 1, 2) has ids
+    out of dimension order, and circle:5 has several vertices."""
+    bases = [parse_space(desc)[1] for desc, _ in MATRIX_CASES]
+    for S in bases + [wedge((2, 1, 2)), parse_space("circle:5")[1]]:
+        C = ChainComplex([d for _, _, d in expk_levels(S, 1)])
+        assert chain_tables(C) == chain_tables(normalized_chains(S))
+
+
+def test_levels_are_built_only_when_asked_for(monkeypatch):
+    """Two yields enumerate levels 0 and 1 and no later one, and the
+    generator tests no cap: exp_3 S^4, which build_expk refuses before it
+    enumerates a level, yields its first levels."""
+    calls = []
+    real = expk.enumerate_level
+
+    def recorder(S, n):
+        calls.append(n)
+        return real(S, n)
+
+    monkeypatch.setattr(expk, "enumerate_level", recorder)
+    S = wedge((4,))
+    with pytest.raises(ResourceCapError):
+        build_expk(S, 3)
+    assert len(list(islice(expk_levels(S, 3), 2))) == 2
+    assert calls == [0, 1]
 
 
 def test_build_exp2_circle_generators():
